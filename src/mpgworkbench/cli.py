@@ -132,7 +132,9 @@ def _markdown(report: dict) -> str:
     lines = ["# Auto MPG workbench report", ""]
     prov = report.get("provenance")
     if prov:
-        lines += [f"- data: `{prov['config']['data_path']}`",
+        path = prov["config"]["data_path"]
+        data = "packaged reference file" if path is None else f"`{path}`"
+        lines += [f"- data: {data}",
                   f"- data sha256: `{prov['data_sha256']}`",
                   f"- seed: {prov['config']['seed']}",
                   f"- train/test: {prov['n_train']}/{prov['n_test']}", ""]
@@ -300,7 +302,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NumericalError, ConvergenceError, SmoError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        viol = getattr(exc, "max_violation", None)
+        detail = "" if viol is None else f"; max KKT violation {viol}"
+        print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

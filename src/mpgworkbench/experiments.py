@@ -76,9 +76,10 @@ class ExperimentConfig:
         return self.data_path or reference_data_path()
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["data_path"] = self.resolved_data_path()
-        return d
+        """The config as given: data_path stays None for the packaged
+        file, so reports agree across checkouts (data_sha256 in the
+        provenance identifies the data)."""
+        return dataclasses.asdict(self)
 
 
 @dataclass

@@ -230,21 +230,13 @@ def svr_kkt_violations(beta, E, C, epsilon):
     Optimality: beta=0 -> |E| <= eps; beta in (0,C) -> E = -eps;
     beta=C -> E <= -eps; beta in (-C,0) -> E = eps; beta=-C -> E >= eps.
     """
-    viol = np.empty_like(beta)
     bnd = 1e-8 * C
-    for i in range(beta.size):
-        bi, Ei = beta[i], E[i]
-        if bi >= C - bnd:
-            viol[i] = max(0.0, Ei + epsilon)
-        elif bi > bnd:
-            viol[i] = abs(Ei + epsilon)
-        elif bi > -bnd:
-            viol[i] = max(0.0, abs(Ei) - epsilon)
-        elif bi > -C + bnd:
-            viol[i] = abs(Ei - epsilon)
-        else:
-            viol[i] = max(0.0, epsilon - Ei)
-    return viol
+    # np.select takes the first true condition, as an if/elif chain would
+    return np.select(
+        [beta >= C - bnd, beta > bnd, beta > -bnd, beta > -C + bnd],
+        [np.maximum(0.0, E + epsilon), np.abs(E + epsilon),
+         np.maximum(0.0, np.abs(E) - epsilon), np.abs(E - epsilon)],
+        default=np.maximum(0.0, epsilon - E))
 
 
 def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
@@ -281,6 +273,16 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         g = K @ beta
     rng = Xoshiro256StarStar(seed)
     iterations = 0
+    margin = 1e-10 * C  # multipliers this close to a bound count as bound
+    hi, lo = C - margin, -C + margin
+    diag_k = np.diag(K).copy()
+    # For each point, the slope of the dual toward increasing (resp.
+    # decreasing) beta_i is (y - g) + off_up (resp. + off_down): -/+ eps
+    # with the sign of the L1 kink at beta_i, or -inf (+inf) where beta_i
+    # is at the bound it would move toward.  Only two entries change per
+    # step, so take_step keeps the offsets current.
+    off_up = np.where(beta < hi, np.where(beta >= 0.0, -epsilon, epsilon), -np.inf)
+    off_down = np.where(beta > lo, np.where(beta <= 0.0, epsilon, -epsilon), np.inf)
 
     def take_step(i1: int, i2: int) -> bool:
         nonlocal iterations
@@ -299,15 +301,6 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         slope = E2 - E1  # d/dt of the smooth dual part at t0
         abs_t0 = abs(t0)
         abs_s_t0 = abs(ssum - t0)
-
-        def gain(t):
-            dt = t - t0
-            return (
-                slope * dt - 0.5 * eta * dt * dt
-                - epsilon * (abs(t) - abs_t0)
-                - epsilon * (abs(ssum - t) - abs_s_t0)
-            )
-
         candidates = [L, H]
         if L < 0.0 < H:
             candidates.append(0.0)
@@ -320,49 +313,48 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
                 if L <= t_c <= H:
                     candidates.append(t_c)
         best_t, best_gain = t0, 0.0
-        for t in candidates:
-            g_t = gain(t)
+        for t in candidates:  # the restricted dual's gain at beta_i1 = t
+            dt = t - t0
+            g_t = (slope * dt - 0.5 * eta * dt * dt
+                   - epsilon * (abs(t) - abs_t0)
+                   - epsilon * (abs(ssum - t) - abs_s_t0))
             if g_t > best_gain + 1e-15:
                 best_t, best_gain = t, g_t
         if best_gain <= 1e-15 or abs(best_t - t0) < 1e-14:
             return False
         d1 = best_t - t0
         g[:] += d1 * (K[i1] - K[i2])
-        beta[i1] = best_t
-        beta[i2] = ssum - best_t
+        for i, bi in ((i1, best_t), (i2, ssum - best_t)):
+            beta[i] = bi
+            off_up[i] = (-epsilon if bi >= 0.0 else epsilon) if bi < hi else -np.inf
+            off_down[i] = (epsilon if bi <= 0.0 else -epsilon) if bi > lo else np.inf
         iterations += 1
         return True
 
-    # maximal-violating-pair loop.  For each point, the slope of the dual
-    # toward increasing (resp. decreasing) beta_i is (y - g) -/+ eps with
-    # the sign of the L1 kink at beta_i; KKT holds when every feasible
-    # "up" value is below every feasible "down" value (the bias sits in
-    # the gap between them).
-    margin = 1e-10 * C  # multipliers this close to a bound count as bound
-    diag_k = np.diag(K).copy()
+    # maximal-violating-pair loop: KKT holds when every feasible "up"
+    # value is below every feasible "down" value (the bias sits in the
+    # gap between them).
     while True:
         yg = y - g
-        up = np.where(beta >= 0.0, yg - epsilon, yg + epsilon)
-        down = np.where(beta <= 0.0, yg + epsilon, yg - epsilon)
-        up = np.where(beta < C - margin, up, -np.inf)
-        down = np.where(beta > -C + margin, down, np.inf)
-        i_up = int(np.argmax(up))
-        gap = up[i_up] - down.min()
-        if gap <= 2.0 * tol:
-            b = float((up[i_up] + down.min()) / 2.0)
+        up = yg + off_up
+        down = yg + off_down
+        i_up = int(up.argmax())
+        up_max, down_min = up[i_up], down.min()
+        if up_max - down_min <= 2.0 * tol:
+            b = float((up_max + down_min) / 2.0)
             break
         if iterations >= max_iter:
-            b = float((up[i_up] + down.min()) / 2.0)
+            b = float((up_max + down_min) / 2.0)
             viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
             raise SmoError(
                 f"SVR solver hit the iteration cap of {max_iter}",
                 dual=beta, max_violation=float(viol.max()),
             )
         # second-order partner choice: maximize the guaranteed dual gain
-        diff = up[i_up] - down
+        diff = up_max - down
         curv = np.maximum(diag_k[i_up] + diag_k - 2.0 * K[i_up], 1e-12)
         score = np.where(diff > 0, diff * diff / curv, -np.inf)
-        i_down = int(np.argmax(score))
+        i_down = int(score.argmax())
         if take_step(i_up, i_down):
             continue
         # blocked pair: seeded random sweep over feasible partners
@@ -372,7 +364,7 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
             if take_step(i_up, int(partners[(start + k) % partners.size])):
                 break
         else:
-            b = float((up[i_up] + down[i_down]) / 2.0)
+            b = float((up_max + down[i_down]) / 2.0)
             viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
             raise SmoError(
                 "SVR solver stalled: no feasible pair makes progress",

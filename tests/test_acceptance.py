@@ -24,6 +24,9 @@ from mpgworkbench.linmod import (fit_lasso, fit_ols, fit_ridge,
 from mpgworkbench.metrics import adjusted_r2, dataset_correlations, roc_curve
 from mpgworkbench.treemod import fit_cart, tree_predict
 
+# the gate runs 21 full reports; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 # The bands below are on medians over a fixed 20-seed sample of the
 # protocol.  The OLS band floor sits almost exactly at the R^2
 # distribution's long-run median (~0.810 over 3000 random splits), so an

@@ -5,9 +5,12 @@ import os
 
 import pytest
 
-from mpgworkbench.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_config_file,
-                              _regression_csvs, main)
+from mpgworkbench import cli, experiments
+from mpgworkbench.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                              _load_config_file, _markdown, _regression_csvs,
+                              main)
 from mpgworkbench.ingest import DATA_SHA256, reference_data_path
+from mpgworkbench.kernelmod import SmoError
 
 
 def run_cli(argv):
@@ -72,6 +75,45 @@ def test_invalid_split_exits_one(tmp_path, capsys):
                     "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
     assert not (tmp_path / "out").exists()
+
+
+def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
+    def failing_solver(*args, **kwargs):
+        raise SmoError("SVR solver hit the iteration cap of 1",
+                       dual=None, max_violation=0.5)
+
+    monkeypatch.setattr(experiments, "solve_svr_dual", failing_solver)
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: SVR solver hit the iteration cap of 1" in err
+    assert "max KKT violation 0.5" in err
+    assert not out.exists()
+
+
+# --- recorded data path (the suite itself is stubbed: only the config
+# written next to it is under test)
+
+@pytest.mark.parametrize("given", [False, True])
+def test_regress_records_data_path_as_given(tmp_path, monkeypatch, given):
+    monkeypatch.delenv("MPGW_DATA", raising=False)
+    monkeypatch.setattr(cli, "run_regression_suite", lambda config: {})
+    out = tmp_path / "out"
+    argv = ["regress", "--out", str(out), "--format", "json"]
+    path = os.path.join("some", "dir", "cars.data")
+    if given:
+        argv += ["--data", path]
+    assert run_cli(argv) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["data_path"] == (path if given else None)
+
+
+def test_markdown_names_packaged_file():
+    prov = {"config": {"data_path": None, "seed": 1}, "data_sha256": "ab",
+            "n_train": 278, "n_test": 120}
+    assert "- data: packaged reference file\n" in _markdown({"provenance": prov})
+    prov["config"]["data_path"] = "cars.data"
+    assert "- data: `cars.data`\n" in _markdown({"provenance": prov})
 
 
 # --- eda outputs

@@ -4,12 +4,13 @@ SVR tube behavior, and post-fit KKT audits on random data."""
 import numpy as np
 import pytest
 
-from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, SmoError,
+from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     fit_svc_smo, fit_svr, gamma_scale,
                                     kernel_eval, kernel_matrix,
                                     solve_svr_dual, svc_kkt_violations,
                                     svm_decision, svm_predict_class,
                                     svr_kkt_violations)
+from mpgworkbench.rng import Xoshiro256StarStar
 
 LINEAR = KernelSpec("linear")
 
@@ -224,3 +225,209 @@ def test_empty_support_vector_decision_is_bias():
     m = fit_svr(X, np.full(4, 2.0), C=1.0, epsilon=0.5, kernel=LINEAR)
     np.testing.assert_allclose(svm_decision(m, np.array([[7.0]])), [2.0],
                                atol=1e-9)
+
+
+# --- SVR solver against a reference copy of its step loop
+
+def reference_svr_dual(K, y, C, epsilon, tol=KKT_TOL, seed=0,
+                       max_iter=MAX_ITER, beta0=None):
+    """The SVR solver as it was before its KKT offsets were kept
+    incrementally: every step rebuilds the up/down values from beta and
+    calls a gain closure per candidate.  Kept verbatim (input checks
+    left out, KKT audit by the loop reference below) as the oracle the
+    solver must match bit for bit."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if beta0 is None:
+        beta = np.zeros(n)
+        g = np.zeros(n)  # K @ beta, maintained incrementally
+    else:
+        beta = np.asarray(beta0, dtype=float).copy()
+        g = K @ beta
+    rng = Xoshiro256StarStar(seed)
+    iterations = 0
+
+    def take_step(i1: int, i2: int) -> bool:
+        nonlocal iterations
+        if i1 == i2:
+            return False
+        t0 = float(beta[i1])
+        ssum = t0 + float(beta[i2])
+        L = max(-C, ssum - C)
+        H = min(C, ssum + C)
+        if L >= H:
+            return False
+        E1 = float(g[i1]) - float(y[i1])  # bias-free; offset cancels in E2 - E1
+        E2 = float(g[i2]) - float(y[i2])
+        k12 = float(K[i1, i2])
+        eta = float(diag_k[i1]) + float(diag_k[i2]) - 2.0 * k12
+        slope = E2 - E1  # d/dt of the smooth dual part at t0
+        abs_t0 = abs(t0)
+        abs_s_t0 = abs(ssum - t0)
+
+        def gain(t):
+            dt = t - t0
+            return (
+                slope * dt - 0.5 * eta * dt * dt
+                - epsilon * (abs(t) - abs_t0)
+                - epsilon * (abs(ssum - t) - abs_s_t0)
+            )
+
+        candidates = [L, H]
+        if L < 0.0 < H:
+            candidates.append(0.0)
+        if L < ssum < H:
+            candidates.append(ssum)
+        if eta > 1e-12:
+            # stationary points of the four sign quadrants of the kink
+            for shift in (0.0, 2.0 * epsilon, -2.0 * epsilon):
+                t_c = t0 + (slope - shift) / eta
+                if L <= t_c <= H:
+                    candidates.append(t_c)
+        best_t, best_gain = t0, 0.0
+        for t in candidates:
+            g_t = gain(t)
+            if g_t > best_gain + 1e-15:
+                best_t, best_gain = t, g_t
+        if best_gain <= 1e-15 or abs(best_t - t0) < 1e-14:
+            return False
+        d1 = best_t - t0
+        g[:] += d1 * (K[i1] - K[i2])
+        beta[i1] = best_t
+        beta[i2] = ssum - best_t
+        iterations += 1
+        return True
+
+    # maximal-violating-pair loop.  For each point, the slope of the dual
+    # toward increasing (resp. decreasing) beta_i is (y - g) -/+ eps with
+    # the sign of the L1 kink at beta_i; KKT holds when every feasible
+    # "up" value is below every feasible "down" value (the bias sits in
+    # the gap between them).
+    margin = 1e-10 * C  # multipliers this close to a bound count as bound
+    diag_k = np.diag(K).copy()
+    while True:
+        yg = y - g
+        up = np.where(beta >= 0.0, yg - epsilon, yg + epsilon)
+        down = np.where(beta <= 0.0, yg + epsilon, yg - epsilon)
+        up = np.where(beta < C - margin, up, -np.inf)
+        down = np.where(beta > -C + margin, down, np.inf)
+        i_up = int(np.argmax(up))
+        gap = up[i_up] - down.min()
+        if gap <= 2.0 * tol:
+            b = float((up[i_up] + down.min()) / 2.0)
+            break
+        if iterations >= max_iter:
+            b = float((up[i_up] + down.min()) / 2.0)
+            viol = reference_svr_kkt_violations(beta, g + b - y, C, epsilon)
+            raise SmoError(
+                f"SVR solver hit the iteration cap of {max_iter}",
+                dual=beta, max_violation=float(viol.max()),
+            )
+        # second-order partner choice: maximize the guaranteed dual gain
+        diff = up[i_up] - down
+        curv = np.maximum(diag_k[i_up] + diag_k - 2.0 * K[i_up], 1e-12)
+        score = np.where(diff > 0, diff * diff / curv, -np.inf)
+        i_down = int(np.argmax(score))
+        if take_step(i_up, i_down):
+            continue
+        # blocked pair: seeded random sweep over feasible partners
+        partners = np.flatnonzero(beta > -C)
+        start = rng.randbelow(partners.size)
+        for k in range(partners.size):
+            if take_step(i_up, int(partners[(start + k) % partners.size])):
+                break
+        else:
+            b = float((up[i_up] + down[i_down]) / 2.0)
+            viol = reference_svr_kkt_violations(beta, g + b - y, C, epsilon)
+            raise SmoError(
+                "SVR solver stalled: no feasible pair makes progress",
+                dual=beta, max_violation=float(viol.max()),
+            )
+    return beta, b
+
+
+def svr_problem(rng, n, kind):
+    X = rng.normal(size=(n, 3))
+    X[-1] = X[0]  # a zero-curvature pair exercises the flat-direction path
+    y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * rng.normal(size=n)
+    if kind == "rbf":
+        return kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X), y
+    # a shrunk linear Gram matrix: at full scale, linear SVR at C = 100
+    # takes about a second per solve
+    return kernel_matrix(LINEAR, 0.3 * X, 0.3 * X), y
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
+    for trial in range(3):
+        K, y = svr_problem(rng, int(rng.integers(20, 60)), kind)
+        warm = None
+        for C in (1.0, 10.0, 100.0):  # ascending grid, as the SVR CV runs it
+            starts = [None] if warm is None else [None, warm]
+            for beta0 in starts:
+                beta, b = solve_svr_dual(K, y, C, epsilon, seed=trial,
+                                         beta0=beta0)
+                ref_beta, ref_b = reference_svr_dual(K, y, C, epsilon,
+                                                     seed=trial, beta0=beta0)
+                assert np.array_equal(beta, ref_beta)
+                assert b == ref_b
+            warm = beta
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_svr_dual_stall_matches_reference_loop(rng, kind):
+    """A tolerance below rounding level stalls the solver, which runs
+    the seeded blocked-pair sweep before it gives up."""
+    for trial in range(3):
+        K, y = svr_problem(rng, int(rng.integers(10, 30)), kind)
+        with pytest.raises(SmoError, match="stalled") as exc:
+            solve_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
+        with pytest.raises(SmoError, match="stalled") as ref:
+            reference_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
+        assert np.array_equal(exc.value.dual, ref.value.dual)
+        assert exc.value.max_violation == ref.value.max_violation
+
+
+def test_svr_iteration_cap_raises_with_diagnostics(rng):
+    K, y = svr_problem(rng, 30, "rbf")
+    with pytest.raises(SmoError) as exc:
+        solve_svr_dual(K, y, 10.0, 0.1, max_iter=1)
+    assert exc.value.dual is not None
+    assert np.isfinite(exc.value.max_violation)
+    assert exc.value.max_violation > 2.0 * KKT_TOL
+
+
+def reference_svr_kkt_violations(beta, E, C, epsilon):
+    viol = np.empty_like(beta)
+    bnd = 1e-8 * C
+    for i in range(beta.size):
+        bi, Ei = beta[i], E[i]
+        if bi >= C - bnd:
+            viol[i] = max(0.0, Ei + epsilon)
+        elif bi > bnd:
+            viol[i] = abs(Ei + epsilon)
+        elif bi > -bnd:
+            viol[i] = max(0.0, abs(Ei) - epsilon)
+        elif bi > -C + bnd:
+            viol[i] = abs(Ei - epsilon)
+        else:
+            viol[i] = max(0.0, epsilon - Ei)
+    return viol
+
+
+@pytest.mark.parametrize("C", [1.0, 10.0])
+def test_svr_kkt_violations_match_loop(rng, C):
+    bnd = 1e-8 * C
+    edges = np.array([C, C - bnd, bnd, 0.0, -bnd, -C + bnd, -C])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+    # every multiplier against errors on both sides of, and at, the tube
+    # edges, so that picking a neighbouring branch changes the result
+    beta, E = (a.ravel() for a in np.meshgrid(
+        np.concatenate([edges, rng.uniform(-C, C, size=20)]),
+        np.concatenate([[-0.3, -0.1, -0.05, 0.0, 0.05, 0.1, 0.3],
+                        rng.normal(scale=0.2, size=5)])))
+    for epsilon in (0.0, 0.1):
+        assert np.array_equal(svr_kkt_violations(beta, E, C, epsilon),
+                              reference_svr_kkt_violations(beta, E, C, epsilon))
