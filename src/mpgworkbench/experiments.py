@@ -72,6 +72,29 @@ class ExperimentConfig:
     eda_bins: int = 10
     residual_bins: int = 20
 
+    def __post_init__(self):
+        """Reject out-of-range settings before any data is read or any
+        output written.  Each condition states what must hold, so NaN
+        fails it too."""
+        checks = [
+            (0.0 < self.split_ratio < 1.0,
+             "split_ratio must lie strictly between 0 and 1"),
+            (self.cv_folds >= 2, "cv_folds must be >= 2"),
+            (self.forest_trees >= 1, "forest_trees must be >= 1"),
+            (self.svr_epsilon >= 0.0, "svr_epsilon must be >= 0"),
+            (0.0 <= self.elastic_net_l1_ratio <= 1.0,
+             "elastic_net_l1_ratio must lie in [0, 1]"),
+            (self.poly_degree >= 1, "poly_degree must be >= 1"),
+            (self.eda_bins >= 1 and self.residual_bins >= 1,
+             "eda_bins and residual_bins must be >= 1"),
+        ]
+        checks += [(all(v > 0.0 for v in getattr(self, grid)),
+                    f"{grid} entries must be > 0")
+                   for grid in ("c_grid", "svr_c_grid", "alpha_grid")]
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
+
     def resolved_data_path(self) -> str:
         return self.data_path or reference_data_path()
 
@@ -97,8 +120,6 @@ class ProtocolData:
     ytr_raw: np.ndarray
     labels_tr: np.ndarray
     labels_te: np.ndarray
-    x_standardizer: object
-    y_standardizer: object
 
 
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
@@ -123,8 +144,6 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
         ytr_raw=ytr_raw,
         labels_tr=dataset.label[split.train],
         labels_te=dataset.label[split.test],
-        x_standardizer=sx,
-        y_standardizer=sy,
     )
 
 

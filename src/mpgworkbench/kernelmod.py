@@ -276,6 +276,9 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     margin = 1e-10 * C  # multipliers this close to a bound count as bound
     hi, lo = C - margin, -C + margin
     diag_k = np.diag(K).copy()
+    # floored pair curvature K_ii + K_jj - 2 K_ij of the partner choice,
+    # tabulated once (n x n) instead of rebuilt from four passes per step
+    curv = np.maximum(diag_k[:, None] + diag_k - 2.0 * K, 1e-12)
     # For each point, the slope of the dual toward increasing (resp.
     # decreasing) beta_i is (y - g) + off_up (resp. + off_down): -/+ eps
     # with the sign of the L1 kink at beta_i, or -inf (+inf) where beta_i
@@ -352,8 +355,7 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
             )
         # second-order partner choice: maximize the guaranteed dual gain
         diff = up_max - down
-        curv = np.maximum(diag_k[i_up] + diag_k - 2.0 * K[i_up], 1e-12)
-        score = np.where(diff > 0, diff * diff / curv, -np.inf)
+        score = np.where(diff > 0, diff * diff / curv[i_up], -np.inf)
         i_down = int(score.argmax())
         if take_step(i_up, i_down):
             continue

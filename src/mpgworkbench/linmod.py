@@ -97,31 +97,34 @@ def _coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int)
     """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
     + l1 ||b||_1 + (l2/2) ||b||^2.  Returns (beta, intercept)."""
     n, p = X.shape
-    col_sq = (X * X).sum(axis=0) / n  # (1/n) ||x_j||^2
-    beta = np.zeros(p)
-    intercept = y.mean()
+    # scalars stay Python floats (IEEE-identical to numpy float64 scalar
+    # arithmetic, without its per-operation overhead); the columns stay
+    # strided views of X, whose dot products lasso_alpha_max reproduces
+    columns = [X[:, j] for j in range(p)]
+    col_sq = ((X * X).sum(axis=0) / n).tolist()  # (1/n) ||x_j||^2
+    beta = [0.0] * p
+    intercept = float(y.sum() / n)
     residual = y - intercept  # y - b0 - X beta, maintained incrementally
     for _ in range(max_sweeps):
         max_change = 0.0
-        for j in range(p):
-            xj = X[:, j]
+        for j, xj in enumerate(columns):
             old = beta[j]
-            rho = (xj @ residual) / n + col_sq[j] * old
+            rho = float(xj @ residual) / n + col_sq[j] * old
             new = _soft_threshold(rho, l1) / (col_sq[j] + l2)
             if new != old:
                 residual -= (new - old) * xj
                 beta[j] = new
                 max_change = max(max_change, abs(new - old))
-        new_intercept = intercept + residual.mean()
+        new_intercept = intercept + float(residual.sum() / n)
         if new_intercept != intercept:
             residual -= new_intercept - intercept
             max_change = max(max_change, abs(new_intercept - intercept))
             intercept = new_intercept
         if max_change < tol:
-            return beta, intercept
+            return np.array(beta), intercept
     raise ConvergenceError(
         f"coordinate descent did not converge in {max_sweeps} sweeps",
-        last_iterate=(beta, intercept),
+        last_iterate=(np.array(beta), intercept),
     )
 
 

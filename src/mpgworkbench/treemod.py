@@ -51,27 +51,15 @@ def gini_impurity(labels: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _node_impurity(t: np.ndarray, task: str) -> float:
-    if task == "classify":
-        return gini_impurity(t)
-    return float(t.var())
-
-
-def _leaf_prediction(t: np.ndarray, task: str) -> float:
-    if task == "classify":
-        counts = np.bincount(t.astype(int))
-        return float(np.argmax(counts))  # tie -> lower class index
-    return float(t.mean())
-
-
-def _best_split(Xn: np.ndarray, tn: np.ndarray, task: str,
-                features: np.ndarray, min_samples_leaf: int):
-    """Best (feature, threshold, weighted child impurity) over candidate
-    features, or None when no valid split exists."""
+def _best_split(cols: np.ndarray, tn: np.ndarray, task: str,
+                features: list[int], min_samples_leaf: int):
+    """Best (feature, threshold, weighted child impurity) over the
+    candidate columns ``cols`` (one per entry of ``features``), or None
+    when no valid split exists."""
     n = tn.size
-    cols = Xn[:, features]  # one column per candidate feature
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
+    pos = np.arange(len(features))
+    order = cols.argsort(axis=0, kind="stable")
+    xs = cols[order, pos]
     ts = tn[order]
     # split after position i puts sorted indices [0..i] left; valid where
     # the value strictly increases (threshold = midpoint)
@@ -84,28 +72,31 @@ def _best_split(Xn: np.ndarray, tn: np.ndarray, task: str,
     if not valid.any():
         return None
     if task == "classify":
-        ones = np.cumsum(ts, axis=0)[:-1]
+        ones = ts.cumsum(axis=0)[:-1]
         p_l = ones / n_left
         p_r = (ts.sum(axis=0) - ones) / n_right
         g_l = 2.0 * p_l * (1.0 - p_l)  # binary Gini
         g_r = 2.0 * p_r * (1.0 - p_r)
         child = (n_left * g_l + n_right * g_r) / n
     else:
-        csum = np.cumsum(ts, axis=0)[:-1]
-        csq = np.cumsum(ts * ts, axis=0)[:-1]
+        csum = ts.cumsum(axis=0)[:-1]
+        sq = ts * ts
+        csq = sq.cumsum(axis=0)[:-1]
         sse_l = csq - csum * csum / n_left
-        sse_r = ((ts * ts).sum(axis=0) - csq) - (ts.sum(axis=0) - csum) ** 2 / n_right
+        sse_r = (sq.sum(axis=0) - csq) - (ts.sum(axis=0) - csum) ** 2 / n_right
         child = (sse_l + sse_r) / n  # weighted variance
     child[~valid] = np.inf
-    best = None  # (child_impurity, feature, threshold); ties keep the
-    # earlier feature and (via argmin) the lowest threshold
-    for j, f in enumerate(features):
-        k = int(np.argmin(child[:, j]))
-        c = float(child[k, j])
-        if not np.isfinite(c):
+    # argmin takes each feature's lowest threshold among equal minima;
+    # across features, ties keep the earlier feature
+    k = child.argmin(axis=0)
+    best_child = child[k, pos].tolist()
+    thresholds = ((xs[k, pos] + xs[k + 1, pos]) / 2.0).tolist()
+    best = None  # (child_impurity, feature, threshold)
+    for c, f, thr in zip(best_child, features, thresholds):
+        if not math.isfinite(c):
             continue
         if best is None or c < best[0] - 1e-15:
-            best = (c, int(f), float((xs[k, j] + xs[k + 1, j]) / 2.0))
+            best = (c, f, thr)
     return best
 
 
@@ -131,18 +122,26 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         tn = target[idx]
-        impurity = _node_impurity(tn, task)
-        leaf = TreeNode(prediction=_leaf_prediction(tn, task),
-                        n_samples=idx.size, impurity=impurity)
+        if task == "classify":
+            impurity = gini_impurity(tn)
+            # majority class; a tie goes to the lower class index
+            prediction = float(np.argmax(np.bincount(tn.astype(int))))
+        else:
+            # bitwise tn.mean() and tn.var(), without numpy's wrappers
+            mean = tn.sum() / idx.size
+            impurity = float(((tn - mean) ** 2).sum() / idx.size)
+            prediction = float(mean)
+        leaf = TreeNode(prediction=prediction, n_samples=idx.size,
+                        impurity=impurity)
         if impurity <= 0.0 or idx.size < 2 * min_samples_leaf:
             return leaf
         if max_depth is not None and depth >= max_depth:
             return leaf
         if max_features < d:
-            feats = np.array(sorted(rng.sample_indices(d, max_features)))
+            feats = sorted(rng.sample_indices(d, max_features))
         else:
-            feats = np.arange(d)
-        found = _best_split(X[idx], tn, task, feats, min_samples_leaf)
+            feats = list(range(d))
+        found = _best_split(X[idx][:, feats], tn, task, feats, min_samples_leaf)
         if found is None:
             return leaf
         child_impurity, f, thr = found

@@ -77,6 +77,24 @@ def test_invalid_split_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [["--split", "1.5"], ["--split", "0"],
+                                   ["--folds", "1"]])
+def test_invalid_config_exits_one_before_output(tmp_path, capsys, flags):
+    out = tmp_path / "out"
+    assert run_cli(["eda", *flags, "--out", str(out)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_invalid_config_file_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cv_folds = 0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["eda", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "cv_folds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
     def failing_solver(*args, **kwargs):
         raise SmoError("SVR solver hit the iteration cap of 1",

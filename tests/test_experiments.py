@@ -42,6 +42,29 @@ def test_config_resolves_packaged_data():
     assert cfg.to_dict()["seed"] == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("split_ratio", 0.0), ("split_ratio", 1.0), ("split_ratio", 1.5),
+    ("split_ratio", float("nan")),
+    ("cv_folds", 1), ("forest_trees", 0), ("svr_epsilon", -0.1),
+    ("c_grid", (1.0, 0.0)), ("svr_c_grid", (-1.0, 10.0)),
+    ("alpha_grid", (1e-4, -1.0)),
+    ("elastic_net_l1_ratio", -0.1), ("elastic_net_l1_ratio", 1.5),
+    ("poly_degree", 0), ("eda_bins", 0), ("residual_bins", 0),
+])
+def test_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("split_ratio", 0.5), ("cv_folds", 2), ("forest_trees", 1),
+    ("svr_epsilon", 0.0), ("elastic_net_l1_ratio", 0.0),
+    ("elastic_net_l1_ratio", 1.0), ("poly_degree", 1), ("eda_bins", 1),
+])
+def test_config_accepts_range_edges(field, value):
+    assert getattr(ExperimentConfig(**{field: value}), field) == value
+
+
 # --- cross_validate
 
 def ols_fit(Xs, ys):

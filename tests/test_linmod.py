@@ -4,6 +4,7 @@ against closed-form and finite-difference oracles."""
 import numpy as np
 import pytest
 
+from mpgworkbench.experiments import ExperimentConfig
 from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net, fit_lasso,
                                  fit_logistic, fit_ols, fit_ridge,
                                  lasso_alpha_max, linear_predict,
@@ -261,3 +262,91 @@ def test_predict_dimension_mismatch(rng):
     m = fit_ols(rng.normal(size=(10, 2)), rng.normal(size=10))
     with pytest.raises(ValueError):
         linear_predict(m, np.ones((4, 3)))
+
+
+# --- coordinate descent against a reference copy of its sweep
+
+# The coordinate-descent sweep as it was before its scalars became
+# Python floats: beta and col_sq numpy arrays, numpy scalar arithmetic,
+# residual.mean().  Kept verbatim as the oracle the fits must match bit
+# for bit.
+
+def reference_soft_threshold(x: float, t: float) -> float:
+    if x > t:
+        return x - t
+    if x < -t:
+        return x + t
+    return 0.0
+
+
+def reference_coordinate_descent(X, y, l1: float, l2: float, tol: float,
+                                 max_sweeps: int):
+    """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
+    + l1 ||b||_1 + (l2/2) ||b||^2.  Returns (beta, intercept)."""
+    n, p = X.shape
+    col_sq = (X * X).sum(axis=0) / n  # (1/n) ||x_j||^2
+    beta = np.zeros(p)
+    intercept = y.mean()
+    residual = y - intercept  # y - b0 - X beta, maintained incrementally
+    for _ in range(max_sweeps):
+        max_change = 0.0
+        for j in range(p):
+            xj = X[:, j]
+            old = beta[j]
+            rho = (xj @ residual) / n + col_sq[j] * old
+            new = reference_soft_threshold(rho, l1) / (col_sq[j] + l2)
+            if new != old:
+                residual -= (new - old) * xj
+                beta[j] = new
+                max_change = max(max_change, abs(new - old))
+        new_intercept = intercept + residual.mean()
+        if new_intercept != intercept:
+            residual -= new_intercept - intercept
+            max_change = max(max_change, abs(new_intercept - intercept))
+            intercept = new_intercept
+        if max_change < tol:
+            return beta, intercept
+    raise ConvergenceError(
+        f"coordinate descent did not converge in {max_sweeps} sweeps",
+        last_iterate=(beta, intercept),
+    )
+
+
+def cd_problems(rng, protocol):
+    """The seed-1 standardized training split, and a raw design whose
+    columns differ in scale and offset."""
+    X = rng.normal(size=(80, 6)) * [1.0, 3.0, 0.2, 1.0, 10.0, 1.0] + 2.0
+    y = X @ rng.normal(size=6) + rng.normal(size=80)
+    return [(protocol.Xtr, protocol.ytr), (X, y)]
+
+
+@pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+def test_cd_matches_reference_sweep(rng, protocol, l1_ratio):
+    alpha_grid = ExperimentConfig().alpha_grid
+    assert len(alpha_grid) == 15
+    for X, y in cd_problems(rng, protocol):
+        a_max = lasso_alpha_max(X, y)
+        for alpha in alpha_grid + (a_max,):
+            if l1_ratio == 1.0:
+                m = fit_lasso(X, y, alpha)
+            else:
+                m = fit_elastic_net(X, y, alpha, l1_ratio)
+            beta, intercept = reference_coordinate_descent(
+                X, y, alpha * l1_ratio, alpha * (1.0 - l1_ratio), 1e-7, 10000)
+            assert m.coefficients.tobytes() == beta.tobytes()
+            assert m.intercept.hex() == float(intercept).hex()
+        lasso = fit_lasso(X, y, a_max)
+        assert np.all(lasso.coefficients == 0.0)
+
+
+def test_cd_nonconvergence_iterate_matches_reference(rng, protocol):
+    for X, y in cd_problems(rng, protocol):
+        with pytest.raises(ConvergenceError) as exc:
+            fit_elastic_net(X, y, 1e-4, 0.5, max_sweeps=1)
+        with pytest.raises(ConvergenceError) as ref:
+            reference_coordinate_descent(X, y, 1e-4 * 0.5, 1e-4 * 0.5,
+                                         1e-7, 1)
+        beta, intercept = exc.value.last_iterate
+        ref_beta, ref_intercept = ref.value.last_iterate
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert float(intercept).hex() == float(ref_intercept).hex()

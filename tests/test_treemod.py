@@ -4,6 +4,8 @@ determinism, and ensemble properties."""
 import numpy as np
 import pytest
 
+from mpgworkbench import treemod
+from mpgworkbench.rng import Xoshiro256StarStar
 from mpgworkbench.treemod import (ForestModel, TreeNode, default_max_features,
                                   fit_cart, fit_random_forest, forest_predict,
                                   gini_impurity, tree_predict)
@@ -174,3 +176,169 @@ def test_forest_param_validation(rng):
         fit_random_forest(X, y, "regress", max_features=5)
     with pytest.raises(ValueError):
         fit_random_forest(X[:1], y[:1], "regress")
+
+
+# --- the grower against a reference copy of its node loop
+
+# The tree grower as it was before its node statistics and split search
+# were trimmed: t.var()/t.mean() per node, every column of the node's rows
+# gathered, np.take_along_axis and a per-feature argmin loop.  Kept
+# verbatim as the oracle fit_cart must match bit for bit.
+
+def reference_node_impurity(t: np.ndarray, task: str) -> float:
+    if task == "classify":
+        return gini_impurity(t)
+    return float(t.var())
+
+
+def reference_leaf_prediction(t: np.ndarray, task: str) -> float:
+    if task == "classify":
+        counts = np.bincount(t.astype(int))
+        return float(np.argmax(counts))  # tie -> lower class index
+    return float(t.mean())
+
+
+def reference_best_split(Xn: np.ndarray, tn: np.ndarray, task: str,
+                          features: np.ndarray, min_samples_leaf: int):
+    """Best (feature, threshold, weighted child impurity) over candidate
+    features, or None when no valid split exists."""
+    n = tn.size
+    cols = Xn[:, features]  # one column per candidate feature
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    ts = tn[order]
+    # split after position i puts sorted indices [0..i] left; valid where
+    # the value strictly increases (threshold = midpoint)
+    valid = xs[:-1] < xs[1:]
+    n_left = np.arange(1.0, n)[:, None]
+    n_right = n - n_left
+    if min_samples_leaf > 1:
+        valid &= ((n_left >= min_samples_leaf)
+                  & (n_right >= min_samples_leaf))
+    if not valid.any():
+        return None
+    if task == "classify":
+        ones = np.cumsum(ts, axis=0)[:-1]
+        p_l = ones / n_left
+        p_r = (ts.sum(axis=0) - ones) / n_right
+        g_l = 2.0 * p_l * (1.0 - p_l)  # binary Gini
+        g_r = 2.0 * p_r * (1.0 - p_r)
+        child = (n_left * g_l + n_right * g_r) / n
+    else:
+        csum = np.cumsum(ts, axis=0)[:-1]
+        csq = np.cumsum(ts * ts, axis=0)[:-1]
+        sse_l = csq - csum * csum / n_left
+        sse_r = ((ts * ts).sum(axis=0) - csq) - (ts.sum(axis=0) - csum) ** 2 / n_right
+        child = (sse_l + sse_r) / n  # weighted variance
+    child[~valid] = np.inf
+    best = None  # (child_impurity, feature, threshold); ties keep the
+    # earlier feature and (via argmin) the lowest threshold
+    for j, f in enumerate(features):
+        k = int(np.argmin(child[:, j]))
+        c = float(child[k, j])
+        if not np.isfinite(c):
+            continue
+        if best is None or c < best[0] - 1e-15:
+            best = (c, int(f), float((xs[k, j] + xs[k + 1, j]) / 2.0))
+    return best
+
+
+def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
+                       max_depth: int | None = None,
+                       min_samples_leaf: int = 1,
+                       max_features: int | None = None,
+                       seed: int = 0) -> TreeNode:
+    """Greedy recursive partitioning; stops on max_depth,
+    min_samples_leaf, zero impurity, or no impurity-decreasing split."""
+    if task not in ("classify", "regress"):
+        raise ValueError(f"unknown task {task!r}")
+    X = np.asarray(X, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if X.shape[0] == 0:
+        raise ValueError("empty input")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be >= 1")
+    d = X.shape[1]
+    if max_features is None:
+        max_features = d
+    if not 1 <= max_features <= d:
+        raise ValueError("max_features out of range")
+    rng = Xoshiro256StarStar(seed)
+
+    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+        tn = target[idx]
+        impurity = reference_node_impurity(tn, task)
+        leaf = TreeNode(prediction=reference_leaf_prediction(tn, task),
+                        n_samples=idx.size, impurity=impurity)
+        if impurity <= 0.0 or idx.size < 2 * min_samples_leaf:
+            return leaf
+        if max_depth is not None and depth >= max_depth:
+            return leaf
+        if max_features < d:
+            feats = np.array(sorted(rng.sample_indices(d, max_features)))
+        else:
+            feats = np.arange(d)
+        found = reference_best_split(X[idx], tn, task, feats,
+                                     min_samples_leaf)
+        if found is None:
+            return leaf
+        child_impurity, f, thr = found
+        if impurity - child_impurity <= 1e-15:
+            return leaf  # accepted splits must strictly decrease impurity
+        go_left = X[idx, f] <= thr
+        node = TreeNode(feature=f, threshold=thr,
+                        n_samples=idx.size, impurity=impurity)
+        node.left = grow(idx[go_left], depth + 1)
+        node.right = grow(idx[~go_left], depth + 1)
+        return node
+
+    return grow(np.arange(X.shape[0]), 0)
+
+
+def dump(node):
+    """A fitted tree as nested tuples of exact values."""
+    if node.is_leaf:
+        return (node.prediction.hex(), node.impurity.hex(), node.n_samples)
+    return (node.feature, node.threshold.hex(), node.impurity.hex(),
+            node.n_samples, dump(node.left), dump(node.right))
+
+
+def oracle_inputs(rng, task):
+    """Continuous features, a column of heavily tied values, a rounded
+    one, and a target that is constant where X[:, 2] > 0.5 (so some
+    subtrees stop at zero impurity)."""
+    X = rng.normal(size=(70, 5))
+    X[:, 1] = rng.integers(0, 4, 70)
+    X[:, 3] = np.round(X[:, 3], 1)
+    if task == "classify":
+        target = (X[:, 0] + 0.5 * rng.normal(size=70) > 0).astype(float)
+    else:
+        target = X[:, 0] + 0.3 * rng.normal(size=70)
+    target[X[:, 2] > 0.5] = 1.0
+    return X, target
+
+
+@pytest.mark.parametrize("task", ["regress", "classify"])
+@pytest.mark.parametrize("min_samples_leaf", [1, 3])
+@pytest.mark.parametrize("max_features", [2, 5])
+def test_cart_matches_reference_grower(rng, task, min_samples_leaf,
+                                       max_features):
+    for seed in range(3):
+        X, target = oracle_inputs(rng, task)
+        tree = fit_cart(X, target, task, min_samples_leaf=min_samples_leaf,
+                        max_features=max_features, seed=seed)
+        ref = reference_fit_cart(X, target, task,
+                                 min_samples_leaf=min_samples_leaf,
+                                 max_features=max_features, seed=seed)
+        assert dump(tree) == dump(ref)
+
+
+@pytest.mark.parametrize("task", ["regress", "classify"])
+def test_forest_matches_reference_grower(rng, monkeypatch, task):
+    X, target = oracle_inputs(rng, task)
+    for seed in (3, 17):
+        forest = fit_random_forest(X, target, task, n_trees=10, seed=seed)
+        with monkeypatch.context() as m:  # same bootstraps, reference trees
+            m.setattr(treemod, "fit_cart", reference_fit_cart)
+            ref = fit_random_forest(X, target, task, n_trees=10, seed=seed)
+        assert [dump(t) for t in forest.trees] == [dump(t) for t in ref.trees]
