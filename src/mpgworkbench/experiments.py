@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .ingest import Dataset, file_sha256, load_dataset, reference_data_path
+from .ingest import (DataError, Dataset, file_sha256, load_dataset,
+                     reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class)
@@ -88,9 +89,12 @@ class ExperimentConfig:
             (self.eda_bins >= 1 and self.residual_bins >= 1,
              "eda_bins and residual_bins must be >= 1"),
         ]
-        checks += [(all(v > 0.0 for v in getattr(self, grid)),
-                    f"{grid} entries must be > 0")
-                   for grid in ("c_grid", "svr_c_grid", "alpha_grid")]
+        for grid in ("c_grid", "svr_c_grid", "alpha_grid"):
+            values = getattr(self, grid)
+            checks += [(all(v > 0.0 for v in values),
+                        f"{grid} entries must be > 0"),
+                       (all(a < b for a, b in zip(values, values[1:])),
+                        f"{grid} entries must be strictly increasing")]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
@@ -147,17 +151,26 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     )
 
 
-def cross_validate(fit_fn, X: np.ndarray, y: np.ndarray, k: int, seed: int) -> dict:
-    """k-fold CV with standardization refit inside each training fold.
+def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
+                   seed: int) -> dict:
+    """k-fold CV of several models' hyperparameter paths on one fold layout.
 
-    fit_fn(X_std, y_std) must return a predict callable.  Scores are
-    held-out R^2 (scale-invariant, so the standardized units don't
-    matter).  Returns {"fold_scores": [...], "mean": float}.
+    Each fold is standardized once, with its training statistics, and
+    ``paths[name](Xtr, ytr, Xte)`` returns the held-out predictions for
+    every grid value of that model, in grid order.  Scores are held-out
+    R^2 (scale-invariant, so the standardized units don't matter).
+    Returns name -> one {"fold_scores": [...], "mean": float} per grid
+    value.  Raises DataError, before any fit, when a held-out fold would
+    have fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    folds = kfold(X.shape[0], k, seed).folds
-    scores = []
+    n = X.shape[0]
+    if n // k < 3:
+        raise DataError(f"{k}-fold cross-validation needs at least 3 held-out "
+                        f"rows per fold, but the training split has {n} rows")
+    folds = kfold(n, k, seed).folds
+    scores = {name: [] for name in paths}  # name -> per fold, per grid value
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
         sx = fit_standardizer(X[train_idx])
@@ -166,74 +179,64 @@ def cross_validate(fit_fn, X: np.ndarray, y: np.ndarray, k: int, seed: int) -> d
         ytr = apply_standardizer(sy, y[train_idx, None])[:, 0]
         Xte = apply_standardizer(sx, X[test_idx])
         yte = apply_standardizer(sy, y[test_idx, None])[:, 0]
-        predict = fit_fn(Xtr, ytr)
-        scores.append(regression_metrics(yte, predict(Xte), p=1).r2)
-    return {"fold_scores": scores, "mean": float(np.mean(scores))}
+        for name, path in paths.items():
+            scores[name].append([regression_metrics(yte, pred, p=1).r2
+                                 for pred in path(Xtr, ytr, Xte)])
+    return {name: [{"fold_scores": list(s), "mean": float(np.mean(s))}
+                   for s in zip(*per_fold)]
+            for name, per_fold in scores.items()}
 
 
-def _svr_select_by_cv(grid, epsilon, kern, X, y, k, fold_seed, fit_seed):
-    """CV selection of the SVR box constraint C.
-
-    Within each fold the dual solutions are warm-started along the
-    ascending C grid (the previous optimum stays feasible when the box
-    grows), which greatly cuts solver work for large C.  Returns
-    (best_C, best_cv_result); ties resolve to the earliest grid entry.
-    """
-    folds = kfold(X.shape[0], k, fold_seed).folds
-    scores = {C: [] for C in grid}
-    for i, test_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        sx = fit_standardizer(X[train_idx])
-        sy = fit_standardizer(y[train_idx, None])
-        Xtr = apply_standardizer(sx, X[train_idx])
-        ytr = apply_standardizer(sy, y[train_idx, None])[:, 0]
-        Xte = apply_standardizer(sx, X[test_idx])
-        yte = apply_standardizer(sy, y[test_idx, None])[:, 0]
-        K = kernel_matrix(kern, Xtr, Xtr)
-        K_test = kernel_matrix(kern, Xte, Xtr)
-        beta = None
-        for C in sorted(grid):
-            beta, b = solve_svr_dual(K, ytr, C, epsilon, seed=fit_seed,
-                                     beta0=beta)
-            scores[C].append(regression_metrics(yte, K_test @ beta + b, p=1).r2)
-    best = None
-    for C in grid:
-        result = {"fold_scores": scores[C], "mean": float(np.mean(scores[C]))}
-        if best is None or result["mean"] > best[1]["mean"] + 1e-12:
-            best = (C, result)
-    return best
-
-
-def _select_by_cv(grid, factory, X, y, k, seed):
-    """Pick the grid value maximizing mean CV R^2 (ties: first in grid).
-    Returns (best_value, best_cv_result)."""
-    best = None
-    for value in grid:
-        result = cross_validate(factory(value), X, y, k, seed)
-        if best is None or result["mean"] > best[1]["mean"] + 1e-12:
-            best = (value, result)
-    return best
+def _select(grid, results):
+    """(value, cv result) with the highest mean CV R^2; ties within 1e-12
+    resolve to the earliest grid entry."""
+    best = 0
+    for i, result in enumerate(results):
+        if result["mean"] > results[best]["mean"] + 1e-12:
+            best = i
+    return grid[best], results[best]
 
 
 def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
     """Fit the seven regression models; returns name -> (predict, p, extras)."""
     seeds = derive_seeds(config.seed, 5)
-    k = config.cv_folds
     d = proto.Xtr.shape[1]
-    out = {}
-
-    # --- SVR: RBF kernel, C selected by CV on the training split
+    alphas, l1_ratio = config.alpha_grid, config.elastic_net_l1_ratio
     gamma = gamma_scale(proto.Xtr)
     kern = KernelSpec("rbf", gamma)
 
-    svr_c, svr_cv = _svr_select_by_cv(config.svr_c_grid, config.svr_epsilon,
-                                      kern, proto.Xtr_raw, proto.ytr_raw, k,
-                                      seeds[_SEED_KFOLD], seeds[_SEED_SVR])
+    def svr_path(Xs, ys, Xq):
+        # the grid ascends, so each optimum stays feasible for the next,
+        # larger box and warm-starts it, which greatly cuts solver work
+        K = kernel_matrix(kern, Xs, Xs)
+        K_test = kernel_matrix(kern, Xq, Xs)
+        beta, preds = None, []
+        for C in config.svr_c_grid:
+            beta, b = solve_svr_dual(K, ys, C, config.svr_epsilon,
+                                     seed=seeds[_SEED_SVR], beta0=beta)
+            preds.append(K_test @ beta + b)
+        return preds
+
+    # --- CV on the training split: every grid on one fold layout
+    cv = cross_validate({
+        "svr": svr_path,
+        "ridge": lambda Xs, ys, Xq: [linear_predict(fit_ridge(Xs, ys, lam), Xq)
+                                     for lam in alphas],
+        "ols": lambda Xs, ys, Xq: [linear_predict(fit_ols(Xs, ys), Xq)],
+        "enet": lambda Xs, ys, Xq: [
+            linear_predict(fit_elastic_net(Xs, ys, a, l1_ratio), Xq)
+            for a in alphas],
+        "lasso": lambda Xs, ys, Xq: [linear_predict(fit_lasso(Xs, ys, a), Xq)
+                                     for a in alphas],
+    }, proto.Xtr_raw, proto.ytr_raw, config.cv_folds, seeds[_SEED_KFOLD])
+
+    # --- SVR: RBF kernel, C selected by CV on the training split
+    svr_c, _ = _select(config.svr_c_grid, cv["svr"])
     svr_model = fit_svr(proto.Xtr, proto.ytr, C=svr_c, epsilon=config.svr_epsilon,
                         kernel=kern, seed=seeds[_SEED_SVR])
-    out["SVM Regression"] = (lambda Xq, m=svr_model: svm_decision(m, Xq), d,
-                             {"kernel": "rbf", "gamma": gamma, "C": svr_c,
-                              "epsilon": config.svr_epsilon})
+    out = {"SVM Regression": (lambda Xq, m=svr_model: svm_decision(m, Xq), d,
+                              {"kernel": "rbf", "gamma": gamma, "C": svr_c,
+                               "epsilon": config.svr_epsilon})}
 
     # --- Random forest
     forest = fit_random_forest(proto.Xtr, proto.ytr, "regress",
@@ -246,46 +249,22 @@ def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
          "max_features": default_max_features(d, "regress")})
 
     # --- Ridge (lambda by CV)
-    def ridge_factory(lam):
-        def fit(Xs, ys):
-            m = fit_ridge(Xs, ys, lam)
-            return lambda Xq: linear_predict(m, Xq)
-        return fit
-
-    ridge_lam, ridge_cv = _select_by_cv(config.alpha_grid, ridge_factory,
-                                        proto.Xtr_raw, proto.ytr_raw, k,
-                                        seeds[_SEED_KFOLD])
+    ridge_lam, ridge_cv = _select(alphas, cv["ridge"])
     ridge = fit_ridge(proto.Xtr, proto.ytr, ridge_lam)
     out["Ridge Regression"] = (lambda Xq, m=ridge: linear_predict(m, Xq), d,
                                {"lambda": ridge_lam, "cv": ridge_cv})
 
     # --- OLS (its CV column uses the same fold layout)
-    def ols_fit(Xs, ys):
-        m = fit_ols(Xs, ys)
-        return lambda Xq: linear_predict(m, Xq)
-
-    ols_cv = cross_validate(ols_fit, proto.Xtr_raw, proto.ytr_raw, k,
-                            seeds[_SEED_KFOLD])
     ols = fit_ols(proto.Xtr, proto.ytr)
     out["Linear Regression"] = (lambda Xq, m=ols: linear_predict(m, Xq), d,
-                                {"cv": ols_cv})
+                                {"cv": cv["ols"][0]})
 
     # --- Elastic net (alpha by CV, fixed l1_ratio)
-    def enet_factory(alpha):
-        def fit(Xs, ys):
-            m = fit_elastic_net(Xs, ys, alpha, config.elastic_net_l1_ratio)
-            return lambda Xq: linear_predict(m, Xq)
-        return fit
-
-    enet_alpha, enet_cv = _select_by_cv(config.alpha_grid, enet_factory,
-                                        proto.Xtr_raw, proto.ytr_raw, k,
-                                        seeds[_SEED_KFOLD])
-    enet = fit_elastic_net(proto.Xtr, proto.ytr, enet_alpha,
-                           config.elastic_net_l1_ratio)
+    enet_alpha, enet_cv = _select(alphas, cv["enet"])
+    enet = fit_elastic_net(proto.Xtr, proto.ytr, enet_alpha, l1_ratio)
     out["Elastic Net Regression"] = (
         lambda Xq, m=enet: linear_predict(m, Xq), d,
-        {"alpha": enet_alpha, "l1_ratio": config.elastic_net_l1_ratio,
-         "cv": enet_cv})
+        {"alpha": enet_alpha, "l1_ratio": l1_ratio, "cv": enet_cv})
 
     # --- Polynomial: degree-2 expansion + unregularized OLS
     Xtr_poly = polynomial_features(proto.Xtr, config.poly_degree)
@@ -298,15 +277,7 @@ def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
         p_poly, {"degree": config.poly_degree})
 
     # --- Lasso (alpha by CV)
-    def lasso_factory(alpha):
-        def fit(Xs, ys):
-            m = fit_lasso(Xs, ys, alpha)
-            return lambda Xq: linear_predict(m, Xq)
-        return fit
-
-    lasso_alpha, lasso_cv = _select_by_cv(config.alpha_grid, lasso_factory,
-                                          proto.Xtr_raw, proto.ytr_raw, k,
-                                          seeds[_SEED_KFOLD])
+    lasso_alpha, lasso_cv = _select(alphas, cv["lasso"])
     lasso = fit_lasso(proto.Xtr, proto.ytr, lasso_alpha)
     out["Lasso Regression"] = (lambda Xq, m=lasso: linear_predict(m, Xq), d,
                                {"alpha": lasso_alpha, "cv": lasso_cv})

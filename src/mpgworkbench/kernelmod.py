@@ -286,6 +286,8 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     # step, so take_step keeps the offsets current.
     off_up = np.where(beta < hi, np.where(beta >= 0.0, -epsilon, epsilon), -np.inf)
     off_down = np.where(beta > lo, np.where(beta <= 0.0, epsilon, -epsilon), np.inf)
+    # per-step n-vectors, written in place instead of reallocated
+    yg, up, down, score, dg = (np.empty(n) for _ in range(5))
 
     def take_step(i1: int, i2: int) -> bool:
         nonlocal iterations
@@ -326,7 +328,9 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         if best_gain <= 1e-15 or abs(best_t - t0) < 1e-14:
             return False
         d1 = best_t - t0
-        g[:] += d1 * (K[i1] - K[i2])
+        np.subtract(K[i1], K[i2], out=dg)
+        np.multiply(dg, d1, out=dg)
+        np.add(g, dg, out=g)
         for i, bi in ((i1, best_t), (i2, ssum - best_t)):
             beta[i] = bi
             off_up[i] = (-epsilon if bi >= 0.0 else epsilon) if bi < hi else -np.inf
@@ -338,25 +342,34 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     # value is below every feasible "down" value (the bias sits in the
     # gap between them).
     while True:
-        yg = y - g
-        up = yg + off_up
-        down = yg + off_down
+        np.subtract(y, g, out=yg)
+        np.add(yg, off_up, out=up)
+        np.add(yg, off_down, out=down)
         i_up = int(up.argmax())
-        up_max, down_min = up[i_up], down.min()
+        up_max, down_min = float(up[i_up]), float(down[down.argmin()])
         if up_max - down_min <= 2.0 * tol:
-            b = float((up_max + down_min) / 2.0)
+            b = (up_max + down_min) / 2.0
             break
         if iterations >= max_iter:
-            b = float((up_max + down_min) / 2.0)
+            b = (up_max + down_min) / 2.0
             viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
             raise SmoError(
                 f"SVR solver hit the iteration cap of {max_iter}",
                 dual=beta, max_violation=float(viol.max()),
             )
         # second-order partner choice: maximize the guaranteed dual gain
-        diff = up_max - down
-        score = np.where(diff > 0, diff * diff / curv[i_up], -np.inf)
+        # diff^2 / curv over the partners with diff > 0, the others -inf.
+        # Clamping diff at 0 scores the others 0 instead, which picks the
+        # same first maximum whenever that maximum is > 0.
+        np.subtract(up_max, down, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.multiply(score, score, out=score)
+        np.divide(score, curv[i_up], out=score)
         i_down = int(score.argmax())
+        if not score[i_down] > 0.0:
+            diff = up_max - down
+            i_down = int(np.where(diff > 0, diff * diff / curv[i_up],
+                                  -np.inf).argmax())
         if take_step(i_up, i_down):
             continue
         # blocked pair: seeded random sweep over feasible partners
@@ -366,7 +379,7 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
             if take_step(i_up, int(partners[(start + k) % partners.size])):
                 break
         else:
-            b = float((up_max + down[i_down]) / 2.0)
+            b = (up_max + float(down[i_down])) / 2.0
             viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
             raise SmoError(
                 "SVR solver stalled: no feasible pair makes progress",

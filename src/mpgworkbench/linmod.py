@@ -37,11 +37,6 @@ class LinearModel:
     family: str  # ols | ridge | lasso | elastic_net | polynomial
     hyperparams: dict = field(default_factory=dict)
 
-    @property
-    def sparsity(self) -> int:
-        """Number of exactly-zero coefficients."""
-        return int(np.sum(self.coefficients == 0.0))
-
 
 @dataclass(frozen=True)
 class LogisticModel:
@@ -85,47 +80,57 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
                        family="ridge", hyperparams={"lambda": lam})
 
 
-def _soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
+def _centered_moments(X, y):
+    """Column means, target mean, and the covariances G = Xc^T Xc / n and
+    c = Xc^T yc / n of the centered data, G and c as Python lists."""
+    n = X.shape[0]
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_mean
+    G = Xc.T @ Xc / n
+    return x_mean, y_mean, G.tolist(), (Xc.T @ (y - y_mean) / n).tolist()
 
 
 def _coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int):
     """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
-    + l1 ||b||_1 + (l2/2) ||b||^2.  Returns (beta, intercept)."""
-    n, p = X.shape
-    # scalars stay Python floats (IEEE-identical to numpy float64 scalar
-    # arithmetic, without its per-operation overhead); the columns stay
-    # strided views of X, whose dot products lasso_alpha_max reproduces
-    columns = [X[:, j] for j in range(p)]
-    col_sq = ((X * X).sum(axis=0) / n).tolist()  # (1/n) ||x_j||^2
-    beta = [0.0] * p
-    intercept = float(y.sum() / n)
-    residual = y - intercept  # y - b0 - X beta, maintained incrementally
+    + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
+    Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
+    by centering, and r = c - G beta is kept current in p multiply-adds
+    per changed coefficient.  Returns (beta, intercept)."""
+    x_mean, y_mean, G, r = _centered_moments(X, y)
+    beta = [0.0] * len(r)
+    indices = range(len(r))
+    coords = [(j, Gj, Gj[j], Gj[j] + l2) for j, Gj in enumerate(G)]
+    max_change = float("inf")
     for _ in range(max_sweeps):
         max_change = 0.0
-        for j, xj in enumerate(columns):
+        for j, Gj, Gjj, denom in coords:
             old = beta[j]
-            rho = float(xj @ residual) / n + col_sq[j] * old
-            new = _soft_threshold(rho, l1) / (col_sq[j] + l2)
+            rho = r[j] + Gjj * old
+            # soft-threshold rho at l1, then scale (a constant column,
+            # whose G_jj is 0, always lands in the zero branch)
+            if rho > l1:
+                new = (rho - l1) / denom
+            elif rho < -l1:
+                new = (rho + l1) / denom
+            else:
+                new = 0.0
             if new != old:
-                residual -= (new - old) * xj
+                d = new - old
+                for k in indices:
+                    r[k] -= d * Gj[k]
                 beta[j] = new
-                max_change = max(max_change, abs(new - old))
-        new_intercept = intercept + float(residual.sum() / n)
-        if new_intercept != intercept:
-            residual -= new_intercept - intercept
-            max_change = max(max_change, abs(new_intercept - intercept))
-            intercept = new_intercept
+                max_change = max(max_change, abs(d))
         if max_change < tol:
-            return np.array(beta), intercept
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps",
-        last_iterate=(np.array(beta), intercept),
-    )
+            break
+    b = np.array(beta)
+    fit = (b, float(y_mean - x_mean @ b))
+    if max_change >= tol:
+        raise ConvergenceError(
+            f"coordinate descent did not converge in {max_sweeps} sweeps",
+            last_iterate=fit,
+        )
+    return fit
 
 
 def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
@@ -142,13 +147,11 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest alpha at which every lasso coefficient is exactly zero."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = X.shape
-    residual = y - y.mean()
-    # per-column dot products, bit-identical to the coordinate-descent
-    # sweep, so soft-thresholding at this alpha zeroes every coefficient
-    return float(max(abs((X[:, j] @ residual) / n) for j in range(p)))
+    # the cold-start sweep's first rho for every coordinate, bit for bit,
+    # so soft-thresholding at this alpha zeroes every coefficient
+    _, _, _, c = _centered_moments(np.asarray(X, dtype=float),
+                                   np.asarray(y, dtype=float))
+    return max(abs(v) for v in c)
 
 
 def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float,

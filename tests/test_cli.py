@@ -86,6 +86,23 @@ def test_invalid_config_exits_one_before_output(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, folds", [([], 10), (["--folds", "25"], 25)])
+def test_too_few_rows_for_cv_folds_exits_two(tmp_path, capsys, flags, folds):
+    # 30 spread-out rows: a 21-row training split, so 10 folds hold 2
+    # rows each and 25 folds exceed the rows
+    with open(reference_data_path(), "r", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[::13][:30]
+    small = tmp_path / "small.data"
+    small.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli(["regress", "--data", str(small), *flags, "--out", str(out)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {folds}-fold cross-validation" in err
+    assert "21 rows" in err
+    assert not out.exists()
+
+
 def test_invalid_config_file_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cv_folds = 0\n", encoding="utf-8")

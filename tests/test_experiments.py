@@ -8,6 +8,7 @@ from mpgworkbench.experiments import (CV_REPORTED_MODELS, ExperimentConfig,
                                       REGRESSION_MODEL_NAMES, cross_validate,
                                       prepare_protocol, report_to_json,
                                       run_eda)
+from mpgworkbench.ingest import DataError
 from mpgworkbench.linmod import fit_ols, linear_predict
 
 
@@ -48,6 +49,8 @@ def test_config_resolves_packaged_data():
     ("cv_folds", 1), ("forest_trees", 0), ("svr_epsilon", -0.1),
     ("c_grid", (1.0, 0.0)), ("svr_c_grid", (-1.0, 10.0)),
     ("alpha_grid", (1e-4, -1.0)),
+    ("c_grid", (10.0, 1.0)), ("svr_c_grid", (1.0, 1.0)),
+    ("alpha_grid", (1e-4, 1.0, 0.1)),
     ("elastic_net_l1_ratio", -0.1), ("elastic_net_l1_ratio", 1.5),
     ("poly_degree", 0), ("eda_bins", 0), ("residual_bins", 0),
 ])
@@ -67,15 +70,18 @@ def test_config_accepts_range_edges(field, value):
 
 # --- cross_validate
 
-def ols_fit(Xs, ys):
-    m = fit_ols(Xs, ys)
-    return lambda Xq: linear_predict(m, Xq)
+def ols_cv(X, y, k, seed):
+    """The CV result of OLS, the one-entry path of the fold loop."""
+    def ols_path(Xs, ys, Xq):
+        return [linear_predict(fit_ols(Xs, ys), Xq)]
+
+    return cross_validate({"ols": ols_path}, X, y, k, seed)["ols"][0]
 
 
 def test_cv_perfect_linear_data(rng):
     X = rng.normal(size=(40, 3))
     y = X @ np.array([1.0, -2.0, 0.5]) + 4.0
-    result = cross_validate(ols_fit, X, y, k=5, seed=0)
+    result = ols_cv(X, y, k=5, seed=0)
     assert all(s == pytest.approx(1.0) for s in result["fold_scores"])
 
 
@@ -84,15 +90,38 @@ def test_cv_small_folds_run(rng):
     # smallest workable size with p=1
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + 0.1 * rng.normal(size=30)
-    result = cross_validate(ols_fit, X, y, k=10, seed=0)
+    result = ols_cv(X, y, k=10, seed=0)
     assert len(result["fold_scores"]) == 10
+
+
+@pytest.mark.parametrize("n, k", [(29, 10), (8, 10)])
+def test_cv_rejects_folds_below_three_rows(rng, n, k):
+    X = rng.normal(size=(n, 2))
+    y = X[:, 0] + rng.normal(size=n)
+    with pytest.raises(DataError, match=f"{k}-fold.*{n} rows"):
+        ols_cv(X, y, k=k, seed=0)
 
 
 def test_cv_mean_matches_fold_scores(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30)
-    result = cross_validate(ols_fit, X, y, k=6, seed=3)
+    result = ols_cv(X, y, k=6, seed=3)
     assert result["mean"] == pytest.approx(np.mean(result["fold_scores"]))
+
+
+def test_cv_scores_every_path_entry_on_one_fold_layout(rng):
+    X = rng.normal(size=(30, 2))
+    y = X[:, 0] + rng.normal(size=30)
+
+    def two_entry_path(Xs, ys, Xq):
+        pred = linear_predict(fit_ols(Xs, ys), Xq)
+        return [pred, np.zeros_like(pred)]
+
+    result = cross_validate({"pair": two_entry_path}, X, y, 6, 3)["pair"]
+    assert len(result) == 2
+    assert result[0] == ols_cv(X, y, k=6, seed=3)
+    # predicting the training-fold mean (0 after standardization)
+    assert all(s <= 0.0 for s in result[1]["fold_scores"])
 
 
 # --- regression suite (session fixture: computed once)

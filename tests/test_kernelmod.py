@@ -389,6 +389,25 @@ def test_svr_dual_stall_matches_reference_loop(rng, kind):
         assert exc.value.max_violation == ref.value.max_violation
 
 
+def test_svr_dual_underflowing_scores_match_reference_loop(rng):
+    """Targets of order 1e-170 square to 0 in the partner score, so no
+    score is > 0 and the partner is the first point with a positive gap
+    (the others score -inf).  Point 0 has the largest target, so its gap
+    is negative and it must not be the partner.  No step gains enough,
+    and the stall must match the reference bit for bit, bias included."""
+    scale = 1e-170
+    for trial in range(3):
+        K, y = svr_problem(rng, 20, "rbf")
+        y[0] = y.max() + 1.0
+        args = (K, scale * y, 1.0, 0.1 * scale)
+        with pytest.raises(SmoError, match="stalled") as exc:
+            solve_svr_dual(*args, tol=1e-3 * scale, seed=trial)
+        with pytest.raises(SmoError, match="stalled") as ref:
+            reference_svr_dual(*args, tol=1e-3 * scale, seed=trial)
+        assert np.array_equal(exc.value.dual, ref.value.dual)
+        assert exc.value.max_violation == ref.value.max_violation
+
+
 def test_svr_iteration_cap_raises_with_diagnostics(rng):
     K, y = svr_problem(rng, 30, "rbf")
     with pytest.raises(SmoError) as exc:
