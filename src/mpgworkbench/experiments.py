@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .ingest import (DataError, Dataset, file_sha256, load_dataset,
-                     reference_data_path)
+from .ingest import (FEATURE_NAMES, DataError, Dataset, file_sha256,
+                     load_dataset, reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class)
@@ -34,7 +34,8 @@ from .treemod import (default_max_features, fit_cart, fit_random_forest,
                       forest_predict, tree_predict)
 
 # positions in the splitmix64 seed chain derived from the master seed
-_SEED_SPLIT, _SEED_KFOLD, _SEED_SVC, _SEED_SVR, _SEED_FOREST = range(5)
+# (2 and 3 seeded the SVM solvers, which no longer draw; the forest keeps 4)
+_SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
 
 REGRESSION_MODEL_NAMES = (
     "SVM Regression",
@@ -126,6 +127,19 @@ class ProtocolData:
     labels_te: np.ndarray
 
 
+def _standardizer(M: np.ndarray, names: tuple, split: str):
+    """fit_standardizer, with a constant column reported as a DataError
+    that names the column and the split it is constant in."""
+    try:
+        return fit_standardizer(M)
+    except ValueError:
+        constant = np.flatnonzero(M.std(axis=0) <= 0.0)
+        if constant.size == 0:
+            raise
+        raise DataError(f"{names[constant[0]]!r} is constant in the {split}; "
+                        "cannot standardize") from None
+
+
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
     seeds = derive_seeds(config.seed, 5)
@@ -134,8 +148,8 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     Xte_raw = dataset.X[split.test]
     ytr_raw = dataset.y[split.train]
     yte_raw = dataset.y[split.test]
-    sx = fit_standardizer(Xtr_raw)
-    sy = fit_standardizer(ytr_raw[:, None])
+    sx = _standardizer(Xtr_raw, FEATURE_NAMES, "training split")
+    sy = _standardizer(ytr_raw[:, None], ("mpg",), "training split")
     return ProtocolData(
         dataset=dataset,
         train_idx=split.train,
@@ -161,7 +175,8 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     R^2 (scale-invariant, so the standardized units don't matter).
     Returns name -> one {"fold_scores": [...], "mean": float} per grid
     value.  Raises DataError, before any fit, when a held-out fold would
-    have fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2).
+    have fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and
+    when a column is constant in a fold's training rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -173,8 +188,9 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     scores = {name: [] for name in paths}  # name -> per fold, per grid value
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        sx = fit_standardizer(X[train_idx])
-        sy = fit_standardizer(y[train_idx, None])
+        split = f"training rows of CV fold {i + 1}"
+        sx = _standardizer(X[train_idx], FEATURE_NAMES, split)
+        sy = _standardizer(y[train_idx, None], ("mpg",), split)
         Xtr = apply_standardizer(sx, X[train_idx])
         ytr = apply_standardizer(sy, y[train_idx, None])[:, 0]
         Xte = apply_standardizer(sx, X[test_idx])
@@ -212,8 +228,7 @@ def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
         K_test = kernel_matrix(kern, Xq, Xs)
         beta, preds = None, []
         for C in config.svr_c_grid:
-            beta, b = solve_svr_dual(K, ys, C, config.svr_epsilon,
-                                     seed=seeds[_SEED_SVR], beta0=beta)
+            beta, b = solve_svr_dual(K, ys, C, config.svr_epsilon, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds
 
@@ -233,7 +248,7 @@ def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
     # --- SVR: RBF kernel, C selected by CV on the training split
     svr_c, _ = _select(config.svr_c_grid, cv["svr"])
     svr_model = fit_svr(proto.Xtr, proto.ytr, C=svr_c, epsilon=config.svr_epsilon,
-                        kernel=kern, seed=seeds[_SEED_SVR])
+                        kernel=kern)
     out = {"SVM Regression": (lambda Xq, m=svr_model: svm_decision(m, Xq), d,
                               {"kernel": "rbf", "gamma": gamma, "C": svr_c,
                                "epsilon": config.svr_epsilon})}
@@ -353,7 +368,6 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     """The 10-row hyperparameter grid, ROC series for the four reported
     configurations, and the class-wise summary tables."""
     proto = proto or prepare_protocol(config)
-    seeds = derive_seeds(config.seed, 5)
     gamma = gamma_scale(proto.Xtr)
     c_desc = tuple(sorted(config.c_grid, reverse=True))
 
@@ -362,8 +376,7 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     for kind in ("linear", "rbf"):
         kern = KernelSpec(kind, gamma if kind == "rbf" else None)
         for C in c_desc:
-            m = fit_svc_smo(proto.Xtr, proto.labels_tr, C=C, kernel=kern,
-                            seed=seeds[_SEED_SVC])
+            m = fit_svc_smo(proto.Xtr, proto.labels_tr, C=C, kernel=kern)
             svm_models[(kind, C)] = m
             label = "Linear Kernel" if kind == "linear" else "RBF Kernel"
             rows.append(_classifier_row(f"SVM ({label}, C={C})", C,

@@ -62,10 +62,6 @@ class RawTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_missing_horsepower(self) -> int:
-        return sum(1 for r in self.rows if r.horsepower is None)
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -1,13 +1,18 @@
-"""Kernel machines: soft-margin SVC via SMO and epsilon-insensitive SVR
-via a pairwise working-set method on the dual.
+"""Kernel machines: soft-margin SVC and epsilon-insensitive SVR, both
+solved by one pairwise working-set (SMO) loop on the same dual.
 
-Conventions:
+The beta-form of the dual (Flake & Lawrence 2002) covers both tasks:
 
-* SVC dual coefficients stored as alpha_i * y_i with y_i = +/-1; a raw
-  decision score of exactly 0 classifies as class 1.
-* SVR works on beta_i = alpha_i - alpha_i^* in the box [-C, C] with
-  sum(beta) = 0; predictions are f(x) = sum_i beta_i k(x_i, x) + b.
-* KKT tolerance 1e-3 for both solvers; audits use twice that.
+    maximize   y . beta - eps * |beta|_1 - beta' K beta / 2
+    subject to sum(beta) = 0 and lo_i <= beta_i <= hi_i,
+
+with predictions f(x) = sum_i beta_i k(x_i, x) + b.
+
+* SVR: y holds the targets and every box is [-C, C].
+* SVC: eps = 0, y_i = +/-1 and beta_i = alpha_i y_i, so the box is
+  [0, C] for class 1 and [-C, 0] for class 0.  A raw decision score of
+  exactly 0 classifies as class 1.
+* KKT tolerance 1e-3 for both tasks; audits use twice that.
 """
 
 from __future__ import annotations
@@ -16,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Xoshiro256StarStar
+# unused here, but perfbench/layers.py names kernelmod.Xoshiro256StarStar
+# as the generator whose draws it counts, and subclasses it
+from .rng import Xoshiro256StarStar  # noqa: F401
 
 KKT_TOL = 1e-3
 MAX_ITER = 2_000_000
 
 
 class SmoError(RuntimeError):
-    """Solver hit the iteration cap; carries diagnostics."""
+    """Solver stalled or hit the iteration cap; carries diagnostics."""
 
     def __init__(self, message: str, dual=None, max_violation=None):
         super().__init__(message)
@@ -52,17 +59,6 @@ class SvmModel:
     kernel: KernelSpec
     C: float
     epsilon: float = 0.0
-
-
-def kernel_eval(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch between u and v")
-    if spec.kind == "linear":
-        return float(u @ v)
-    d = u - v
-    return float(np.exp(-spec.gamma * (d @ d)))
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -96,163 +92,166 @@ def _extract_support(X, dual, eps=1e-12):
     return X[keep].copy(), dual[keep].copy()
 
 
-def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float, kernel: KernelSpec,
-                tol: float = KKT_TOL, seed: int = 0,
-                max_iter: int = MAX_ITER) -> SvmModel:
-    """Soft-margin SVC by Sequential Minimal Optimization.
-
-    labels are {0, 1}, mapped internally to -1/+1.  Each iteration picks
-    the maximal violating pair (the first-order heuristic: the feasible
-    pair with the largest error gap), solves the two-variable subproblem
-    analytically with box clipping, and terminates when no example
-    violates its KKT condition beyond tol.  When the selected pair is
-    blocked by the box, a seeded random partner is tried instead.
-    """
-    X = np.asarray(X, dtype=float)
-    labels = np.asarray(labels)
-    if np.unique(labels).size < 2:
-        raise ValueError("both classes must be present")
-    y = np.where(labels == 1, 1.0, -1.0)
-    n = X.shape[0]
-    K = kernel_matrix(kernel, X, X)
-    alpha = np.zeros(n)
-    g = np.zeros(n)  # sum_j alpha_j y_j K_ij, maintained incrementally
-    rng = Xoshiro256StarStar(seed)
-    iterations = 0
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal iterations
-        if i1 == i2:
-            return False
-        a1, a2 = float(alpha[i1]), float(alpha[i2])
-        y1, y2 = float(y[i1]), float(y[i2])
-        E1 = float(g[i1]) - y1  # bias-free errors; the offset cancels in E1 - E2
-        E2 = float(g[i2]) - y2
-        s = y1 * y2
-        if s > 0:
-            L, H = max(0.0, a1 + a2 - C), min(C, a1 + a2)
-        else:
-            L, H = max(0.0, a2 - a1), min(C, C + a2 - a1)
-        if L >= H:
-            return False
-        k11, k22, k12 = float(diag_k[i1]), float(diag_k[i2]), float(K[i1, i2])
-        eta = k11 + k22 - 2.0 * k12
-        if eta > 1e-12:
-            a2_new = min(H, max(L, a2 + y2 * (E1 - E2) / eta))
-        else:
-            # flat direction: pick the better endpoint of the box segment
-            def seg_gain(a2_c):
-                d2 = a2_c - a2
-                d1 = -s * d2
-                return (-y1 * d1 * E1 - y2 * d2 * E2
-                        - 0.5 * (d1 * d1 * k11 + d2 * d2 * k22)
-                        - s * d1 * d2 * k12)
-            a2_new = L if seg_gain(L) > seg_gain(H) else H
-        if abs(a2_new - a2) < 1e-12 * (a2_new + a2 + 1e-12):
-            return False
-        a1_new = a1 + s * (a2 - a2_new)
-        g[:] += y1 * (a1_new - a1) * K[i1] + y2 * (a2_new - a2) * K[i2]
-        alpha[i1], alpha[i2] = a1_new, a2_new
-        iterations += 1
-        return True
-
-    pos = y > 0
-    margin = 1e-10 * C  # multipliers this close to a bound count as bound
-    diag_k = np.diag(K).copy()
-    while True:
-        v = y - g  # the value KKT pins to the bias at interior points
-        below_c = alpha < C - margin
-        above_0 = alpha > margin
-        can_up = (pos & below_c) | (~pos & above_0)
-        can_down = (~pos & below_c) | (pos & above_0)
-        up = np.where(can_up, v, -np.inf)
-        down = np.where(can_down, v, np.inf)
-        i_up = int(np.argmax(up))
-        gap = up[i_up] - down[int(np.argmin(down))]
-        if gap <= 2.0 * tol:
-            b = (up[i_up] + down.min()) / 2.0
-            break
-        if iterations >= max_iter:
-            b = (up[i_up] + down.min()) / 2.0
-            viol = svc_kkt_violations(alpha, y, g + b - y, C, tol)
-            raise SmoError(
-                f"SMO hit the iteration cap of {max_iter}",
-                dual=alpha * y, max_violation=float(viol.max()),
-            )
-        # second-order partner choice: maximize the guaranteed dual gain
-        diff = up[i_up] - down
-        curv = np.maximum(diag_k[i_up] + diag_k - 2.0 * K[i_up], 1e-12)
-        score = np.where(diff > 0, diff * diff / curv, -np.inf)
-        i_down = int(np.argmax(score))
-        if take_step(i_up, i_down):
-            continue
-        # blocked pair: seeded random sweep over down-feasible partners
-        partners = np.flatnonzero(can_down)
-        start = rng.randbelow(partners.size)
-        for k in range(partners.size):
-            if take_step(i_up, int(partners[(start + k) % partners.size])):
-                break
-        else:
-            partners = np.flatnonzero(can_up)
-            start = rng.randbelow(partners.size)
-            for k in range(partners.size):
-                if take_step(int(partners[(start + k) % partners.size]), i_down):
-                    break
-            else:
-                b = (up[i_up] + down[i_down]) / 2.0
-                viol = svc_kkt_violations(alpha, y, g + b - y, C, tol)
-                raise SmoError(
-                    "SMO stalled: no feasible pair makes progress",
-                    dual=alpha * y, max_violation=float(viol.max()),
-                )
-    sv, dual = _extract_support(X, alpha * y)
-    return SvmModel(task="classify", support_vectors=sv, dual_coefs=dual,
-                    bias=float(b), kernel=kernel, C=C)
-
-
-def svc_kkt_violations(alpha, y, errors, C, tol=KKT_TOL):
-    """Per-point KKT violation magnitudes for a SVC dual iterate."""
-    r = errors * y  # y f(x) - 1
-    viol = np.zeros_like(alpha)
-    bnd = 1e-8 * C
-    at_zero = alpha <= bnd
-    at_c = alpha >= C - bnd
-    interior = ~(at_zero | at_c)
-    viol[at_zero] = np.maximum(0.0, -r[at_zero])  # need margin >= 1
-    viol[at_c] = np.maximum(0.0, r[at_c])  # need margin <= 1
-    viol[interior] = np.abs(r[interior])
-    return viol
-
-
-def svr_kkt_violations(beta, E, C, epsilon):
-    """Per-point KKT violation magnitudes for a SVR dual iterate.
-
-    Optimality: beta=0 -> |E| <= eps; beta in (0,C) -> E = -eps;
-    beta=C -> E <= -eps; beta in (-C,0) -> E = eps; beta=-C -> E >= eps.
-    """
-    bnd = 1e-8 * C
+def _kkt_violations(beta, E, lo, hi, epsilon, bnd):
+    """Per-point KKT violations of a dual iterate in the box [lo, hi],
+    E = f(x) - y, with beta within bnd of a bound counted as at it.
+    Optimality: beta at hi -> E <= -eps; beta in (0, hi) -> E = -eps;
+    beta = 0 inside the box -> |E| <= eps; beta in (lo, 0) -> E = eps;
+    beta at lo -> E >= eps."""
+    inside = beta > lo + bnd
     # np.select takes the first true condition, as an if/elif chain would
     return np.select(
-        [beta >= C - bnd, beta > bnd, beta > -bnd, beta > -C + bnd],
+        [beta >= hi - bnd, inside & (beta > bnd), inside & (beta > -bnd), inside],
         [np.maximum(0.0, E + epsilon), np.abs(E + epsilon),
          np.maximum(0.0, np.abs(E) - epsilon), np.abs(E - epsilon)],
         default=np.maximum(0.0, epsilon - E))
 
 
-def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-                   tol: float = KKT_TOL, seed: int = 0,
-                   max_iter: int = MAX_ITER,
-                   beta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Epsilon-insensitive SVR dual by pairwise working-set maximization.
+def svc_kkt_violations(alpha, y, errors, C, tol=KKT_TOL):
+    """Per-point KKT violation magnitudes for a SVC dual iterate
+    (alpha >= 0, labels y = +/-1, errors = f(x) - y)."""
+    pos = y > 0
+    return _kkt_violations(alpha * y, errors, np.where(pos, 0.0, -C),
+                           np.where(pos, C, 0.0), 0.0, 1e-8 * C)
 
-    Takes a precomputed Gram matrix; returns (beta, bias).  Each
-    two-variable subproblem is solved exactly: the restricted dual is a
-    concave quadratic with kinks where either multiplier changes sign,
-    so the best of the per-quadrant stationary points and the
-    breakpoints is taken.  The dual objective never decreases.  A warm
-    start (``beta0``, any point of the feasible box with sum 0) speeds
-    up grid searches over C.
-    """
+
+def svr_kkt_violations(beta, E, C, epsilon):
+    """Per-point KKT violation magnitudes for a SVR dual iterate."""
+    return _kkt_violations(beta, E, -C, C, epsilon, 1e-8 * C)
+
+
+def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
+    """The SMO loop of both tasks: maximize the beta-form dual in the
+    box [lo, hi] from beta0 (feasible, or None for 0); returns (beta, b).
+    Each step pairs the maximal violator with the partner of largest
+    guaranteed gain (Fan, Chen & Lin 2005) and solves the two-variable
+    subproblem exactly: the best of its per-quadrant stationary points
+    and its breakpoints at the sign kinks.  The dual never decreases; a
+    pair that makes no progress raises SmoError at once."""
+    n = y.size
+    beta = np.zeros(n) if beta0 is None else beta0
+    g = np.zeros(n) if beta0 is None else K @ beta  # K @ beta, kept current
+    iterations = 0
+    margin = 1e-10 * C  # multipliers this close to a bound count as bound
+    up_edge, down_edge = hi - margin, lo + margin
+    # per-point bounds as Python floats for the scalar step code
+    lo_l, hi_l, up_edge_l, down_edge_l = (
+        v.tolist() for v in (lo, hi, up_edge, down_edge))
+    # step floors, shrunk with C below 1 so that a scaled-down problem
+    # takes the same steps: gains scale as C^2 and steps as C
+    s = min(1.0, C)
+    gain_floor, step_floor = 1e-15 * s * s, 1e-14 * s
+    shifts = (0.0, 2.0 * epsilon, -2.0 * epsilon) if epsilon > 0 else (0.0,)
+    diag_k = np.diag(K).copy()
+    # floored pair curvature K_ii + K_jj - 2 K_ij of the partner choice,
+    # tabulated once (n x n) instead of rebuilt from four passes per step
+    curv = np.maximum(diag_k[:, None] + diag_k - 2.0 * K, 1e-12)
+    # The slope of the dual toward increasing (decreasing) beta_i is
+    # (y - g) + off_up (+ off_down): -/+ eps by the sign of beta_i, or
+    # -inf (+inf) at the bound it would move toward.  A step changes two
+    # entries and keeps them current.
+    off_up = np.where(beta < up_edge, np.where(beta >= 0.0, -epsilon, epsilon), -np.inf)
+    off_down = np.where(beta > down_edge, np.where(beta <= 0.0, epsilon, -epsilon), np.inf)
+    # per-step n-vectors, written in place instead of reallocated
+    yg, up, down, score, dg = (np.empty(n) for _ in range(5))
+
+    def failure(message, down_value):
+        b = (up_max + down_value) / 2.0
+        viol = _kkt_violations(beta, g + b - y, lo, hi, epsilon, 1e-8 * C)
+        return SmoError(message, dual=beta, max_violation=float(viol.max()))
+
+    # KKT holds when every feasible "up" value is below every feasible
+    # "down" value; the bias sits in the gap between them.
+    while True:
+        np.subtract(y, g, out=yg)
+        np.add(yg, off_up, out=up)
+        np.add(yg, off_down, out=down)
+        i1 = int(up.argmax())
+        up_max, down_min = float(up[i1]), float(down[down.argmin()])
+        if up_max - down_min <= 2.0 * tol:
+            return beta, (up_max + down_min) / 2.0
+        if iterations >= max_iter:
+            raise failure(f"SMO solver hit the iteration cap of {max_iter}",
+                          down_min)
+        # partner: the first maximum of the guaranteed gain diff^2 / curv
+        # over diff > 0.  Clamping diff at 0 scores the others 0, not
+        # -inf, which picks the same partner whenever that maximum is > 0.
+        np.subtract(up_max, down, out=score)
+        np.maximum(score, 0.0, out=score)
+        np.multiply(score, score, out=score)
+        np.divide(score, curv[i1], out=score)
+        i2 = int(score.argmax())
+        if not score[i2] > 0.0:
+            diff = up_max - down
+            i2 = int(np.where(diff > 0, diff * diff / curv[i1], -np.inf).argmax())
+        # the two-variable subproblem in t = beta_i1, beta_i2 = ssum - t
+        t0 = float(beta[i1])
+        ssum = t0 + float(beta[i2])
+        L = max(lo_l[i1], ssum - hi_l[i2])
+        H = min(hi_l[i1], ssum - lo_l[i2])
+        best_t, best_gain = t0, 0.0
+        if i1 != i2 and L < H:
+            E1 = float(g[i1]) - float(y[i1])  # bias-free; offset cancels in E2 - E1
+            E2 = float(g[i2]) - float(y[i2])
+            eta = float(diag_k[i1]) + float(diag_k[i2]) - 2.0 * float(K[i1, i2])
+            slope = E2 - E1  # d/dt of the smooth dual part at t0
+            abs_t0 = abs(t0)
+            abs_s_t0 = abs(ssum - t0)
+            candidates = [L, H]
+            if L < 0.0 < H:
+                candidates.append(0.0)
+            if L < ssum < H:
+                candidates.append(ssum)
+            if eta > 1e-12:
+                # stationary points of the sign quadrants of the kink
+                for shift in shifts:
+                    t_c = t0 + (slope - shift) / eta
+                    if L <= t_c <= H:
+                        candidates.append(t_c)
+            for t in candidates:  # the restricted dual's gain at beta_i1 = t
+                dt = t - t0
+                g_t = (slope * dt - 0.5 * eta * dt * dt
+                       - epsilon * (abs(t) - abs_t0)
+                       - epsilon * (abs(ssum - t) - abs_s_t0))
+                if g_t > best_gain + gain_floor:
+                    best_t, best_gain = t, g_t
+        if best_gain <= gain_floor or abs(best_t - t0) < step_floor:
+            raise failure("SMO solver stalled: the selected pair makes no "
+                          "progress", float(down[i2]))
+        np.subtract(K[i1], K[i2], out=dg)
+        np.multiply(dg, best_t - t0, out=dg)
+        np.add(g, dg, out=g)
+        for i, bi in ((i1, best_t), (i2, ssum - best_t)):
+            beta[i] = bi
+            off_up[i] = (-epsilon if bi >= 0.0 else epsilon) if bi < up_edge_l[i] else -np.inf
+            off_down[i] = (epsilon if bi <= 0.0 else -epsilon) if bi > down_edge_l[i] else np.inf
+        iterations += 1
+
+
+def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float, kernel: KernelSpec,
+                tol: float = KKT_TOL, max_iter: int = MAX_ITER) -> SvmModel:
+    """Soft-margin SVC: the shared dual with eps = 0, targets +/-1 and
+    the box [0, C] for class 1, [-C, 0] for class 0.  labels are {0, 1};
+    the dual coefficients are alpha_i y_i."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(labels)
+    if np.unique(labels).size < 2:
+        raise ValueError("both classes must be present")
+    pos = labels == 1
+    beta, b = _smo(kernel_matrix(kernel, X, X), np.where(pos, 1.0, -1.0),
+                   np.where(pos, 0.0, -C), np.where(pos, C, 0.0), C, 0.0,
+                   tol, max_iter, None)
+    sv, dual = _extract_support(X, beta)
+    return SvmModel(task="classify", support_vectors=sv, dual_coefs=dual,
+                    bias=b, kernel=kernel, C=C)
+
+
+def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
+                   tol: float = KKT_TOL, max_iter: int = MAX_ITER,
+                   beta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Epsilon-insensitive SVR dual on a precomputed Gram matrix: the
+    shared dual with the box [-C, C]; returns (beta, bias).  A warm start
+    (``beta0``, any point of the box with sum 0) speeds up grids over C."""
     y = np.asarray(y, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -261,141 +260,26 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         raise ValueError("need at least two samples")
     if K.shape != (n, n):
         raise ValueError("Gram matrix shape must match y")
-    if beta0 is None:
-        beta = np.zeros(n)
-        g = np.zeros(n)  # K @ beta, maintained incrementally
-    else:
-        beta = np.asarray(beta0, dtype=float).copy()
-        if beta.shape != y.shape:
+    if beta0 is not None:
+        beta0 = np.asarray(beta0, dtype=float).copy()
+        if beta0.shape != y.shape:
             raise ValueError("beta0 shape must match y")
-        if abs(beta.sum()) > 1e-8 * max(1.0, C) or np.abs(beta).max() > C + 1e-12:
+        # a rounding-level multiplier would count as signed in the KKT
+        # offsets, yet the step to 0 that fixes it is below the floor
+        beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
+        if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
             raise ValueError("beta0 must lie in the box with sum 0")
-        g = K @ beta
-    rng = Xoshiro256StarStar(seed)
-    iterations = 0
-    margin = 1e-10 * C  # multipliers this close to a bound count as bound
-    hi, lo = C - margin, -C + margin
-    diag_k = np.diag(K).copy()
-    # floored pair curvature K_ii + K_jj - 2 K_ij of the partner choice,
-    # tabulated once (n x n) instead of rebuilt from four passes per step
-    curv = np.maximum(diag_k[:, None] + diag_k - 2.0 * K, 1e-12)
-    # For each point, the slope of the dual toward increasing (resp.
-    # decreasing) beta_i is (y - g) + off_up (resp. + off_down): -/+ eps
-    # with the sign of the L1 kink at beta_i, or -inf (+inf) where beta_i
-    # is at the bound it would move toward.  Only two entries change per
-    # step, so take_step keeps the offsets current.
-    off_up = np.where(beta < hi, np.where(beta >= 0.0, -epsilon, epsilon), -np.inf)
-    off_down = np.where(beta > lo, np.where(beta <= 0.0, epsilon, -epsilon), np.inf)
-    # per-step n-vectors, written in place instead of reallocated
-    yg, up, down, score, dg = (np.empty(n) for _ in range(5))
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal iterations
-        if i1 == i2:
-            return False
-        t0 = float(beta[i1])
-        ssum = t0 + float(beta[i2])
-        L = max(-C, ssum - C)
-        H = min(C, ssum + C)
-        if L >= H:
-            return False
-        E1 = float(g[i1]) - float(y[i1])  # bias-free; offset cancels in E2 - E1
-        E2 = float(g[i2]) - float(y[i2])
-        k12 = float(K[i1, i2])
-        eta = float(diag_k[i1]) + float(diag_k[i2]) - 2.0 * k12
-        slope = E2 - E1  # d/dt of the smooth dual part at t0
-        abs_t0 = abs(t0)
-        abs_s_t0 = abs(ssum - t0)
-        candidates = [L, H]
-        if L < 0.0 < H:
-            candidates.append(0.0)
-        if L < ssum < H:
-            candidates.append(ssum)
-        if eta > 1e-12:
-            # stationary points of the four sign quadrants of the kink
-            for shift in (0.0, 2.0 * epsilon, -2.0 * epsilon):
-                t_c = t0 + (slope - shift) / eta
-                if L <= t_c <= H:
-                    candidates.append(t_c)
-        best_t, best_gain = t0, 0.0
-        for t in candidates:  # the restricted dual's gain at beta_i1 = t
-            dt = t - t0
-            g_t = (slope * dt - 0.5 * eta * dt * dt
-                   - epsilon * (abs(t) - abs_t0)
-                   - epsilon * (abs(ssum - t) - abs_s_t0))
-            if g_t > best_gain + 1e-15:
-                best_t, best_gain = t, g_t
-        if best_gain <= 1e-15 or abs(best_t - t0) < 1e-14:
-            return False
-        d1 = best_t - t0
-        np.subtract(K[i1], K[i2], out=dg)
-        np.multiply(dg, d1, out=dg)
-        np.add(g, dg, out=g)
-        for i, bi in ((i1, best_t), (i2, ssum - best_t)):
-            beta[i] = bi
-            off_up[i] = (-epsilon if bi >= 0.0 else epsilon) if bi < hi else -np.inf
-            off_down[i] = (epsilon if bi <= 0.0 else -epsilon) if bi > lo else np.inf
-        iterations += 1
-        return True
-
-    # maximal-violating-pair loop: KKT holds when every feasible "up"
-    # value is below every feasible "down" value (the bias sits in the
-    # gap between them).
-    while True:
-        np.subtract(y, g, out=yg)
-        np.add(yg, off_up, out=up)
-        np.add(yg, off_down, out=down)
-        i_up = int(up.argmax())
-        up_max, down_min = float(up[i_up]), float(down[down.argmin()])
-        if up_max - down_min <= 2.0 * tol:
-            b = (up_max + down_min) / 2.0
-            break
-        if iterations >= max_iter:
-            b = (up_max + down_min) / 2.0
-            viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
-            raise SmoError(
-                f"SVR solver hit the iteration cap of {max_iter}",
-                dual=beta, max_violation=float(viol.max()),
-            )
-        # second-order partner choice: maximize the guaranteed dual gain
-        # diff^2 / curv over the partners with diff > 0, the others -inf.
-        # Clamping diff at 0 scores the others 0 instead, which picks the
-        # same first maximum whenever that maximum is > 0.
-        np.subtract(up_max, down, out=score)
-        np.maximum(score, 0.0, out=score)
-        np.multiply(score, score, out=score)
-        np.divide(score, curv[i_up], out=score)
-        i_down = int(score.argmax())
-        if not score[i_down] > 0.0:
-            diff = up_max - down
-            i_down = int(np.where(diff > 0, diff * diff / curv[i_up],
-                                  -np.inf).argmax())
-        if take_step(i_up, i_down):
-            continue
-        # blocked pair: seeded random sweep over feasible partners
-        partners = np.flatnonzero(beta > -C)
-        start = rng.randbelow(partners.size)
-        for k in range(partners.size):
-            if take_step(i_up, int(partners[(start + k) % partners.size])):
-                break
-        else:
-            b = (up_max + float(down[i_down])) / 2.0
-            viol = svr_kkt_violations(beta, g + b - y, C, epsilon)
-            raise SmoError(
-                "SVR solver stalled: no feasible pair makes progress",
-                dual=beta, max_violation=float(viol.max()),
-            )
-    return beta, b
+    return _smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon, tol,
+                max_iter, beta0)
 
 
 def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-            kernel: KernelSpec, tol: float = KKT_TOL, seed: int = 0,
+            kernel: KernelSpec, tol: float = KKT_TOL,
             max_iter: int = MAX_ITER) -> SvmModel:
     """Epsilon-insensitive SVR; see solve_svr_dual for the method."""
     X = np.asarray(X, dtype=float)
     K = kernel_matrix(kernel, X, X)
-    beta, b = solve_svr_dual(K, y, C, epsilon, tol=tol, seed=seed,
-                             max_iter=max_iter)
+    beta, b = solve_svr_dual(K, y, C, epsilon, tol=tol, max_iter=max_iter)
     sv, dual = _extract_support(X, beta)
     return SvmModel(task="regress", support_vectors=sv, dual_coefs=dual,
                     bias=b, kernel=kernel, C=C, epsilon=epsilon)

@@ -30,14 +30,6 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, z)
 
 
-def cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky factor; NumericalError if not SPD."""
-    try:
-        return np.linalg.cholesky(np.asarray(A, dtype=float))
-    except np.linalg.LinAlgError:
-        raise NumericalError("matrix is not positive definite") from None
-
-
 def least_squares(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Minimize ||y - X beta||_2 via Householder QR.
 

@@ -30,8 +30,6 @@ class Standardizer:
 class SplitIndices:
     train: np.ndarray
     test: np.ndarray
-    seed: int
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -62,13 +60,6 @@ def apply_standardizer(s: Standardizer, M: np.ndarray) -> np.ndarray:
     return (M - s.means) / s.stds
 
 
-def invert_standardizer(s: Standardizer, M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape[-1] != s.means.shape[0]:
-        raise ValueError("dimension mismatch")
-    return M * s.stds + s.means
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -88,8 +79,6 @@ def train_test_split(n: int, ratio: float, seed: int) -> SplitIndices:
     return SplitIndices(
         train=np.array(order[:n_train]),
         test=np.array(order[n_train:]),
-        seed=seed,
-        ratio=ratio,
     )
 
 

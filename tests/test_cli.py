@@ -103,6 +103,21 @@ def test_too_few_rows_for_cv_folds_exits_two(tmp_path, capsys, flags, folds):
     assert not out.exists()
 
 
+def test_constant_training_feature_exits_two(tmp_path, capsys):
+    # the first 29 packaged rows are all model year 70
+    with open(reference_data_path(), "r", encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[:29]
+    small = tmp_path / "small.data"
+    small.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli(["regress", "--data", str(small), "--folds", "5",
+                    "--out", str(out)])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: 'model_year' is constant in the training split" in err
+    assert not out.exists()
+
+
 def test_invalid_config_file_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cv_folds = 0\n", encoding="utf-8")

@@ -10,6 +10,7 @@ from mpgworkbench.experiments import (CV_REPORTED_MODELS, ExperimentConfig,
                                       run_eda)
 from mpgworkbench.ingest import DataError
 from mpgworkbench.linmod import fit_ols, linear_predict
+from mpgworkbench.preprocess import kfold
 
 
 # --- protocol
@@ -100,6 +101,20 @@ def test_cv_rejects_folds_below_three_rows(rng, n, k):
     y = X[:, 0] + rng.normal(size=n)
     with pytest.raises(DataError, match=f"{k}-fold.*{n} rows"):
         ols_cv(X, y, k=k, seed=0)
+
+
+def test_cv_constant_training_column_is_a_data_error(rng):
+    """A column that varies only inside one held-out fold is constant in
+    that fold's training rows: a DataError naming the column and fold."""
+    X = rng.normal(size=(30, 7))
+    y = X[:, 0] + rng.normal(size=30)
+    held_out = kfold(30, 6, 3).folds[2]
+    X[:, 5] = 70.0
+    X[held_out, 5] = 71.0
+    with pytest.raises(DataError,
+                       match="'model_year' is constant in the training rows "
+                             "of CV fold 3"):
+        ols_cv(X, y, k=6, seed=3)
 
 
 def test_cv_mean_matches_fold_scores(rng):

@@ -1,12 +1,14 @@
 """Kernel machines: kernel algebra, the analytic two-point SVC problem,
 SVR tube behavior, and post-fit KKT audits on random data."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     fit_svc_smo, fit_svr, gamma_scale,
-                                    kernel_eval, kernel_matrix,
+                                    kernel_matrix,
                                     solve_svr_dual, svc_kkt_violations,
                                     svm_decision, svm_predict_class,
                                     svr_kkt_violations)
@@ -17,26 +19,38 @@ LINEAR = KernelSpec("linear")
 
 # --- kernels
 
+def kernel_eval(spec, u, v):
+    """k(u, v) for one pair of points: the oracle for kernel_matrix."""
+    if spec.kind == "linear":
+        return float(u @ v)
+    d = u - v
+    return float(np.exp(-spec.gamma * (d @ d)))
+
+
+def kernel_pair(spec, u, v):
+    return kernel_matrix(spec, np.atleast_2d(u), np.atleast_2d(v))[0, 0]
+
+
 def test_rbf_zero_distance_is_one():
     spec = KernelSpec("rbf", gamma=0.7)
     u = np.array([1.0, 2.0])
-    assert kernel_eval(spec, u, u) == 1.0
+    assert kernel_pair(spec, u, u) == 1.0
 
 
 def test_linear_dot_product():
-    assert kernel_eval(LINEAR, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+    assert kernel_pair(LINEAR, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
 
 
 def test_rbf_log2_distance_is_half():
     spec = KernelSpec("rbf", gamma=1.0)
     u = np.array([0.0])
     v = np.array([np.sqrt(np.log(2.0))])
-    assert kernel_eval(spec, u, v) == pytest.approx(0.5, abs=1e-12)
+    assert kernel_pair(spec, u, v) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_kernel_eval_dimension_mismatch():
     with pytest.raises(ValueError):
-        kernel_eval(LINEAR, np.ones(2), np.ones(3))
+        kernel_matrix(LINEAR, np.ones((1, 2)), np.ones((1, 3)))
 
 
 def test_kernel_spec_validation():
@@ -116,8 +130,8 @@ def test_svc_iteration_cap_raises_with_diagnostics(rng):
     assert exc.value.max_violation is not None
 
 
-def svc_audit(X, labels, C, kernel, seed=0):
-    m = fit_svc_smo(X, labels, C=C, kernel=kernel, seed=seed)
+def svc_audit(X, labels, C, kernel):
+    m = fit_svc_smo(X, labels, C=C, kernel=kernel)
     y = np.where(labels == 1, 1.0, -1.0)
     # reconstruct the full dual vector from the support set
     scores = svm_decision(m, X)
@@ -366,8 +380,7 @@ def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
         for C in (1.0, 10.0, 100.0):  # ascending grid, as the SVR CV runs it
             starts = [None] if warm is None else [None, warm]
             for beta0 in starts:
-                beta, b = solve_svr_dual(K, y, C, epsilon, seed=trial,
-                                         beta0=beta0)
+                beta, b = solve_svr_dual(K, y, C, epsilon, beta0=beta0)
                 ref_beta, ref_b = reference_svr_dual(K, y, C, epsilon,
                                                      seed=trial, beta0=beta0)
                 assert np.array_equal(beta, ref_beta)
@@ -377,12 +390,13 @@ def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 def test_svr_dual_stall_matches_reference_loop(rng, kind):
-    """A tolerance below rounding level stalls the solver, which runs
-    the seeded blocked-pair sweep before it gives up."""
+    """A tolerance below rounding level stalls the solver.  The reference
+    runs its seeded blocked-pair sweep first; no partner it tries makes
+    progress, so both stop at the same iterate."""
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(10, 30)), kind)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
+            solve_svr_dual(K, y, 10.0, 0.1, tol=1e-12)
         with pytest.raises(SmoError, match="stalled") as ref:
             reference_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
@@ -401,11 +415,61 @@ def test_svr_dual_underflowing_scores_match_reference_loop(rng):
         y[0] = y.max() + 1.0
         args = (K, scale * y, 1.0, 0.1 * scale)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(*args, tol=1e-3 * scale, seed=trial)
+            solve_svr_dual(*args, tol=1e-3 * scale)
         with pytest.raises(SmoError, match="stalled") as ref:
             reference_svr_dual(*args, tol=1e-3 * scale, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
         assert exc.value.max_violation == ref.value.max_violation
+
+
+def test_svr_warm_start_with_rounding_level_multiplier_converges(rng):
+    """A restart from an optimum whose zero multiplier carries a -3.5e-18
+    rounding residue: counted as negative, the point looks like a KKT
+    violator whose fix is a step far below the step floor."""
+    K, y = svr_problem(rng, 30, "rbf")
+    beta, _ = solve_svr_dual(K, y, 1.0, 0.1)
+    beta0 = beta.copy()
+    beta0[np.flatnonzero(beta == 0.0)[0]] = -3.5e-18
+    beta, b = solve_svr_dual(K, y, 1.0, 0.1, beta0=beta0)
+    assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
+
+
+def test_svr_scaled_down_problem_converges(rng):
+    """y, C, eps and tol scaled by 1e-5 give the same problem in other
+    units: the step floors shrink with C, so the solver still converges,
+    to a beta / scale that passes the unscaled KKT audit."""
+    X = rng.normal(size=(40, 3))
+    y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * rng.normal(size=40)
+    K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
+    scale = 1e-5
+    beta, b = solve_svr_dual(K, scale * y, scale * 1.0, scale * 0.1,
+                             tol=scale * KKT_TOL)
+    beta, b = beta / scale, b / scale
+    assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
+
+
+def test_svr_dual_bits_are_pinned():
+    """sha256 of beta and the hex bias of a cold solve at C = 10 and its
+    warm start at C = 100, recorded from the SVR-only solver that the
+    shared SMO loop replaced.
+    The Gram matrix comes from elementwise products, so no BLAS call
+    rounds it.  Its points sit on a line with the second coordinate and
+    the targets mirrored about the middle one, so partner scores tie up
+    to rounding and a last-bit change in the pair curvature changes the
+    path.  (The warm start's K @ beta0 is one BLAS matrix-vector product.)"""
+    mirror = np.abs(np.arange(-20, 21))
+    a = 1.7 + 0.1 * np.arange(41)
+    gen = np.random.default_rng(2)
+    c, y = gen.uniform(-1.0, 1.0, 21)[mirror], gen.uniform(-1.0, 1.0, 21)[mirror]
+    K = np.outer(a, a) + np.outer(c, c) + 0.01 * np.eye(41)
+    beta, b = solve_svr_dual(K, y, 10.0, 0.1)
+    assert hashlib.sha256(beta.tobytes()).hexdigest() == (
+        "1474deb205620e13da91e47fae964510ab363c1b746d5258f37a15d7bbf2ab5e")
+    assert b.hex() == "0x1.f380869b43801p-3"
+    beta, b = solve_svr_dual(K, y, 100.0, 0.1, beta0=beta)
+    assert hashlib.sha256(beta.tobytes()).hexdigest() == (
+        "f4763b80e0f19160d3de2dd98260d10ffda94d84d99ac0b048f6bc20d6f08ebf")
+    assert b.hex() == "0x1.a01712f66c69ap-3"
 
 
 def test_svr_iteration_cap_raises_with_diagnostics(rng):
@@ -450,3 +514,34 @@ def test_svr_kkt_violations_match_loop(rng, C):
     for epsilon in (0.0, 0.1):
         assert np.array_equal(svr_kkt_violations(beta, E, C, epsilon),
                               reference_svr_kkt_violations(beta, E, C, epsilon))
+
+
+def reference_svc_kkt_violations(alpha, y, errors, C):
+    viol = np.empty_like(alpha)
+    bnd = 1e-8 * C
+    for i in range(alpha.size):
+        r = errors[i] * y[i]  # y f(x) - 1
+        if alpha[i] >= C - bnd:
+            viol[i] = max(0.0, r)  # need margin <= 1
+        elif alpha[i] <= bnd:
+            viol[i] = max(0.0, -r)  # need margin >= 1
+        else:
+            viol[i] = abs(r)
+    return viol
+
+
+@pytest.mark.parametrize("C", [1.0, 10.0])
+def test_svc_kkt_violations_match_loop(rng, C):
+    """The SVC audit runs through the per-point-box audit shared with SVR."""
+    bnd = 1e-8 * C
+    edges = np.array([0.0, bnd, C - bnd, C])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+    alpha, errors = (a.ravel() for a in np.meshgrid(
+        np.concatenate([edges, rng.uniform(0.0, C, size=20)]),
+        np.concatenate([[-0.3, -1e-3, 0.0, 1e-3, 0.3],
+                        rng.normal(scale=0.2, size=5)])))
+    for label in (1.0, -1.0):
+        y = np.full(alpha.size, label)
+        assert np.array_equal(svc_kkt_violations(alpha, y, errors, C),
+                              reference_svc_kkt_violations(alpha, y, errors, C))

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpgworkbench.preprocess import (apply_standardizer, fit_standardizer,
-                                     invert_standardizer, kfold,
-                                     polynomial_feature_count,
+                                     kfold, polynomial_feature_count,
                                      polynomial_features, train_test_split)
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds, splitmix64_next
 
@@ -103,7 +102,7 @@ def test_apply_single_value():
 def test_invert_round_trip(rng):
     M = rng.normal(size=(20, 4))
     s = fit_standardizer(M)
-    np.testing.assert_allclose(invert_standardizer(s, apply_standardizer(s, M)),
+    np.testing.assert_allclose(apply_standardizer(s, M) * s.stds + s.means,
                                M, atol=1e-12)
 
 
