@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .ingest import (FEATURE_NAMES, DataError, Dataset, file_sha256,
-                     load_dataset, reference_data_path)
+from .ingest import (FEATURE_NAMES, DataError, file_sha256, load_dataset,
+                     reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class)
@@ -28,7 +29,8 @@ from .metrics import (classification_report, confusion_matrix,
                       dataset_correlations, histogram, regression_metrics,
                       roc_curve)
 from .preprocess import (apply_standardizer, fit_standardizer, kfold,
-                         polynomial_features, train_test_split)
+                         polynomial_feature_count, polynomial_features,
+                         train_test_split)
 from .rng import derive_seeds
 from .treemod import (default_max_features, fit_cart, fit_random_forest,
                       forest_predict, tree_predict)
@@ -36,24 +38,6 @@ from .treemod import (default_max_features, fit_cart, fit_random_forest,
 # positions in the splitmix64 seed chain derived from the master seed
 # (2 and 3 seeded the SVM solvers, which no longer draw; the forest keeps 4)
 _SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
-
-REGRESSION_MODEL_NAMES = (
-    "SVM Regression",
-    "Random Forest Regressor",
-    "Ridge Regression",
-    "Linear Regression",
-    "Elastic Net Regression",
-    "Polynomial Regression",
-    "Lasso Regression",
-)
-
-#: Models whose Cross Validation column is populated (linear family).
-CV_REPORTED_MODELS = (
-    "Ridge Regression",
-    "Linear Regression",
-    "Elastic Net Regression",
-    "Lasso Regression",
-)
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,6 @@ class ExperimentConfig:
 class ProtocolData:
     """Everything downstream of ingest + split + standardization."""
 
-    dataset: Dataset
     train_idx: np.ndarray
     test_idx: np.ndarray
     Xtr: np.ndarray  # standardized features, training statistics
@@ -144,14 +127,11 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
     seeds = derive_seeds(config.seed, 5)
     split = train_test_split(len(dataset.y), config.split_ratio, seeds[_SEED_SPLIT])
-    Xtr_raw = dataset.X[split.train]
-    Xte_raw = dataset.X[split.test]
-    ytr_raw = dataset.y[split.train]
-    yte_raw = dataset.y[split.test]
+    Xtr_raw, Xte_raw = dataset.X[split.train], dataset.X[split.test]
+    ytr_raw, yte_raw = dataset.y[split.train], dataset.y[split.test]
     sx = _standardizer(Xtr_raw, FEATURE_NAMES, "training split")
     sy = _standardizer(ytr_raw[:, None], ("mpg",), "training split")
     return ProtocolData(
-        dataset=dataset,
         train_idx=split.train,
         test_idx=split.test,
         Xtr=apply_standardizer(sx, Xtr_raw),
@@ -184,7 +164,7 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     if n // k < 3:
         raise DataError(f"{k}-fold cross-validation needs at least 3 held-out "
                         f"rows per fold, but the training split has {n} rows")
-    folds = kfold(n, k, seed).folds
+    folds = kfold(n, k, seed)
     scores = {name: [] for name in paths}  # name -> per fold, per grid value
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
@@ -213,13 +193,24 @@ def _select(grid, results):
     return grid[best], results[best]
 
 
-def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
-    """Fit the seven regression models; returns name -> (predict, p, extras)."""
-    seeds = derive_seeds(config.seed, 5)
+class _Regressor(NamedTuple):
+    name: str
+    grid: tuple | None  # CV grid; None: no CV
+    fit: Callable  # (X, y, selected value) -> model
+    predict: Callable  # (model, X) -> predictions
+    p: int  # feature count for adjusted R^2
+    hyperparams: Callable  # selected value -> reported hyperparameters
+    cv_reported: bool
+    path: Callable | None = None  # CV path, if not a refit per grid value
+
+
+def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
+    """The seven regressors in report order.  Built per call, so each fit
+    is looked up through this module's names when it runs."""
     d = proto.Xtr.shape[1]
-    alphas, l1_ratio = config.alpha_grid, config.elastic_net_l1_ratio
-    gamma = gamma_scale(proto.Xtr)
-    kern = KernelSpec("rbf", gamma)
+    eps, l1_ratio, deg = (config.svr_epsilon, config.elastic_net_l1_ratio,
+                          config.poly_degree)
+    kern = KernelSpec("rbf", gamma_scale(proto.Xtr))
 
     def svr_path(Xs, ys, Xq):
         # the grid ascends, so each optimum stays feasible for the next,
@@ -228,77 +219,44 @@ def _regression_fits(config: ExperimentConfig, proto: ProtocolData) -> dict:
         K_test = kernel_matrix(kern, Xq, Xs)
         beta, preds = None, []
         for C in config.svr_c_grid:
-            beta, b = solve_svr_dual(K, ys, C, config.svr_epsilon, beta0=beta)
+            beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds
 
-    # --- CV on the training split: every grid on one fold layout
-    cv = cross_validate({
-        "svr": svr_path,
-        "ridge": lambda Xs, ys, Xq: [linear_predict(fit_ridge(Xs, ys, lam), Xq)
-                                     for lam in alphas],
-        "ols": lambda Xs, ys, Xq: [linear_predict(fit_ols(Xs, ys), Xq)],
-        "enet": lambda Xs, ys, Xq: [
-            linear_predict(fit_elastic_net(Xs, ys, a, l1_ratio), Xq)
-            for a in alphas],
-        "lasso": lambda Xs, ys, Xq: [linear_predict(fit_lasso(Xs, ys, a), Xq)
-                                     for a in alphas],
-    }, proto.Xtr_raw, proto.ytr_raw, config.cv_folds, seeds[_SEED_KFOLD])
-
-    # --- SVR: RBF kernel, C selected by CV on the training split
-    svr_c, _ = _select(config.svr_c_grid, cv["svr"])
-    svr_model = fit_svr(proto.Xtr, proto.ytr, C=svr_c, epsilon=config.svr_epsilon,
-                        kernel=kern)
-    out = {"SVM Regression": (lambda Xq, m=svr_model: svm_decision(m, Xq), d,
-                              {"kernel": "rbf", "gamma": gamma, "C": svr_c,
-                               "epsilon": config.svr_epsilon})}
-
-    # --- Random forest
-    forest = fit_random_forest(proto.Xtr, proto.ytr, "regress",
-                               n_trees=config.forest_trees,
-                               min_samples_leaf=config.forest_min_samples_leaf,
-                               seed=seeds[_SEED_FOREST])
-    out["Random Forest Regressor"] = (
-        lambda Xq, m=forest: forest_predict(m, Xq), d,
-        {"n_trees": config.forest_trees,
-         "max_features": default_max_features(d, "regress")})
-
-    # --- Ridge (lambda by CV)
-    ridge_lam, ridge_cv = _select(alphas, cv["ridge"])
-    ridge = fit_ridge(proto.Xtr, proto.ytr, ridge_lam)
-    out["Ridge Regression"] = (lambda Xq, m=ridge: linear_predict(m, Xq), d,
-                               {"lambda": ridge_lam, "cv": ridge_cv})
-
-    # --- OLS (its CV column uses the same fold layout)
-    ols = fit_ols(proto.Xtr, proto.ytr)
-    out["Linear Regression"] = (lambda Xq, m=ols: linear_predict(m, Xq), d,
-                                {"cv": cv["ols"][0]})
-
-    # --- Elastic net (alpha by CV, fixed l1_ratio)
-    enet_alpha, enet_cv = _select(alphas, cv["enet"])
-    enet = fit_elastic_net(proto.Xtr, proto.ytr, enet_alpha, l1_ratio)
-    out["Elastic Net Regression"] = (
-        lambda Xq, m=enet: linear_predict(m, Xq), d,
-        {"alpha": enet_alpha, "l1_ratio": l1_ratio, "cv": enet_cv})
-
-    # --- Polynomial: degree-2 expansion + unregularized OLS
-    Xtr_poly = polynomial_features(proto.Xtr, config.poly_degree)
-    poly = fit_ols(Xtr_poly, proto.ytr, family="polynomial",
-                   hyperparams={"degree": config.poly_degree})
-    p_poly = Xtr_poly.shape[1]
-    out["Polynomial Regression"] = (
-        lambda Xq, m=poly: linear_predict(
-            m, polynomial_features(Xq, config.poly_degree)),
-        p_poly, {"degree": config.poly_degree})
-
-    # --- Lasso (alpha by CV)
-    lasso_alpha, lasso_cv = _select(alphas, cv["lasso"])
-    lasso = fit_lasso(proto.Xtr, proto.ytr, lasso_alpha)
-    out["Lasso Regression"] = (lambda Xq, m=lasso: linear_predict(m, Xq), d,
-                               {"alpha": lasso_alpha, "cv": lasso_cv})
-
-    out["_ols_model"] = ols
-    return out
+    return (
+        _Regressor("SVM Regression", config.svr_c_grid,
+                   lambda X, y, C: fit_svr(X, y, C=C, epsilon=eps, kernel=kern),
+                   svm_decision, d,
+                   lambda C: {"kernel": "rbf", "gamma": kern.gamma, "C": C,
+                              "epsilon": eps}, False, svr_path),
+        _Regressor("Random Forest Regressor", None,
+                   lambda X, y, _: fit_random_forest(
+                       X, y, "regress", n_trees=config.forest_trees,
+                       min_samples_leaf=config.forest_min_samples_leaf,
+                       seed=derive_seeds(config.seed, 5)[_SEED_FOREST]),
+                   forest_predict, d,
+                   lambda _: {"n_trees": config.forest_trees,
+                              "max_features": default_max_features(d, "regress")},
+                   False),
+        _Regressor("Ridge Regression", config.alpha_grid,
+                   lambda X, y, lam: fit_ridge(X, y, lam), linear_predict, d,
+                   lambda lam: {"lambda": lam}, True),
+        _Regressor("Linear Regression", (None,),
+                   lambda X, y, _: fit_ols(X, y), linear_predict, d,
+                   lambda _: {}, True),
+        _Regressor("Elastic Net Regression", config.alpha_grid,
+                   lambda X, y, a: fit_elastic_net(X, y, a, l1_ratio),
+                   linear_predict, d,
+                   lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True),
+        _Regressor("Polynomial Regression", None,
+                   lambda X, y, _: fit_ols(polynomial_features(X, deg), y),
+                   lambda m, X: linear_predict(m, polynomial_features(X, deg)),
+                   polynomial_feature_count(d, deg),
+                   lambda _: {"degree": deg}, False),
+        _Regressor("Lasso Regression", config.alpha_grid,
+                   lambda X, y, a: fit_lasso(X, y, a), linear_predict, d,
+                   lambda a: {"alpha": a}, True),
+    )
 
 
 def diagnostics(model, Xte: np.ndarray, yte: np.ndarray, bins: int = 20) -> dict:
@@ -317,118 +275,111 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
     """Train the seven regression models and score them on the test
     split (standardized units); rows sorted by R^2 descending."""
     proto = proto or prepare_protocol(config)
-    fits = _regression_fits(config, proto)
-    ols_model = fits.pop("_ols_model")
-    rows = []
-    for name in REGRESSION_MODEL_NAMES:
-        predict, p, extras = fits[name]
+    table = _regression_table(config, proto)
+    # CV on the training split: every grid on one fold layout
+    cv = cross_validate(
+        {r.name: r.path or (lambda Xs, ys, Xq, r=r: [
+            r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid])
+         for r in table if r.grid},
+        proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
+        derive_seeds(config.seed, 5)[_SEED_KFOLD])
+    models, rows = {}, []
+    for r in table:
+        value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)
+        models[r.name] = model = r.fit(proto.Xtr, proto.ytr, value)
         try:
-            m = regression_metrics(proto.yte, predict(proto.Xte), p=p)
+            m = regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p)
         except Exception as exc:  # partial report: record per-row failure
-            rows.append({"model": name, "error": str(exc)})
+            rows.append({"model": r.name, "error": str(exc)})
             continue
-        cv = extras.pop("cv", None)
-        row = {
-            "model": name,
-            "mae": m.mae, "mse": m.mse, "rmse": m.rmse,
-            "r2": m.r2, "adj_r2": m.adj_r2,
-            "cv_mean_r2": cv["mean"] if (cv and name in CV_REPORTED_MODELS) else None,
-            "hyperparams": extras,
-        }
-        if cv and name in CV_REPORTED_MODELS:
-            row["cv_fold_scores"] = cv["fold_scores"]
+        row = {"model": r.name, "mae": m.mae, "mse": m.mse, "rmse": m.rmse,
+               "r2": m.r2, "adj_r2": m.adj_r2, "hyperparams": r.hyperparams(value),
+               "cv_mean_r2": result["mean"] if r.cv_reported else None}
+        if r.cv_reported:
+            row["cv_fold_scores"] = result["fold_scores"]
         rows.append(row)
     rows.sort(key=lambda r: r.get("r2", float("-inf")), reverse=True)
-    return {
-        "table": rows,
-        "figure_data": {
-            **diagnostics(ols_model, proto.Xte, proto.yte, config.residual_bins),
-            "model_comparison": [
-                {"model": r["model"], "r2": r.get("r2")} for r in rows
-            ],
-        },
-    }
+    return {"table": rows, "figure_data": {
+        **diagnostics(models["Linear Regression"], proto.Xte, proto.yte,
+                      config.residual_bins),
+        "model_comparison": [{"model": r["model"], "r2": r.get("r2")} for r in rows],
+    }}
 
 
 def _classifier_row(name, C, labels_true, labels_pred):
     rep = classification_report(confusion_matrix(labels_true, labels_pred))
-    return {
-        "model": name,
-        "C": C,
-        "accuracy": rep.accuracy,
-        "class0": {"precision": rep.precision[0], "recall": rep.recall[0],
-                   "f1": rep.f1[0]},
-        "class1": {"precision": rep.precision[1], "recall": rep.recall[1],
-                   "f1": rep.f1[1]},
-        "flags": list(rep.flags),
-    }
+    return {"model": name, "C": C, "accuracy": rep.accuracy,
+            **{f"class{k}": {"precision": rep.precision[k],
+                             "recall": rep.recall[k], "f1": rep.f1[k]}
+               for k in (0, 1)},
+            "flags": list(rep.flags)}
+
+
+class _Family(NamedTuple):
+    row_name: str  # format of the row name, given C
+    summary: str  # name in the class-wise summaries
+    fit: Callable  # (X, labels, C) -> model
+    scores: Callable  # (model, X) -> decision scores
+    predict_class: Callable  # (model, X) -> labels
 
 
 def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None = None) -> dict:
     """The 10-row hyperparameter grid, ROC series for the four reported
     configurations, and the class-wise summary tables."""
     proto = proto or prepare_protocol(config)
-    gamma = gamma_scale(proto.Xtr)
+    for split, labels in (("training", proto.labels_tr), ("test", proto.labels_te)):
+        if np.unique(labels).size < 2:
+            raise DataError(f"the {split} split has only class-{labels[0]} rows at "
+                            f"threshold {config.threshold_mpg} mpg; both classes "
+                            "must be present")
     c_desc = tuple(sorted(config.c_grid, reverse=True))
-
-    svm_models = {}  # (kind, C) -> model
-    rows = []
-    for kind in ("linear", "rbf"):
-        kern = KernelSpec(kind, gamma if kind == "rbf" else None)
+    linear, rbf = KernelSpec("linear"), KernelSpec("rbf", gamma_scale(proto.Xtr))
+    families = {
+        "linear": _Family("SVM (Linear Kernel, C={})", "SVM with Linear Kernel",
+                          lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=linear),
+                          svm_decision, svm_predict_class),
+        "rbf": _Family("SVM (RBF Kernel, C={})", "SVM with RBF Kernel",
+                       lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=rbf),
+                       svm_decision, svm_predict_class),
+        "logistic": _Family("Logistic Regression (C={})", "Logistic Regression",
+                            lambda X, t, C: fit_logistic(X, t, C=C), logistic_scores,
+                            lambda m, X: (logistic_scores(m, X) >= 0.5).astype(int)),
+    }
+    models, by_key = {}, {}  # (family, C) -> model, row
+    for family, f in families.items():
         for C in c_desc:
-            m = fit_svc_smo(proto.Xtr, proto.labels_tr, C=C, kernel=kern)
-            svm_models[(kind, C)] = m
-            label = "Linear Kernel" if kind == "linear" else "RBF Kernel"
-            rows.append(_classifier_row(f"SVM ({label}, C={C})", C,
-                                        proto.labels_te,
-                                        svm_predict_class(m, proto.Xte)))
-    logit_models = {}
-    for C in c_desc:
-        m = fit_logistic(proto.Xtr, proto.labels_tr, C=C)
-        logit_models[C] = m
-        preds = (logistic_scores(m, proto.Xte) >= 0.5).astype(int)
-        rows.append(_classifier_row(f"Logistic Regression (C={C})", C,
-                                    proto.labels_te, preds))
+            models[family, C] = m = f.fit(proto.Xtr, proto.labels_tr, C)
+            by_key[family, C] = _classifier_row(
+                f.row_name.format(C), C, proto.labels_te, f.predict_class(m, proto.Xte))
     tree = fit_cart(proto.Xtr, proto.labels_tr, "classify")
-    rows.append(_classifier_row("Decision Tree", "Default",
-                                proto.labels_te,
-                                tree_predict(tree, proto.Xte).astype(int)))
+    rows = [*by_key.values(), _classifier_row(
+        "Decision Tree", "Default", proto.labels_te,
+        tree_predict(tree, proto.Xte).astype(int))]
 
     # ROC series for the four reported configurations
-    c_max = max(config.c_grid)
-    c_one = min(config.c_grid)
-    roc_specs = {
-        "svm_linear_initial": svm_decision(svm_models[("linear", c_max)], proto.Xte),
-        "svm_linear_optimized": svm_decision(svm_models[("linear", c_one)], proto.Xte),
-        "svm_rbf": svm_decision(svm_models[("rbf", c_one)], proto.Xte),
-        "logistic": logistic_scores(logit_models[c_one], proto.Xte),
-    }
+    c_max, c_one = max(config.c_grid), min(config.c_grid)
     roc_data = {}
-    for key, scores in roc_specs.items():
-        curve = roc_curve(scores, proto.labels_te)
+    for key, (family, C) in {"svm_linear_initial": ("linear", c_max),
+                             "svm_linear_optimized": ("linear", c_one),
+                             "svm_rbf": ("rbf", c_one),
+                             "logistic": ("logistic", c_one)}.items():
+        curve = roc_curve(families[family].scores(models[family, C], proto.Xte),
+                          proto.labels_te)
         # +inf anchor threshold serialized as null
-        roc_data[key] = {"points": [list(p) for p in curve.points],
+        roc_data[key] = {"points": [list(p) for p in curve.points], "auc": curve.auc,
                          "thresholds": [None if np.isinf(t) else t
-                                        for t in curve.thresholds],
-                         "auc": curve.auc}
+                                        for t in curve.thresholds]}
 
     # class-wise summaries from the best C per family (ties -> smaller C)
-    def best_c(prefix):
-        family = [r for r in rows if r["model"].startswith(prefix)]
-        return max(family, key=lambda r: (r["accuracy"], -float(r["C"])))
-
-    summary_sources = [
-        ("SVM with Linear Kernel", best_c("SVM (Linear")),
-        # a kernel-free dual is the linear kernel at default C
-        ("SVM No Kernel", next(r for r in rows
-                               if r["model"] == f"SVM (Linear Kernel, C={c_one})")),
-        ("SVM with RBF Kernel", best_c("SVM (RBF")),
-        ("Logistic Regression", best_c("Logistic")),
-        ("Decision Tree Classification", rows[-1]),
-    ]
+    summary_sources = [(f.summary, max((by_key[family, C] for C in c_desc),
+                                       key=lambda r: (r["accuracy"], -float(r["C"]))))
+                       for family, f in families.items()]
+    # a kernel-free dual is the linear kernel at default C
+    summary_sources.insert(1, ("SVM No Kernel", by_key["linear", c_one]))
+    summary_sources.append(("Decision Tree Classification", rows[-1]))
     class_summaries = {
-        "class0": [{"model": name, **src["class0"]} for name, src in summary_sources],
-        "class1": [{"model": name, **src["class1"]} for name, src in summary_sources],
+        **{c: [{"model": name, **src[c]} for name, src in summary_sources]
+           for c in ("class0", "class1")},
         "note": "SVM No Kernel reports the linear-kernel machine at default C",
     }
     return {"table": rows, "roc": roc_data, "class_summaries": class_summaries}

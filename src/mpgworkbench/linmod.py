@@ -15,7 +15,7 @@ matches ridge at lam = n * alpha; with l1_ratio = 1 it matches lasso.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class ConvergenceError(RuntimeError):
 class LinearModel:
     coefficients: np.ndarray
     intercept: float
-    family: str  # ols | ridge | lasso | elastic_net | polynomial
-    hyperparams: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,13 @@ def linear_predict(m: LinearModel, X: np.ndarray) -> np.ndarray:
     return m.intercept + X @ m.coefficients
 
 
-def fit_ols(X: np.ndarray, y: np.ndarray, family: str = "ols",
-            hyperparams: dict | None = None) -> LinearModel:
+def fit_ols(X: np.ndarray, y: np.ndarray) -> LinearModel:
     """Ordinary least squares with intercept, via QR on [1 | X]."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     design = np.column_stack([np.ones(X.shape[0]), X])
     beta = least_squares(design, y)
-    return LinearModel(coefficients=beta[1:], intercept=float(beta[0]),
-                       family=family, hyperparams=hyperparams or {})
+    return LinearModel(coefficients=beta[1:], intercept=float(beta[0]))
 
 
 def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
@@ -76,8 +72,7 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
     p = X.shape[1]
     beta = solve_spd(Xc.T @ Xc + lam * np.eye(p), Xc.T @ yc)
     intercept = y_mean - x_mean @ beta
-    return LinearModel(coefficients=beta, intercept=float(intercept),
-                       family="ridge", hyperparams={"lambda": lam})
+    return LinearModel(coefficients=beta, intercept=float(intercept))
 
 
 def _centered_moments(X, y):
@@ -141,8 +136,7 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     beta, intercept = _coordinate_descent(X, y, alpha, 0.0, tol, max_sweeps)
-    return LinearModel(coefficients=beta, intercept=float(intercept),
-                       family="lasso", hyperparams={"alpha": alpha})
+    return LinearModel(coefficients=beta, intercept=float(intercept))
 
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -166,9 +160,7 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float,
     l1 = alpha * l1_ratio
     l2 = alpha * (1.0 - l1_ratio)
     beta, intercept = _coordinate_descent(X, y, l1, l2, tol, max_sweeps)
-    return LinearModel(coefficients=beta, intercept=float(intercept),
-                       family="elastic_net",
-                       hyperparams={"alpha": alpha, "l1_ratio": l1_ratio})
+    return LinearModel(coefficients=beta, intercept=float(intercept))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

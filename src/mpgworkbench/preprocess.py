@@ -32,12 +32,6 @@ class SplitIndices:
     test: np.ndarray
 
 
-@dataclass(frozen=True)
-class FoldIndices:
-    folds: tuple[np.ndarray, ...]
-    seed: int
-
-
 def fit_standardizer(M: np.ndarray) -> Standardizer:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 2:
@@ -82,7 +76,7 @@ def train_test_split(n: int, ratio: float, seed: int) -> SplitIndices:
     )
 
 
-def kfold(n: int, k: int, seed: int) -> FoldIndices:
+def kfold(n: int, k: int, seed: int) -> tuple[np.ndarray, ...]:
     """Shuffled indices dealt into k contiguous blocks; sizes differ by
     at most one (first n % k folds get the extra element)."""
     if k < 2 or k > n:
@@ -96,7 +90,7 @@ def kfold(n: int, k: int, seed: int) -> FoldIndices:
         size = base + (1 if i < extra else 0)
         folds.append(np.array(order[start:start + size]))
         start += size
-    return FoldIndices(folds=tuple(folds), seed=seed)
+    return tuple(folds)
 
 
 def polynomial_feature_count(d: int, degree: int) -> int:

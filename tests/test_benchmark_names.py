@@ -30,3 +30,33 @@ NAMES = ([(mod, attr) for mod, attr, _ in layers.SPANS]
 def test_traced_name_resolves(module, attr):
     obj = getattr(importlib.import_module(f"mpgworkbench.{module}"), attr)
     assert callable(obj)
+
+
+def test_traced_names_are_the_ones_the_program_calls(monkeypatch):
+    """Every ``experiments`` name the trace rebinds is called through that
+    name during a regression suite, a classification grid and their
+    serialization: a function held elsewhere (say, in a table filled at
+    import time) would escape the trace, and this test."""
+    from mpgworkbench import experiments
+
+    calls = {}
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] = calls.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    attrs = sorted({attr for mod, attr, _ in layers.SPANS if mod == "experiments"})
+    for attr in attrs:
+        monkeypatch.setattr(experiments, attr,
+                            counted(attr, getattr(experiments, attr)))
+    config = experiments.ExperimentConfig(
+        forest_trees=2, cv_folds=3, svr_c_grid=(1.0, 10.0),
+        alpha_grid=(0.01, 0.1), c_grid=(1.0, 10.0))
+    experiments.report_to_json({
+        "regression": experiments.run_regression_suite(config),
+        "classification": experiments.run_classification_grid(config),
+    })
+    assert [attr for attr in attrs if not calls.get(attr)] == []
+    assert calls["solve_svr_dual"] == config.cv_folds * len(config.svr_c_grid)

@@ -118,6 +118,16 @@ def test_constant_training_feature_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_class_missing_from_split_exits_two(tmp_path, capsys):
+    # at seed 1 no training car reaches 45 mpg, so class 1 is empty there
+    out = tmp_path / "out"
+    assert run_cli(["classify", "--threshold", "45", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert ("data error: the training split has only class-0 rows at "
+            "threshold 45.0 mpg") in err
+    assert not out.exists()
+
+
 def test_invalid_config_file_value_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cv_folds = 0\n", encoding="utf-8")

@@ -4,13 +4,20 @@ report structure and end-to-end determinism."""
 import numpy as np
 import pytest
 
-from mpgworkbench.experiments import (CV_REPORTED_MODELS, ExperimentConfig,
-                                      REGRESSION_MODEL_NAMES, cross_validate,
+from mpgworkbench.experiments import (ExperimentConfig, cross_validate,
                                       prepare_protocol, report_to_json,
-                                      run_eda)
+                                      run_classification_grid, run_eda)
 from mpgworkbench.ingest import DataError
 from mpgworkbench.linmod import fit_ols, linear_predict
 from mpgworkbench.preprocess import kfold
+
+# the regression table's rows, and the four whose CV column is reported
+REGRESSION_MODELS = ("SVM Regression", "Random Forest Regressor",
+                     "Ridge Regression", "Linear Regression",
+                     "Elastic Net Regression", "Polynomial Regression",
+                     "Lasso Regression")
+CV_REPORTED = ("Ridge Regression", "Linear Regression",
+               "Elastic Net Regression", "Lasso Regression")
 
 
 # --- protocol
@@ -108,7 +115,7 @@ def test_cv_constant_training_column_is_a_data_error(rng):
     that fold's training rows: a DataError naming the column and fold."""
     X = rng.normal(size=(30, 7))
     y = X[:, 0] + rng.normal(size=30)
-    held_out = kfold(30, 6, 3).folds[2]
+    held_out = kfold(30, 6, 3)[2]
     X[:, 5] = 70.0
     X[held_out, 5] = 71.0
     with pytest.raises(DataError,
@@ -143,7 +150,7 @@ def test_cv_scores_every_path_entry_on_one_fold_layout(rng):
 
 def test_regression_table_has_seven_rows(regression_suite):
     names = [r["model"] for r in regression_suite["table"]]
-    assert sorted(names) == sorted(REGRESSION_MODEL_NAMES)
+    assert sorted(names) == sorted(REGRESSION_MODELS)
 
 
 def test_regression_rows_sorted_by_r2_descending(regression_suite):
@@ -154,12 +161,12 @@ def test_regression_rows_sorted_by_r2_descending(regression_suite):
 def test_cv_column_on_exactly_four_linear_rows(regression_suite):
     with_cv = {r["model"] for r in regression_suite["table"]
                if r["cv_mean_r2"] is not None}
-    assert with_cv == set(CV_REPORTED_MODELS)
+    assert with_cv == set(CV_REPORTED)
 
 
 def test_nonlinear_models_beat_linear_family(regression_suite):
     by_name = {r["model"]: r["r2"] for r in regression_suite["table"]}
-    linear_best = max(by_name[name] for name in CV_REPORTED_MODELS)
+    linear_best = max(by_name[name] for name in CV_REPORTED)
     assert by_name["SVM Regression"] > linear_best
     assert by_name["Random Forest Regressor"] > linear_best
 
@@ -216,6 +223,17 @@ def test_class_summaries_shape(classification_grid):
     for row in summaries["class0"] + summaries["class1"]:
         for key in ("precision", "recall", "f1"):
             assert 0.0 <= row[key] <= 1.0
+
+
+@pytest.mark.parametrize("threshold, split, present", [
+    (45.0, "training", 0),  # no training car reaches 45 mpg
+    (10.0, "test", 1),  # every test car reaches 10 mpg
+])
+def test_class_missing_from_a_split_is_a_data_error(threshold, split, present):
+    with pytest.raises(DataError, match=f"the {split} split has only "
+                                        f"class-{present} rows at threshold "
+                                        f"{threshold} mpg"):
+        run_classification_grid(ExperimentConfig(threshold_mpg=threshold))
 
 
 def test_accuracies_in_unit_interval(classification_grid):

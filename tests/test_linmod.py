@@ -240,7 +240,7 @@ def test_logistic_input_validation():
 
 def test_zero_coefficients_predict_intercept(rng):
     from mpgworkbench.linmod import LinearModel
-    m = LinearModel(coefficients=np.zeros(3), intercept=2.5, family="ols")
+    m = LinearModel(coefficients=np.zeros(3), intercept=2.5)
     np.testing.assert_array_equal(linear_predict(m, rng.normal(size=(5, 3))),
                                   np.full(5, 2.5))
 

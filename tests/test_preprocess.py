@@ -167,12 +167,12 @@ def test_split_partition_property(n, ratio, seed):
 # --- k-fold
 
 def test_kfold_leave_one_out_singletons():
-    folds = kfold(10, 10, 0).folds
+    folds = kfold(10, 10, 0)
     assert [f.size for f in folds] == [1] * 10
 
 
 def test_kfold_sizes_with_remainder():
-    folds = kfold(10, 3, 0).folds
+    folds = kfold(10, 3, 0)
     assert sorted(f.size for f in folds) == [3, 3, 4]
     assert folds[0].size == 4  # first folds take the extra element
 
@@ -190,7 +190,7 @@ def test_kfold_invalid_k():
 def test_kfold_partition_property(n, k, seed):
     if k > n:
         n, k = k, n
-    folds = kfold(n, k, seed).folds
+    folds = kfold(n, k, seed)
     assert sorted(np.concatenate(folds)) == list(range(n))
     sizes = [f.size for f in folds]
     assert max(sizes) - min(sizes) <= 1
