@@ -267,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--data", help="data file path (default: MPGW_DATA "
                                       "env var, then the packaged file)")
+        if name == "validate-data":
+            continue
         p.add_argument("--out", default="results",
                        help="output directory (default: results)")
         p.add_argument("--seed", type=int, default=None)

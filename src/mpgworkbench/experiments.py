@@ -40,58 +40,50 @@ from .treemod import (default_max_features, fit_cart, fit_random_forest,
 _SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
 
 
+# The paper's fixed model settings, read when each fit runs.  The grids
+# ascend: the CV tie rule keeps the smallest of equally good values, and
+# the SVR CV path warm-starts each C from the optimum at the one before.
+FIXED = {
+    "c_grid": (1.0, 10.0, 100.0),
+    "svr_epsilon": 0.1,
+    "svr_c_grid": (1.0, 10.0, 100.0),
+    "forest_trees": 100,
+    "forest_min_samples_leaf": 1,
+    "poly_degree": 2,
+    "elastic_net_l1_ratio": 0.5,
+    "alpha_grid": tuple(float(f"{v:.10g}") for v in np.logspace(-4, 1, 15)),
+    "eda_bins": 10,
+    "residual_bins": 20,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The run settings a caller chooses (CLI flags, config file)."""
+
     data_path: str | None = None  # None -> packaged reference file
     seed: int = 1
     split_ratio: float = 0.7
     threshold_mpg: float = 25.0
     cv_folds: int = 10
-    c_grid: tuple = (1.0, 10.0, 100.0)
-    svr_epsilon: float = 0.1
-    svr_c_grid: tuple = (1.0, 10.0, 100.0)
-    forest_trees: int = 100
-    forest_min_samples_leaf: int = 1
-    poly_degree: int = 2
-    elastic_net_l1_ratio: float = 0.5
-    alpha_grid: tuple = tuple(float(f"{v:.10g}") for v in np.logspace(-4, 1, 15))
-    eda_bins: int = 10
-    residual_bins: int = 20
 
     def __post_init__(self):
         """Reject out-of-range settings before any data is read or any
         output written.  Each condition states what must hold, so NaN
         fails it too."""
-        checks = [
-            (0.0 < self.split_ratio < 1.0,
-             "split_ratio must lie strictly between 0 and 1"),
-            (self.cv_folds >= 2, "cv_folds must be >= 2"),
-            (self.forest_trees >= 1, "forest_trees must be >= 1"),
-            (self.svr_epsilon >= 0.0, "svr_epsilon must be >= 0"),
-            (0.0 <= self.elastic_net_l1_ratio <= 1.0,
-             "elastic_net_l1_ratio must lie in [0, 1]"),
-            (self.poly_degree >= 1, "poly_degree must be >= 1"),
-            (self.eda_bins >= 1 and self.residual_bins >= 1,
-             "eda_bins and residual_bins must be >= 1"),
-        ]
-        for grid in ("c_grid", "svr_c_grid", "alpha_grid"):
-            values = getattr(self, grid)
-            checks += [(all(v > 0.0 for v in values),
-                        f"{grid} entries must be > 0"),
-                       (all(a < b for a, b in zip(values, values[1:])),
-                        f"{grid} entries must be strictly increasing")]
-        for ok, message in checks:
-            if not ok:
-                raise ValueError(message)
+        if not 0.0 < self.split_ratio < 1.0:
+            raise ValueError("split_ratio must lie strictly between 0 and 1")
+        if not self.cv_folds >= 2:
+            raise ValueError("cv_folds must be >= 2")
 
     def resolved_data_path(self) -> str:
         return self.data_path or reference_data_path()
 
     def to_dict(self) -> dict:
-        """The config as given: data_path stays None for the packaged
-        file, so reports agree across checkouts (data_sha256 in the
-        provenance identifies the data)."""
-        return dataclasses.asdict(self)
+        """The config as given, with the fixed settings: data_path stays
+        None for the packaged file, so reports agree across checkouts
+        (data_sha256 in the provenance identifies the data)."""
+        return {**dataclasses.asdict(self), **FIXED}
 
 
 @dataclass
@@ -110,36 +102,41 @@ class ProtocolData:
     labels_te: np.ndarray
 
 
-def _standardizer(M: np.ndarray, names: tuple, split: str):
-    """fit_standardizer, with a constant column reported as a DataError
-    that names the column and the split it is constant in."""
-    try:
-        return fit_standardizer(M)
-    except ValueError:
-        constant = np.flatnonzero(M.std(axis=0) <= 0.0)
-        if constant.size == 0:
-            raise
-        raise DataError(f"{names[constant[0]]!r} is constant in the {split}; "
-                        "cannot standardize") from None
+def _standardized(X, y, train, test, split: str):
+    """(Xtr, ytr, Xte, yte): rows ``train`` and ``test`` of X and y,
+    standardized with the training rows' statistics.  A column constant
+    in the training rows is a DataError naming it and ``split``."""
+    out = []
+    for M, names in ((X, FEATURE_NAMES), (y[:, None], ("mpg",))):
+        rows = M[train]
+        try:
+            s = fit_standardizer(rows)
+        except ValueError:
+            constant = np.flatnonzero(rows.std(axis=0) <= 0.0)
+            if constant.size == 0:
+                raise
+            raise DataError(f"{names[constant[0]]!r} is constant in the "
+                            f"{split}; cannot standardize") from None
+        out += [apply_standardizer(s, rows), apply_standardizer(s, M[test])]
+    Xtr, Xte, ytr, yte = out
+    return Xtr, ytr[:, 0], Xte, yte[:, 0]
 
 
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
     seeds = derive_seeds(config.seed, 5)
     split = train_test_split(len(dataset.y), config.split_ratio, seeds[_SEED_SPLIT])
-    Xtr_raw, Xte_raw = dataset.X[split.train], dataset.X[split.test]
-    ytr_raw, yte_raw = dataset.y[split.train], dataset.y[split.test]
-    sx = _standardizer(Xtr_raw, FEATURE_NAMES, "training split")
-    sy = _standardizer(ytr_raw[:, None], ("mpg",), "training split")
+    Xtr, ytr, Xte, yte = _standardized(dataset.X, dataset.y, split.train,
+                                       split.test, "training split")
     return ProtocolData(
         train_idx=split.train,
         test_idx=split.test,
-        Xtr=apply_standardizer(sx, Xtr_raw),
-        Xte=apply_standardizer(sx, Xte_raw),
-        ytr=apply_standardizer(sy, ytr_raw[:, None])[:, 0],
-        yte=apply_standardizer(sy, yte_raw[:, None])[:, 0],
-        Xtr_raw=Xtr_raw,
-        ytr_raw=ytr_raw,
+        Xtr=Xtr,
+        Xte=Xte,
+        ytr=ytr,
+        yte=yte,
+        Xtr_raw=dataset.X[split.train],
+        ytr_raw=dataset.y[split.train],
         labels_tr=dataset.label[split.train],
         labels_te=dataset.label[split.test],
     )
@@ -168,13 +165,8 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     scores = {name: [] for name in paths}  # name -> per fold, per grid value
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        split = f"training rows of CV fold {i + 1}"
-        sx = _standardizer(X[train_idx], FEATURE_NAMES, split)
-        sy = _standardizer(y[train_idx, None], ("mpg",), split)
-        Xtr = apply_standardizer(sx, X[train_idx])
-        ytr = apply_standardizer(sy, y[train_idx, None])[:, 0]
-        Xte = apply_standardizer(sx, X[test_idx])
-        yte = apply_standardizer(sy, y[test_idx, None])[:, 0]
+        Xtr, ytr, Xte, yte = _standardized(
+            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}")
         for name, path in paths.items():
             scores[name].append([regression_metrics(yte, pred, p=1).r2
                                  for pred in path(Xtr, ytr, Xte)])
@@ -208,8 +200,8 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
     """The seven regressors in report order.  Built per call, so each fit
     is looked up through this module's names when it runs."""
     d = proto.Xtr.shape[1]
-    eps, l1_ratio, deg = (config.svr_epsilon, config.elastic_net_l1_ratio,
-                          config.poly_degree)
+    eps, l1_ratio, deg = (FIXED["svr_epsilon"], FIXED["elastic_net_l1_ratio"],
+                          FIXED["poly_degree"])
     kern = KernelSpec("rbf", gamma_scale(proto.Xtr))
 
     def svr_path(Xs, ys, Xq):
@@ -218,33 +210,33 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         K = kernel_matrix(kern, Xs, Xs)
         K_test = kernel_matrix(kern, Xq, Xs)
         beta, preds = None, []
-        for C in config.svr_c_grid:
+        for C in FIXED["svr_c_grid"]:
             beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds
 
     return (
-        _Regressor("SVM Regression", config.svr_c_grid,
+        _Regressor("SVM Regression", FIXED["svr_c_grid"],
                    lambda X, y, C: fit_svr(X, y, C=C, epsilon=eps, kernel=kern),
                    svm_decision, d,
                    lambda C: {"kernel": "rbf", "gamma": kern.gamma, "C": C,
                               "epsilon": eps}, False, svr_path),
         _Regressor("Random Forest Regressor", None,
                    lambda X, y, _: fit_random_forest(
-                       X, y, "regress", n_trees=config.forest_trees,
-                       min_samples_leaf=config.forest_min_samples_leaf,
+                       X, y, "regress", n_trees=FIXED["forest_trees"],
+                       min_samples_leaf=FIXED["forest_min_samples_leaf"],
                        seed=derive_seeds(config.seed, 5)[_SEED_FOREST]),
                    forest_predict, d,
-                   lambda _: {"n_trees": config.forest_trees,
+                   lambda _: {"n_trees": FIXED["forest_trees"],
                               "max_features": default_max_features(d, "regress")},
                    False),
-        _Regressor("Ridge Regression", config.alpha_grid,
+        _Regressor("Ridge Regression", FIXED["alpha_grid"],
                    lambda X, y, lam: fit_ridge(X, y, lam), linear_predict, d,
                    lambda lam: {"lambda": lam}, True),
         _Regressor("Linear Regression", (None,),
                    lambda X, y, _: fit_ols(X, y), linear_predict, d,
                    lambda _: {}, True),
-        _Regressor("Elastic Net Regression", config.alpha_grid,
+        _Regressor("Elastic Net Regression", FIXED["alpha_grid"],
                    lambda X, y, a: fit_elastic_net(X, y, a, l1_ratio),
                    linear_predict, d,
                    lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True),
@@ -253,7 +245,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                    lambda m, X: linear_predict(m, polynomial_features(X, deg)),
                    polynomial_feature_count(d, deg),
                    lambda _: {"degree": deg}, False),
-        _Regressor("Lasso Regression", config.alpha_grid,
+        _Regressor("Lasso Regression", FIXED["alpha_grid"],
                    lambda X, y, a: fit_lasso(X, y, a), linear_predict, d,
                    lambda a: {"alpha": a}, True),
     )
@@ -301,7 +293,7 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
     rows.sort(key=lambda r: r.get("r2", float("-inf")), reverse=True)
     return {"table": rows, "figure_data": {
         **diagnostics(models["Linear Regression"], proto.Xte, proto.yte,
-                      config.residual_bins),
+                      FIXED["residual_bins"]),
         "model_comparison": [{"model": r["model"], "r2": r.get("r2")} for r in rows],
     }}
 
@@ -332,7 +324,7 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
             raise DataError(f"the {split} split has only class-{labels[0]} rows at "
                             f"threshold {config.threshold_mpg} mpg; both classes "
                             "must be present")
-    c_desc = tuple(sorted(config.c_grid, reverse=True))
+    c_desc = tuple(sorted(FIXED["c_grid"], reverse=True))
     linear, rbf = KernelSpec("linear"), KernelSpec("rbf", gamma_scale(proto.Xtr))
     families = {
         "linear": _Family("SVM (Linear Kernel, C={})", "SVM with Linear Kernel",
@@ -357,7 +349,7 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
         tree_predict(tree, proto.Xte).astype(int))]
 
     # ROC series for the four reported configurations
-    c_max, c_one = max(config.c_grid), min(config.c_grid)
+    c_max, c_one = max(FIXED["c_grid"]), min(FIXED["c_grid"])
     roc_data = {}
     for key, (family, C) in {"svm_linear_initial": ("linear", c_max),
                              "svm_linear_optimized": ("linear", c_one),
@@ -397,7 +389,7 @@ def run_eda(config: ExperimentConfig) -> dict:
             "labels": list(corr.labels),
             "values": [[float(v) for v in row] for row in corr.values],
         },
-        "distributions": {name: histogram(col, config.eda_bins)
+        "distributions": {name: histogram(col, FIXED["eda_bins"])
                           for name, col in columns.items()},
         "pairwise": {name: col.tolist() for name, col in columns.items()},
         "class_counts": {
@@ -410,6 +402,8 @@ def run_eda(config: ExperimentConfig) -> dict:
 def run_full_report(config: ExperimentConfig) -> dict:
     """All experiment outputs plus provenance, fully deterministic."""
     proto = prepare_protocol(config)
+    # first: it starts by checking that both classes are present
+    classification = run_classification_grid(config, proto)
     return {
         "provenance": {
             "config": config.to_dict(),
@@ -420,7 +414,7 @@ def run_full_report(config: ExperimentConfig) -> dict:
         },
         "eda": run_eda(config),
         "regression": run_regression_suite(config, proto),
-        "classification": run_classification_grid(config, proto),
+        "classification": classification,
     }
 
 

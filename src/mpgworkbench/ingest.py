@@ -71,7 +71,6 @@ class Dataset:
     y: np.ndarray  # (n,) float, mpg
     label: np.ndarray  # (n,) int, 1 iff y >= threshold
     column_names: tuple[str, ...]
-    threshold_mpg: float
 
 
 def reference_data_path() -> str:
@@ -195,8 +194,7 @@ def build_dataset(table: RawTable, threshold_mpg: float = DEFAULT_THRESHOLD_MPG)
     )
     y = np.array([r.mpg for r in table.rows], dtype=float)
     label = (y >= threshold_mpg).astype(int)
-    return Dataset(X=X, y=y, label=label, column_names=FEATURE_NAMES,
-                   threshold_mpg=threshold_mpg)
+    return Dataset(X=X, y=y, label=label, column_names=FEATURE_NAMES)
 
 
 def load_dataset(path: str, threshold_mpg: float = DEFAULT_THRESHOLD_MPG) -> Dataset:

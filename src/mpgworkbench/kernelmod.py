@@ -52,13 +52,10 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class SvmModel:
-    task: str  # "classify" | "regress"
     support_vectors: np.ndarray
     dual_coefs: np.ndarray
     bias: float
     kernel: KernelSpec
-    C: float
-    epsilon: float = 0.0
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -242,8 +239,7 @@ def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float, kernel: KernelSpec,
                    np.where(pos, 0.0, -C), np.where(pos, C, 0.0), C, 0.0,
                    tol, max_iter, None)
     sv, dual = _extract_support(X, beta)
-    return SvmModel(task="classify", support_vectors=sv, dual_coefs=dual,
-                    bias=b, kernel=kernel, C=C)
+    return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 
 
 def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
@@ -281,8 +277,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     K = kernel_matrix(kernel, X, X)
     beta, b = solve_svr_dual(K, y, C, epsilon, tol=tol, max_iter=max_iter)
     sv, dual = _extract_support(X, beta)
-    return SvmModel(task="regress", support_vectors=sv, dual_coefs=dual,
-                    bias=b, kernel=kernel, C=C, epsilon=epsilon)
+    return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 
 
 def svm_decision(m: SvmModel, X: np.ndarray) -> np.ndarray:

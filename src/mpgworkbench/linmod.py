@@ -36,13 +36,6 @@ class LinearModel:
     intercept: float
 
 
-@dataclass(frozen=True)
-class LogisticModel:
-    coefficients: np.ndarray
-    intercept: float
-    C: float
-
-
 def linear_predict(m: LinearModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[1] != m.coefficients.shape[0]:
@@ -130,13 +123,8 @@ def _coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int)
 
 def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
               tol: float = 1e-7, max_sweeps: int = 10000) -> LinearModel:
-    """Lasso via cyclic coordinate descent with soft-thresholding."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta, intercept = _coordinate_descent(X, y, alpha, 0.0, tol, max_sweeps)
-    return LinearModel(coefficients=beta, intercept=float(intercept))
+    """Lasso: the elastic net at l1_ratio = 1 (l1 = alpha, l2 = 0)."""
+    return fit_elastic_net(X, y, alpha, 1.0, tol, max_sweeps)
 
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
@@ -190,7 +178,7 @@ def logistic_gradient(w: np.ndarray, X: np.ndarray, s: np.ndarray, C: float) -> 
 
 
 def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
-                 tol: float = 1e-8, max_iter: int = 100) -> LogisticModel:
+                 tol: float = 1e-8, max_iter: int = 100) -> LinearModel:
     """L2-regularized logistic regression by damped Newton iterations."""
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -233,13 +221,10 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
         if np.abs(grad).max() >= tol:
             raise ConvergenceError("logistic Newton did not converge",
                                    last_iterate=w)
-    return LogisticModel(coefficients=w[1:], intercept=float(w[0]), C=C)
+    return LinearModel(coefficients=w[1:], intercept=float(w[0]))
 
 
-def logistic_scores(m: LogisticModel, X: np.ndarray) -> np.ndarray:
+def logistic_scores(m: LinearModel, X: np.ndarray) -> np.ndarray:
     """Class-1 probabilities through the logistic link; always in (0, 1)."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != m.coefficients.shape[0]:
-        raise ValueError("dimension mismatch between model and X")
-    p = _sigmoid(m.intercept + X @ m.coefficients)
+    p = _sigmoid(linear_predict(m, X))
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))

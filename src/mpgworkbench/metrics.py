@@ -15,8 +15,6 @@ class RegressionMetrics:
     rmse: float
     r2: float
     adj_r2: float
-    n: int
-    p: int
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray, p: int) -> Regres
     sse = mse * n
     r2 = 1.0 - sse / sst
     return RegressionMetrics(mae=mae, mse=mse, rmse=float(np.sqrt(mse)), r2=r2,
-                             adj_r2=adjusted_r2(r2, n, p), n=n, p=p)
+                             adj_r2=adjusted_r2(r2, n, p))
 
 
 def confusion_matrix(labels_true: np.ndarray, labels_pred: np.ndarray) -> ConfusionMatrix:

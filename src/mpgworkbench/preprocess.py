@@ -23,7 +23,6 @@ class Standardizer:
 
     means: np.ndarray
     stds: np.ndarray
-    fitted_on: int
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ def fit_standardizer(M: np.ndarray) -> Standardizer:
     for j, s in enumerate(stds):
         if s <= 0.0:
             raise ValueError(f"column {j} is constant; cannot standardize")
-    return Standardizer(means=means, stds=stds, fitted_on=M.shape[0])
+    return Standardizer(means=means, stds=stds)
 
 
 def apply_standardizer(s: Standardizer, M: np.ndarray) -> np.ndarray:

@@ -39,8 +39,6 @@ class TreeNode:
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple[TreeNode, ...]
-    per_tree_seeds: tuple[int, ...]
-    max_features: int
     n_trees: int
     task: str
 
@@ -207,9 +205,7 @@ def fit_random_forest(X: np.ndarray, target: np.ndarray, task: str,
                               max_depth=max_depth,
                               min_samples_leaf=min_samples_leaf,
                               max_features=max_features, seed=split_seed))
-    return ForestModel(trees=tuple(trees),
-                       per_tree_seeds=tuple(tree_seeds),
-                       max_features=max_features, n_trees=n_trees, task=task)
+    return ForestModel(trees=tuple(trees), n_trees=n_trees, task=task)
 
 
 def forest_predict(m: ForestModel, X: np.ndarray) -> np.ndarray:

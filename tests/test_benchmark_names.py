@@ -51,12 +51,13 @@ def test_traced_names_are_the_ones_the_program_calls(monkeypatch):
     for attr in attrs:
         monkeypatch.setattr(experiments, attr,
                             counted(attr, getattr(experiments, attr)))
-    config = experiments.ExperimentConfig(
-        forest_trees=2, cv_folds=3, svr_c_grid=(1.0, 10.0),
-        alpha_grid=(0.01, 0.1), c_grid=(1.0, 10.0))
+    for key, value in {"forest_trees": 2, "svr_c_grid": (1.0, 10.0),
+                       "alpha_grid": (0.01, 0.1), "c_grid": (1.0, 10.0)}.items():
+        monkeypatch.setitem(experiments.FIXED, key, value)
+    config = experiments.ExperimentConfig(cv_folds=3)
     experiments.report_to_json({
         "regression": experiments.run_regression_suite(config),
         "classification": experiments.run_classification_grid(config),
     })
     assert [attr for attr in attrs if not calls.get(attr)] == []
-    assert calls["solve_svr_dual"] == config.cv_folds * len(config.svr_c_grid)
+    assert calls["solve_svr_dual"] == config.cv_folds * len(experiments.FIXED["svr_c_grid"])

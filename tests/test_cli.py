@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output files, config handling."""
 
+import dataclasses
 import json
 import os
 
@@ -35,6 +36,16 @@ def test_validate_data_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MPGW_DATA", str(copy))
     assert run_cli(["validate-data"]) == EXIT_OK
     assert str(copy) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "1"], ["--split", "0.7"], ["--threshold", "25"],
+    ["--folds", "10"], ["--format", "json"], ["--out", "results"],
+    ["--folds", "1", "--split", "7", "--config", "/nonexistent"],
+])
+def test_validate_data_takes_only_data(capsys, flags):
+    # it runs no experiment, so a run setting is a usage error
+    assert run_cli(["validate-data", *flags]) == EXIT_USAGE
 
 
 # --- exit codes
@@ -125,6 +136,13 @@ def test_class_missing_from_split_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("data error: the training split has only class-0 rows at "
             "threshold 45.0 mpg") in err
+    assert not out.exists()
+
+
+def test_report_with_a_missing_class_exits_two_without_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["report", "--threshold", "45", "--out", str(out)]) == EXIT_DATA
+    assert "only class-0 rows at threshold 45.0 mpg" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -251,6 +269,12 @@ def test_regression_csvs_written(tmp_path, regression_suite):
 
 
 # --- config files
+
+def test_config_keys_are_the_config_fields():
+    # every setting of a run can come from a config file; nothing else is one
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert set(cli._CONFIG_KEYS) == fields
+
 
 def test_config_file_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ against closed-form and finite-difference oracles."""
 import numpy as np
 import pytest
 
-from mpgworkbench.experiments import ExperimentConfig
+from mpgworkbench.experiments import FIXED
 from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net, fit_lasso,
                                  fit_logistic, fit_ols, fit_ridge,
                                  lasso_alpha_max, linear_predict,
@@ -346,7 +346,7 @@ def kkt_violations(X, y, beta, intercept, l1, l2, tol):
 
 @pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
 def test_cd_matches_reference_sweep(protocol, l1_ratio):
-    alpha_grid = ExperimentConfig().alpha_grid
+    alpha_grid = FIXED["alpha_grid"]
     assert len(alpha_grid) == 15
     X, y = protocol.Xtr, protocol.ytr
     for alpha in alpha_grid:
@@ -361,7 +361,7 @@ def test_cd_matches_reference_sweep(protocol, l1_ratio):
 def test_cd_meets_kkt_conditions(rng, protocol, l1_ratio):
     for X, y in cd_problems(rng, protocol):
         a_max = lasso_alpha_max(X, y)
-        for alpha in ExperimentConfig().alpha_grid + (a_max,):
+        for alpha in FIXED["alpha_grid"] + (a_max,):
             m = fit_cd(X, y, alpha, l1_ratio)
             viol = kkt_violations(X, y, m.coefficients, m.intercept,
                                   alpha * l1_ratio, alpha * (1.0 - l1_ratio),

@@ -70,7 +70,6 @@ def test_standardizer_two_point_column():
     s = fit_standardizer(np.array([[1.0], [3.0]]))
     assert s.means[0] == 2.0
     assert s.stds[0] == 1.0  # population convention
-    assert s.fitted_on == 2
 
 
 def test_apply_to_fitting_matrix_centers_and_scales(rng):

@@ -134,9 +134,8 @@ def test_forest_deterministic(rng):
     b = fit_random_forest(X, y, "regress", n_trees=5, seed=11)
     Xq = rng.normal(size=(10, 3))
     np.testing.assert_array_equal(forest_predict(a, Xq), forest_predict(b, Xq))
-    assert a.per_tree_seeds == b.per_tree_seeds
     c = fit_random_forest(X, y, "regress", n_trees=5, seed=12)
-    assert c.per_tree_seeds != a.per_tree_seeds
+    assert not np.array_equal(forest_predict(c, Xq), forest_predict(a, Xq))
 
 
 def test_forest_prediction_within_tree_envelope(rng):
@@ -162,8 +161,7 @@ def test_forest_classification_majority_vote(rng):
 def test_forest_vote_tie_resolves_to_class_zero():
     leaf0 = TreeNode(prediction=0.0, n_samples=1)
     leaf1 = TreeNode(prediction=1.0, n_samples=1)
-    m = ForestModel(trees=(leaf0, leaf1), per_tree_seeds=(0, 1),
-                    max_features=1, n_trees=2, task="classify")
+    m = ForestModel(trees=(leaf0, leaf1), n_trees=2, task="classify")
     assert forest_predict(m, np.zeros((1, 1)))[0] == 0
 
 
