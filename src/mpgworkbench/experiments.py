@@ -32,7 +32,7 @@ from .preprocess import (apply_standardizer, fit_standardizer, kfold,
                          polynomial_feature_count, polynomial_features,
                          train_test_split)
 from .rng import derive_seeds
-from .treemod import (default_max_features, fit_cart, fit_random_forest,
+from .treemod import (fit_cart, fit_random_forest, forest_max_features,
                       forest_predict, tree_predict)
 
 # positions in the splitmix64 seed chain derived from the master seed
@@ -48,7 +48,6 @@ FIXED = {
     "svr_epsilon": 0.1,
     "svr_c_grid": (1.0, 10.0, 100.0),
     "forest_trees": 100,
-    "forest_min_samples_leaf": 1,
     "poly_degree": 2,
     "elastic_net_l1_ratio": 0.5,
     "alpha_grid": tuple(float(f"{v:.10g}") for v in np.logspace(-4, 1, 15)),
@@ -223,12 +222,11 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                               "epsilon": eps}, False, svr_path),
         _Regressor("Random Forest Regressor", None,
                    lambda X, y, _: fit_random_forest(
-                       X, y, "regress", n_trees=FIXED["forest_trees"],
-                       min_samples_leaf=FIXED["forest_min_samples_leaf"],
+                       X, y, n_trees=FIXED["forest_trees"],
                        seed=derive_seeds(config.seed, 5)[_SEED_FOREST]),
                    forest_predict, d,
                    lambda _: {"n_trees": FIXED["forest_trees"],
-                              "max_features": default_max_features(d, "regress")},
+                              "max_features": forest_max_features(d)},
                    False),
         _Regressor("Ridge Regression", FIXED["alpha_grid"],
                    lambda X, y, lam: fit_ridge(X, y, lam), linear_predict, d,

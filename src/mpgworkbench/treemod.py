@@ -1,5 +1,5 @@
 """CART decision trees (classification and regression) and bootstrap-
-aggregated random forests.
+aggregated regression forests, both grown to pure leaves.
 
 Split search is exact and deterministic: candidate thresholds are the
 midpoints between consecutive sorted unique feature values, and a value
@@ -39,8 +39,6 @@ class TreeNode:
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple[TreeNode, ...]
-    n_trees: int
-    task: str
 
 
 def gini_impurity(labels: np.ndarray) -> float:
@@ -50,7 +48,7 @@ def gini_impurity(labels: np.ndarray) -> float:
 
 
 def _best_split(cols: np.ndarray, tn: np.ndarray, task: str,
-                features: list[int], min_samples_leaf: int):
+                features: list[int]):
     """Best (feature, threshold, weighted child impurity) over the
     candidate columns ``cols`` (one per entry of ``features``), or None
     when no valid split exists."""
@@ -64,9 +62,6 @@ def _best_split(cols: np.ndarray, tn: np.ndarray, task: str,
     valid = xs[:-1] < xs[1:]
     n_left = np.arange(1.0, n)[:, None]
     n_right = n - n_left
-    if min_samples_leaf > 1:
-        valid &= ((n_left >= min_samples_leaf)
-                  & (n_right >= min_samples_leaf))
     if not valid.any():
         return None
     if task == "classify":
@@ -99,18 +94,16 @@ def _best_split(cols: np.ndarray, tn: np.ndarray, task: str,
 
 
 def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
-             max_depth: int | None = None, min_samples_leaf: int = 1,
              max_features: int | None = None, seed: int = 0) -> TreeNode:
-    """Greedy recursive partitioning; stops on max_depth,
-    min_samples_leaf, zero impurity, or no impurity-decreasing split."""
+    """Greedy recursive partitioning, drawing ``max_features`` candidate
+    features per split (default: all); stops on zero impurity or when
+    no split decreases it."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     X = np.asarray(X, dtype=float)
     target = np.asarray(target, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("empty input")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
     d = X.shape[1]
     if max_features is None:
         max_features = d
@@ -118,7 +111,7 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         raise ValueError("max_features out of range")
     rng = Xoshiro256StarStar(seed)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray) -> TreeNode:
         tn = target[idx]
         if task == "classify":
             impurity = gini_impurity(tn)
@@ -131,15 +124,13 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
             prediction = float(mean)
         leaf = TreeNode(prediction=prediction, n_samples=idx.size,
                         impurity=impurity)
-        if impurity <= 0.0 or idx.size < 2 * min_samples_leaf:
-            return leaf
-        if max_depth is not None and depth >= max_depth:
+        if impurity <= 0.0:  # a one-row node always stops here
             return leaf
         if max_features < d:
             feats = sorted(rng.sample_indices(d, max_features))
         else:
             feats = list(range(d))
-        found = _best_split(X[idx][:, feats], tn, task, feats, min_samples_leaf)
+        found = _best_split(X[idx][:, feats], tn, task, feats)
         if found is None:
             return leaf
         child_impurity, f, thr = found
@@ -148,11 +139,11 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         go_left = X[idx, f] <= thr
         node = TreeNode(feature=f, threshold=thr,
                         n_samples=idx.size, impurity=impurity)
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
+        node.left = grow(idx[go_left])
+        node.right = grow(idx[~go_left])
         return node
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(X.shape[0]))
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -167,52 +158,33 @@ def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def default_max_features(d: int, task: str) -> int:
-    """Canonical forest defaults: ceil(d/3) for regression, ceil(sqrt(d))
-    for classification."""
-    if task == "regress":
-        return math.ceil(d / 3)
-    return math.ceil(math.sqrt(d))
+def forest_max_features(d: int) -> int:
+    """Features drawn per split of a regression forest: ceil(d/3)."""
+    return math.ceil(d / 3)
 
 
-def fit_random_forest(X: np.ndarray, target: np.ndarray, task: str,
-                      n_trees: int = 100, max_features: int | None = None,
-                      min_samples_leaf: int = 1, max_depth: int | None = None,
-                      seed: int = 0, bootstrap: bool = True) -> ForestModel:
-    """Bagged CART ensemble; each tree gets its own splitmix64-derived
+def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
+                      seed: int = 0) -> ForestModel:
+    """Bagged regression trees; each tree gets its own splitmix64-derived
     seed for the bootstrap draw and per-split feature subsampling."""
     X = np.asarray(X, dtype=float)
-    target = np.asarray(target, dtype=float)
+    y = np.asarray(y, dtype=float)
     n, d = X.shape
     if n < 2:
         raise ValueError("need at least 2 samples")
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
-    if max_features is None:
-        max_features = default_max_features(d, task)
-    if not 1 <= max_features <= d:
-        raise ValueError("max_features out of range")
     tree_seeds = derive_seeds(seed, 2 * n_trees)
     trees = []
     for t in range(n_trees):
-        boot_seed, split_seed = tree_seeds[2 * t], tree_seeds[2 * t + 1]
-        if bootstrap:
-            rng = Xoshiro256StarStar(boot_seed)
-            idx = np.array([rng.randbelow(n) for _ in range(n)])
-        else:
-            idx = np.arange(n)
-        trees.append(fit_cart(X[idx], target[idx], task,
-                              max_depth=max_depth,
-                              min_samples_leaf=min_samples_leaf,
-                              max_features=max_features, seed=split_seed))
-    return ForestModel(trees=tuple(trees), n_trees=n_trees, task=task)
+        rng = Xoshiro256StarStar(tree_seeds[2 * t])
+        idx = np.array([rng.randbelow(n) for _ in range(n)])
+        trees.append(fit_cart(X[idx], y[idx], "regress",
+                              max_features=forest_max_features(d),
+                              seed=tree_seeds[2 * t + 1]))
+    return ForestModel(trees=tuple(trees))
 
 
 def forest_predict(m: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Mean over trees (regression) or majority vote with ties resolving
-    to the lower class (classification)."""
-    preds = np.stack([tree_predict(t, X) for t in m.trees])
-    if m.task == "regress":
-        return preds.mean(axis=0)
-    votes_one = (preds == 1.0).sum(axis=0)
-    return (votes_one * 2 > m.n_trees).astype(int)  # tie -> class 0 (lower)
+    """Mean of the trees' predictions."""
+    return np.stack([tree_predict(t, X) for t in m.trees]).mean(axis=0)

@@ -1,4 +1,4 @@
-"""CART trees and random forests: split correctness, boundary rules,
+"""CART trees and regression forests: split correctness, boundary rules,
 determinism, and ensemble properties."""
 
 import numpy as np
@@ -6,8 +6,8 @@ import pytest
 
 from mpgworkbench import treemod
 from mpgworkbench.rng import Xoshiro256StarStar
-from mpgworkbench.treemod import (ForestModel, TreeNode, default_max_features,
-                                  fit_cart, fit_random_forest, forest_predict,
+from mpgworkbench.treemod import (TreeNode, fit_cart, fit_random_forest,
+                                  forest_max_features, forest_predict,
                                   gini_impurity, tree_predict)
 
 
@@ -65,22 +65,12 @@ def test_zero_training_error_without_conflicts(rng):
 def test_accepted_splits_strictly_decrease_impurity(rng):
     X = rng.normal(size=(60, 4))
     y = rng.normal(size=60)
-    tree = fit_cart(X, y, "regress", max_depth=4)
+    tree = fit_cart(X, y, "regress")
     for node in walk(tree):
         if not node.is_leaf:
             children = (node.left.impurity * node.left.n_samples
                         + node.right.impurity * node.right.n_samples)
             assert node.impurity * node.n_samples > children
-
-
-def test_train_mse_nonincreasing_in_depth(rng):
-    X = rng.normal(size=(80, 3))
-    y = rng.normal(size=80)
-    errors = []
-    for depth in (1, 2, 4, 8, None):
-        tree = fit_cart(X, y, "regress", max_depth=depth)
-        errors.append(float(((tree_predict(tree, X) - y) ** 2).mean()))
-    assert all(a >= b - 1e-12 for a, b in zip(errors, errors[1:]))
 
 
 def test_majority_leaf_tie_resolves_to_lower_class():
@@ -89,22 +79,11 @@ def test_majority_leaf_tie_resolves_to_lower_class():
     assert tree.is_leaf and tree.prediction == 0.0
 
 
-def test_min_samples_leaf_respected(rng):
-    X = rng.normal(size=(30, 2))
-    y = rng.normal(size=30)
-    tree = fit_cart(X, y, "regress", min_samples_leaf=5)
-    for node in walk(tree):
-        if node.is_leaf:
-            assert node.n_samples >= 5
-
-
 def test_cart_input_validation():
     with pytest.raises(ValueError):
         fit_cart(np.empty((0, 2)), np.empty(0), "regress")
     with pytest.raises(ValueError):
         fit_cart(np.ones((2, 1)), np.zeros(2), "cluster")
-    with pytest.raises(ValueError):
-        fit_cart(np.ones((2, 1)), np.zeros(2), "regress", min_samples_leaf=0)
     with pytest.raises(ValueError):
         fit_cart(np.ones((2, 1)), np.zeros(2), "regress", max_features=3)
 
@@ -112,36 +91,25 @@ def test_cart_input_validation():
 # --- forest
 
 def test_default_max_features():
-    assert default_max_features(7, "regress") == 3  # ceil(7/3)
-    assert default_max_features(7, "classify") == 3  # ceil(sqrt(7))
-    assert default_max_features(9, "classify") == 3
-
-
-def test_single_tree_no_bootstrap_equals_cart(rng):
-    X = rng.normal(size=(25, 3))
-    y = rng.normal(size=25)
-    forest = fit_random_forest(X, y, "regress", n_trees=1, max_features=3,
-                               bootstrap=False, seed=9)
-    single = fit_cart(X, y, "regress")
-    np.testing.assert_array_equal(forest_predict(forest, X),
-                                  tree_predict(single, X))
+    assert forest_max_features(7) == 3  # ceil(7/3)
+    assert forest_max_features(9) == 3
 
 
 def test_forest_deterministic(rng):
     X = rng.normal(size=(30, 3))
     y = rng.normal(size=30)
-    a = fit_random_forest(X, y, "regress", n_trees=5, seed=11)
-    b = fit_random_forest(X, y, "regress", n_trees=5, seed=11)
+    a = fit_random_forest(X, y, n_trees=5, seed=11)
+    b = fit_random_forest(X, y, n_trees=5, seed=11)
     Xq = rng.normal(size=(10, 3))
     np.testing.assert_array_equal(forest_predict(a, Xq), forest_predict(b, Xq))
-    c = fit_random_forest(X, y, "regress", n_trees=5, seed=12)
+    c = fit_random_forest(X, y, n_trees=5, seed=12)
     assert not np.array_equal(forest_predict(c, Xq), forest_predict(a, Xq))
 
 
 def test_forest_prediction_within_tree_envelope(rng):
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    forest = fit_random_forest(X, y, "regress", n_trees=7, seed=2)
+    forest = fit_random_forest(X, y, n_trees=7, seed=2)
     Xq = rng.normal(size=(12, 3))
     per_tree = np.stack([tree_predict(t, Xq) for t in forest.trees])
     mean = forest_predict(forest, Xq)
@@ -149,31 +117,13 @@ def test_forest_prediction_within_tree_envelope(rng):
     assert np.all(mean <= per_tree.max(axis=0) + 1e-12)
 
 
-def test_forest_classification_majority_vote(rng):
-    X = rng.normal(size=(50, 2))
-    labels = (X[:, 0] > 0).astype(float)
-    forest = fit_random_forest(X, labels, "classify", n_trees=9, seed=4)
-    preds = forest_predict(forest, X)
-    assert set(np.unique(preds)) <= {0, 1}
-    assert (preds == labels).mean() > 0.9
-
-
-def test_forest_vote_tie_resolves_to_class_zero():
-    leaf0 = TreeNode(prediction=0.0, n_samples=1)
-    leaf1 = TreeNode(prediction=1.0, n_samples=1)
-    m = ForestModel(trees=(leaf0, leaf1), n_trees=2, task="classify")
-    assert forest_predict(m, np.zeros((1, 1)))[0] == 0
-
-
 def test_forest_param_validation(rng):
     X = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
     with pytest.raises(ValueError):
-        fit_random_forest(X, y, "regress", n_trees=0)
+        fit_random_forest(X, y, n_trees=0)
     with pytest.raises(ValueError):
-        fit_random_forest(X, y, "regress", max_features=5)
-    with pytest.raises(ValueError):
-        fit_random_forest(X[:1], y[:1], "regress")
+        fit_random_forest(X[:1], y[:1])
 
 
 # --- the grower against a reference copy of its node loop
@@ -316,27 +266,24 @@ def oracle_inputs(rng, task):
     return X, target
 
 
+# ids read "<max_features>-<leaf size>"; every tree grows to leaf size 1
 @pytest.mark.parametrize("task", ["regress", "classify"])
-@pytest.mark.parametrize("min_samples_leaf", [1, 3])
-@pytest.mark.parametrize("max_features", [2, 5])
-def test_cart_matches_reference_grower(rng, task, min_samples_leaf,
-                                       max_features):
+@pytest.mark.parametrize("max_features", [2, 5], ids=["2-1", "5-1"])
+def test_cart_matches_reference_grower(rng, task, max_features):
     for seed in range(3):
         X, target = oracle_inputs(rng, task)
-        tree = fit_cart(X, target, task, min_samples_leaf=min_samples_leaf,
-                        max_features=max_features, seed=seed)
-        ref = reference_fit_cart(X, target, task,
-                                 min_samples_leaf=min_samples_leaf,
-                                 max_features=max_features, seed=seed)
+        tree = fit_cart(X, target, task, max_features=max_features, seed=seed)
+        ref = reference_fit_cart(X, target, task, max_features=max_features,
+                                 seed=seed)
         assert dump(tree) == dump(ref)
 
 
-@pytest.mark.parametrize("task", ["regress", "classify"])
+@pytest.mark.parametrize("task", ["regress"])
 def test_forest_matches_reference_grower(rng, monkeypatch, task):
     X, target = oracle_inputs(rng, task)
     for seed in (3, 17):
-        forest = fit_random_forest(X, target, task, n_trees=10, seed=seed)
+        forest = fit_random_forest(X, target, n_trees=10, seed=seed)
         with monkeypatch.context() as m:  # same bootstraps, reference trees
             m.setattr(treemod, "fit_cart", reference_fit_cart)
-            ref = fit_random_forest(X, target, task, n_trees=10, seed=seed)
+            ref = fit_random_forest(X, target, n_trees=10, seed=seed)
         assert [dump(t) for t in forest.trees] == [dump(t) for t in ref.trees]
