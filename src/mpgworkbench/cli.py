@@ -22,8 +22,8 @@ import sys
 import numpy as np
 
 from .experiments import ExperimentConfig, report_to_json, run_classification_grid, run_eda, run_full_report, run_regression_suite
-from .ingest import (DATA_SHA256, DataError, ParseError, file_sha256,
-                     parse_auto_mpg, reference_data_path)
+from .ingest import (DATA_SHA256, DataError, ParseError, parse_auto_mpg,
+                     read_data_file, reference_data_path)
 from .kernelmod import SmoError
 from .linmod import ConvergenceError
 from .numcore import NumericalError
@@ -207,10 +207,8 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _validate_data(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text, checksum = read_data_file(path)
     table = parse_auto_mpg(text)
-    checksum = file_sha256(path)
     missing_rows = [i for i, r in enumerate(table.rows) if r.horsepower is None]
     print(f"file: {path}")
     print(f"rows: {len(table)}")
@@ -237,10 +235,17 @@ def _run(args) -> int:
     else:  # classify
         report = {"classification": run_classification_grid(config)}
     report.setdefault("config", config.to_dict())
+    try:
+        _write_outputs(report, args.out, args.format)
+    except OSError as exc:  # an unusable --out; unreadable --data exits 2
+        print(f"error: cannot write outputs to {args.out}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
-    out = args.out
+
+def _write_outputs(report: dict, out: str, fmt: str) -> None:
     os.makedirs(out, exist_ok=True)
-    fmt = args.format
     if fmt in ("json", "all"):
         with open(os.path.join(out, "report.json"), "w", encoding="utf-8",
                   newline="\n") as fh:
@@ -256,7 +261,6 @@ def _run(args) -> int:
         with open(os.path.join(out, "report.md"), "w", encoding="utf-8",
                   newline="\n") as fh:
             fh.write(_markdown(report))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

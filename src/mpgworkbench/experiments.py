@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .ingest import (FEATURE_NAMES, DataError, file_sha256, load_dataset,
+from .ingest import (FEATURE_NAMES, DataError, Dataset, load_dataset,
                      reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
@@ -89,6 +89,7 @@ class ExperimentConfig:
 class ProtocolData:
     """Everything downstream of ingest + split + standardization."""
 
+    dataset: Dataset
     train_idx: np.ndarray
     test_idx: np.ndarray
     Xtr: np.ndarray  # standardized features, training statistics
@@ -128,6 +129,7 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     Xtr, ytr, Xte, yte = _standardized(dataset.X, dataset.y, split.train,
                                        split.test, "training split")
     return ProtocolData(
+        dataset=dataset,
         train_idx=split.train,
         test_idx=split.test,
         Xtr=Xtr,
@@ -375,9 +377,11 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     return {"table": rows, "roc": roc_data, "class_summaries": class_summaries}
 
 
-def run_eda(config: ExperimentConfig) -> dict:
-    """Correlation matrix, per-feature distributions, pairwise data."""
-    dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
+def run_eda(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:
+    """Correlation matrix, per-feature distributions, pairwise data of
+    ``dataset``, or of the config's data file when it is None."""
+    if dataset is None:
+        dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
     corr = dataset_correlations(dataset)
     columns = {"mpg": dataset.y}
     for j, name in enumerate(dataset.column_names):
@@ -398,19 +402,20 @@ def run_eda(config: ExperimentConfig) -> dict:
 
 
 def run_full_report(config: ExperimentConfig) -> dict:
-    """All experiment outputs plus provenance, fully deterministic."""
+    """All experiment outputs plus provenance, fully deterministic, from
+    one read of the data file."""
     proto = prepare_protocol(config)
     # first: it starts by checking that both classes are present
     classification = run_classification_grid(config, proto)
     return {
         "provenance": {
             "config": config.to_dict(),
-            "data_sha256": file_sha256(config.resolved_data_path()),
+            "data_sha256": proto.dataset.sha256,
             "version": __version__,
             "n_train": int(proto.train_idx.size),
             "n_test": int(proto.test_idx.size),
         },
-        "eda": run_eda(config),
+        "eda": run_eda(config, proto.dataset),
         "regression": run_regression_suite(config, proto),
         "classification": classification,
     }

@@ -71,6 +71,7 @@ class Dataset:
     y: np.ndarray  # (n,) float, mpg
     label: np.ndarray  # (n,) int, 1 iff y >= threshold
     column_names: tuple[str, ...]
+    sha256: str | None = None  # of the file's bytes, when loaded from one
 
 
 def reference_data_path() -> str:
@@ -78,9 +79,11 @@ def reference_data_path() -> str:
     return str(importlib.resources.files("mpgworkbench").joinpath("data/auto-mpg.data"))
 
 
-def file_sha256(path: str) -> str:
+def read_data_file(path: str) -> tuple[str, str]:
+    """The file's text and the SHA-256 of the bytes it was decoded from."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        raw = fh.read()
+    return raw.decode("utf-8"), hashlib.sha256(raw).hexdigest()
 
 
 def _parse_number(token: str, line_no: int, field: str, want_int: bool):
@@ -198,7 +201,9 @@ def build_dataset(table: RawTable, threshold_mpg: float = DEFAULT_THRESHOLD_MPG)
 
 
 def load_dataset(path: str, threshold_mpg: float = DEFAULT_THRESHOLD_MPG) -> Dataset:
-    """Parse, impute and assemble in one step from a file path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return build_dataset(impute_horsepower_median(parse_auto_mpg(text)), threshold_mpg)
+    """Parse, impute and assemble in one step from one read of a file;
+    the Dataset carries the SHA-256 of the bytes it was parsed from."""
+    text, sha256 = read_data_file(path)
+    dataset = build_dataset(impute_horsepower_median(parse_auto_mpg(text)),
+                            threshold_mpg)
+    return replace(dataset, sha256=sha256)

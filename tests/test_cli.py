@@ -221,6 +221,20 @@ def test_eda_deterministic_bytes(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+
+@pytest.mark.parametrize("under_file", [False, True],
+                         ids=["out-is-a-file", "out-under-a-file"])
+def test_unusable_out_exits_one_and_leaves_the_file(tmp_path, capsys, under_file):
+    blocker = tmp_path / "results"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "sub" if under_file else blocker
+    assert run_cli(["eda", "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write outputs to {out}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
 # --- classify outputs
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from mpgworkbench.experiments import (FIXED, ExperimentConfig, cross_validate,
                                       prepare_protocol, report_to_json,
                                       run_classification_grid, run_eda,
                                       run_full_report)
-from mpgworkbench.ingest import DataError
+from mpgworkbench.ingest import DATA_SHA256, DataError
 from mpgworkbench.linmod import fit_ols, linear_predict
 from mpgworkbench.preprocess import kfold
 
@@ -248,6 +248,24 @@ def test_full_report_checks_classes_before_eda_and_regression(monkeypatch):
     with pytest.raises(DataError, match="only class-0 rows at threshold 45"):
         run_full_report(ExperimentConfig(threshold_mpg=45))
     assert calls == []
+
+
+def test_full_report_reads_the_data_once(monkeypatch):
+    calls = []
+    load = experiments.load_dataset
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "load_dataset", counted)
+    for key, value in {"forest_trees": 2, "svr_c_grid": (1.0, 10.0),
+                       "alpha_grid": (0.01, 0.1), "c_grid": (1.0, 10.0)}.items():
+        monkeypatch.setitem(FIXED, key, value)
+    report = run_full_report(ExperimentConfig(cv_folds=3))
+    assert len(calls) == 1
+    assert report["provenance"]["data_sha256"] == DATA_SHA256
+    assert report["eda"] == run_eda(ExperimentConfig())
 
 
 def test_accuracies_in_unit_interval(classification_grid):

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mpgworkbench.ingest import (DataError, ParseError, RawRecord, RawTable,
-                                 build_dataset, file_sha256, horsepower_median,
-                                 impute_horsepower_median, parse_auto_mpg,
+                                 build_dataset, horsepower_median,
+                                 impute_horsepower_median, load_dataset,
+                                 parse_auto_mpg,
                                  reference_data_path, serialize_raw_table,
                                  DATA_SHA256, FEATURE_NAMES)
 
@@ -28,7 +29,7 @@ def test_reference_file_has_398_rows(raw_table):
 
 
 def test_packaged_file_checksum_matches():
-    assert file_sha256(reference_data_path()) == DATA_SHA256
+    assert load_dataset(reference_data_path()).sha256 == DATA_SHA256
 
 
 def test_missing_horsepower_marker_maps_to_none():
