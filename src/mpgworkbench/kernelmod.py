@@ -59,17 +59,22 @@ class SvmModel:
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = k(A[i], B[j])."""
+    """Gram matrix K[i, j] = k(A[i], B[j]).
+
+    The inner products go through np.einsum, not BLAS: a threaded GEMM
+    rounds differently with the thread count, and the SVR solve
+    amplifies that, so the report would depend on the host's BLAS
+    threads."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch between A and B")
     if spec.kind == "linear":
-        return A @ B.T
+        return np.einsum("ik,jk->ij", A, B)
     sq = (
         (A * A).sum(axis=1)[:, None]
         + (B * B).sum(axis=1)[None, :]
-        - 2.0 * (A @ B.T)
+        - 2.0 * np.einsum("ik,jk->ij", A, B)
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-spec.gamma * sq)

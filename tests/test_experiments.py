@@ -1,6 +1,11 @@
 """Experiment orchestration: protocol shapes, cross-validation semantics,
 report structure and end-to-end determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -291,3 +296,34 @@ def test_report_json_round_trips(classification_grid):
     text = report_to_json({"classification": classification_grid})
     parsed = json.loads(text)
     assert parsed["classification"]["table"][0]["model"].startswith("SVM")
+
+
+_SEED1_DIGESTS = """
+import hashlib
+from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
+                                      run_classification_grid,
+                                      run_regression_suite)
+for run in (run_regression_suite, run_classification_grid):
+    text = report_to_json(run(ExperimentConfig(seed=1)))
+    print(hashlib.sha256(text.encode("utf-8")).hexdigest())
+"""
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    """The seed-1 regression and classification reports hash the same
+    with one and with two BLAS threads.  The thread count is read when
+    numpy loads, so each count runs in its own process."""
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")])}
+        procs.append(subprocess.Popen([sys.executable, "-c", _SEED1_DIGESTS],
+                                      env=env, stdout=subprocess.PIPE,
+                                      text=True))
+    outs = [p.communicate(timeout=600)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
