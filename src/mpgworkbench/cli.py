@@ -16,8 +16,11 @@ table, and a Markdown rendering.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -245,7 +248,25 @@ def _run(args) -> int:
 
 
 def _write_outputs(report: dict, out: str, fmt: str) -> None:
+    """Write every output into a temporary directory next to ``out``,
+    then move them into ``out``; a failure leaves ``out`` as it was."""
     os.makedirs(out, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".mpgw-",
+                               dir=os.path.dirname(os.path.abspath(out)))
+    try:
+        _write_files(report, staging, fmt)
+        names = sorted(os.listdir(staging))
+        for name in names:  # os.replace would fail on these midway
+            if os.path.isdir(os.path.join(out, name)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        os.path.join(out, name))
+        for name in names:
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
+def _write_files(report: dict, out: str, fmt: str) -> None:
     if fmt in ("json", "all"):
         with open(os.path.join(out, "report.json"), "w", encoding="utf-8",
                   newline="\n") as fh:

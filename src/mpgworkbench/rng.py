@@ -8,6 +8,8 @@ and Python versions, unlike library-specific shuffle implementations.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -34,6 +36,20 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & MASK64
 
 
+def _xoshiro_next(s: list):
+    """Advance a xoshiro256** state of four words in place and return its
+    output; the words are ints, or numpy uint64 arrays of lanes."""
+    result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
+    t = (s[1] << 17) & MASK64
+    s[2] ^= s[0]
+    s[3] ^= s[1]
+    s[1] ^= s[2]
+    s[0] ^= s[3]
+    s[2] ^= t
+    s[3] = _rotl(s[3], 45)
+    return result
+
+
 class Xoshiro256StarStar:
     """xoshiro256** generator, seeded from a 64-bit seed via splitmix64."""
 
@@ -41,16 +57,7 @@ class Xoshiro256StarStar:
         self.s = derive_seeds(seed, 4)
 
     def next_u64(self) -> int:
-        s = self.s
-        result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-        t = (s[1] << 17) & MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return _xoshiro_next(self.s)
 
     def randbelow(self, n: int) -> int:
         """Unbiased draw from {0, ..., n-1} by rejection sampling."""
@@ -77,3 +84,43 @@ class Xoshiro256StarStar:
             j = i + self.randbelow(n - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
+
+
+class XoshiroLanes:
+    """Independent xoshiro256** streams, one per seed, advanced side by
+    side as numpy ``uint64`` lanes.  Lane i draws exactly what
+    ``Xoshiro256StarStar(seeds[i])`` draws; each call advances only the
+    lanes it names (an array of distinct lane indices)."""
+
+    def __init__(self, seeds: list[int]):
+        self.s = np.array([derive_seeds(seed, 4) for seed in seeds],
+                          dtype=np.uint64).T.copy()  # (4, lanes)
+
+    def next_u64(self, lanes: np.ndarray) -> np.ndarray:
+        s = list(self.s[:, lanes])
+        result = _xoshiro_next(s)
+        self.s[:, lanes] = s
+        return result
+
+    def randbelow(self, n: int, lanes: np.ndarray) -> np.ndarray:
+        """Unbiased draws from {0, ..., n-1} by rejection sampling."""
+        if n <= 0:
+            raise ValueError("randbelow requires n >= 1")
+        limit = 2**64 - 2**64 % n  # (2**64 // n) * n; 2**64 when n | 2**64
+        out = self.next_u64(lanes)
+        if limit < 2**64:
+            redo = np.flatnonzero(out >= np.uint64(limit))
+            while redo.size:
+                out[redo] = self.next_u64(lanes[redo])
+                redo = redo[out[redo] >= np.uint64(limit)]
+        return out % np.uint64(n)
+
+    def sample_indices(self, n: int, k: int, lanes: np.ndarray) -> np.ndarray:
+        """k distinct indices from range(n) per lane, via partial
+        Fisher-Yates; one row per lane."""
+        pool = np.tile(np.arange(n), (len(lanes), 1))
+        rows = np.arange(len(lanes))
+        for i in range(k):
+            j = i + self.randbelow(n - i, lanes).astype(np.intp)
+            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+        return pool[:, :k]

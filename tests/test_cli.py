@@ -235,6 +235,24 @@ def test_unusable_out_exits_one_and_leaves_the_file(tmp_path, capsys, under_file
     assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
+def test_failed_write_leaves_out_as_it_was(tmp_path, capsys):
+    """report.md, the last file written, cannot replace a directory: no
+    other output lands in --out, and no temporary directory is left."""
+    out = tmp_path / "results"
+    (out / "report.md").mkdir(parents=True)
+    (out / "report.json").write_text("old\n", encoding="utf-8")
+
+    def tree():
+        return sorted((str(p.relative_to(tmp_path)), p.is_dir())
+                      for p in tmp_path.rglob("*"))
+
+    before = tree()
+    assert run_cli(["eda", "--out", str(out)]) == EXIT_USAGE
+    assert "Is a directory" in capsys.readouterr().err
+    assert tree() == before
+    assert (out / "report.json").read_text(encoding="utf-8") == "old\n"
+
+
 # --- classify outputs
 
 @pytest.fixture(scope="module")

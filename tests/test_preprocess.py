@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mpgworkbench.preprocess import (apply_standardizer, fit_standardizer,
                                      kfold, polynomial_feature_count,
                                      polynomial_features, train_test_split)
-from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds, splitmix64_next
+from mpgworkbench.rng import (Xoshiro256StarStar, XoshiroLanes, derive_seeds,
+                              splitmix64_next)
 
 
 # --- generators (bit-exact public reference vectors)
@@ -47,6 +48,34 @@ def test_randbelow_bounds_and_determinism():
 def test_randbelow_rejects_nonpositive():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).randbelow(0)
+
+
+def test_lanes_match_scalar_generators():
+    """Each lane draws what a scalar generator with its seed draws.
+    2**63 + 1 rejects about half its draws; the powers of two reject
+    none, and their limit 2**64 does not fit in a uint64."""
+    seeds = derive_seeds(9, 100)
+    lanes = np.arange(100)
+    gen = XoshiroLanes(seeds)
+    scalar = [Xoshiro256StarStar(s) for s in seeds]
+    for _ in range(1000):
+        assert gen.next_u64(lanes).tolist() == [g.next_u64() for g in scalar]
+    for n in (1, 2, 4, 7, 279, 2**63 + 1):
+        for _ in range(10):
+            assert gen.randbelow(n, lanes).tolist() == [
+                g.randbelow(n) for g in scalar]
+
+
+def test_lanes_advance_only_the_lanes_drawn():
+    seeds = derive_seeds(4, 6)
+    gen = XoshiroLanes(seeds)
+    scalar = [Xoshiro256StarStar(s) for s in seeds]
+    for lanes in ([0, 3], [5], [1, 2, 3, 4], [3]):
+        picks = gen.sample_indices(7, 3, np.array(lanes))
+        assert picks.tolist() == [scalar[t].sample_indices(7, 3) for t in lanes]
+    assert gen.next_u64(np.arange(6)).tolist() == [g.next_u64() for g in scalar]
+    with pytest.raises(ValueError):
+        gen.randbelow(0, np.arange(6))
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=50))

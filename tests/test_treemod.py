@@ -1,11 +1,13 @@
 """CART trees and regression forests: split correctness, boundary rules,
 determinism, and ensemble properties."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mpgworkbench import treemod
-from mpgworkbench.rng import Xoshiro256StarStar
+from mpgworkbench import experiments
+from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
 from mpgworkbench.treemod import (TreeNode, fit_cart, fit_random_forest,
                                   forest_max_features, forest_predict,
                                   gini_impurity, tree_predict)
@@ -86,6 +88,8 @@ def test_cart_input_validation():
         fit_cart(np.ones((2, 1)), np.zeros(2), "cluster")
     with pytest.raises(ValueError):
         fit_cart(np.ones((2, 1)), np.zeros(2), "regress", max_features=3)
+    with pytest.raises(ValueError):  # the Gini split search is binary
+        fit_cart(np.arange(3.0)[:, None], np.array([0.0, 1.0, 2.0]), "classify")
 
 
 # --- forest
@@ -124,6 +128,8 @@ def test_forest_param_validation(rng):
         fit_random_forest(X, y, n_trees=0)
     with pytest.raises(ValueError):
         fit_random_forest(X[:1], y[:1])
+    with pytest.raises(ValueError):  # no feature to draw
+        fit_random_forest(X[:, :0], y)
 
 
 # --- the grower against a reference copy of its node loop
@@ -278,12 +284,64 @@ def test_cart_matches_reference_grower(rng, task, max_features):
         assert dump(tree) == dump(ref)
 
 
+def test_cart_matches_reference_grower_on_signed_zeros():
+    """Pure leaves of -0.0 targets: numpy's sum starts from +0.0, so their
+    mean is +0.0, and a sum that starts from the first entry gives -0.0."""
+    X = np.arange(12.0)[:, None]
+    target = np.array([-0.0] * 3 + [2.0, 5.0] + [-0.0] * 7)
+    assert dump(fit_cart(X, target, "regress")) == dump(
+        reference_fit_cart(X, target, "regress"))
+
+
+@pytest.mark.parametrize("seed", [196, 1486, 1830])
+def test_cart_matches_reference_grower_on_one_column(seed):
+    """With one candidate column numpy sums its targets pairwise, not in
+    row order; at these inputs a total summed in row order picks a
+    different split."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(10, 80))
+    X = gen.integers(0, 6, size=(n, 1)).astype(float)
+    target = np.round(gen.normal(size=n) * 10 ** gen.uniform(-2, 3),
+                      int(gen.integers(0, 4)))
+    assert dump(fit_cart(X, target, "regress")) == dump(
+        reference_fit_cart(X, target, "regress"))
+
+
+def reference_fit_random_forest(X, y, n_trees, seed):
+    """The forest's trees as the reference grower makes them, one at a
+    time: each bootstrap drawn by a scalar generator, then a recursive
+    tree on it with the forest's features per split."""
+    n, d = X.shape
+    tree_seeds = derive_seeds(seed, 2 * n_trees)
+    trees = []
+    for t in range(n_trees):
+        draws = Xoshiro256StarStar(tree_seeds[2 * t])
+        idx = np.array([draws.randbelow(n) for _ in range(n)])
+        trees.append(reference_fit_cart(
+            X[idx], y[idx], "regress", max_features=forest_max_features(d),
+            seed=tree_seeds[2 * t + 1]))
+    return trees
+
+
+# d = 5, 4, 3 draw 2, 2 and 1 features per split: randbelow(4) is a
+# power-of-two bound, and one candidate column takes numpy's pairwise sum
 @pytest.mark.parametrize("task", ["regress"])
-def test_forest_matches_reference_grower(rng, monkeypatch, task):
+def test_forest_matches_reference_grower(rng, task):
     X, target = oracle_inputs(rng, task)
-    for seed in (3, 17):
-        forest = fit_random_forest(X, target, n_trees=10, seed=seed)
-        with monkeypatch.context() as m:  # same bootstraps, reference trees
-            m.setattr(treemod, "fit_cart", reference_fit_cart)
-            ref = fit_random_forest(X, target, n_trees=10, seed=seed)
-        assert [dump(t) for t in forest.trees] == [dump(t) for t in ref.trees]
+    for d in (5, 4, 3):
+        for seed in (3, 17):
+            forest = fit_random_forest(X[:, :d], target, n_trees=10, seed=seed)
+            ref = reference_fit_random_forest(X[:, :d], target, 10, seed)
+            assert [dump(t) for t in forest.trees] == [dump(t) for t in ref]
+
+
+def test_protocol_forest_bits_are_pinned(protocol):
+    """sha256 of the seed-1 protocol forest, recorded from the recursive
+    grower that one grower for all trees replaced."""
+    seed = derive_seeds(1, 5)[experiments._SEED_FOREST]
+    forest = fit_random_forest(protocol.Xtr, protocol.ytr,
+                               n_trees=experiments.FIXED["forest_trees"],
+                               seed=seed)
+    digest = hashlib.sha256(repr([dump(t) for t in forest.trees]).encode())
+    assert digest.hexdigest() == (
+        "708e0e4bf67d127cd61863e6945f66de4dde54d210014622446f991c5c6c4721")
