@@ -86,16 +86,10 @@ def _eda_csvs(eda: dict, out: str) -> None:
 
 
 def _regression_csvs(reg: dict, out: str) -> None:
-    rows = []
-    for r in reg["table"]:
-        if "error" in r:
-            rows.append([r["model"], "", "", "", "", "", "", r["error"]])
-        else:
-            rows.append([r["model"], r["mae"], r["mse"], r["rmse"], r["r2"],
-                         r["adj_r2"], r["cv_mean_r2"], ""])
     _write_csv(os.path.join(out, "table3.csv"),
-               ["model", "mae", "mse", "rmse", "r2", "adj_r2",
-                "cv_mean_r2", "error"], rows)
+               ["model", "mae", "mse", "rmse", "r2", "adj_r2", "cv_mean_r2"],
+               [[r["model"], r["mae"], r["mse"], r["rmse"], r["r2"],
+                 r["adj_r2"], r["cv_mean_r2"]] for r in reg["table"]])
     fig = reg["figure_data"]
     _write_csv(os.path.join(out, "true_vs_pred.csv"), ["y_true", "y_pred"],
                fig["true_vs_pred"])
@@ -147,13 +141,10 @@ def _markdown(report: dict) -> str:
                   "| Model | MAE | MSE | RMSE | R2 | Adj R2 | CV |",
                   "|---|---|---|---|---|---|---|"]
         for r in reg["table"]:
-            if "error" in r:
-                lines.append(f"| {r['model']} | error: {r['error']} | | | | | |")
-            else:
-                cv = "" if r["cv_mean_r2"] is None else f"{r['cv_mean_r2']:.3f}"
-                lines.append(
-                    f"| {r['model']} | {r['mae']:.3f} | {r['mse']:.3f} "
-                    f"| {r['rmse']:.3f} | {r['r2']:.3f} | {r['adj_r2']:.3f} | {cv} |")
+            cv = "" if r["cv_mean_r2"] is None else f"{r['cv_mean_r2']:.3f}"
+            lines.append(
+                f"| {r['model']} | {r['mae']:.3f} | {r['mse']:.3f} "
+                f"| {r['rmse']:.3f} | {r['r2']:.3f} | {r['adj_r2']:.3f} | {cv} |")
         lines.append("")
     clf = report.get("classification")
     if clf:
@@ -330,7 +321,9 @@ def main(argv=None) -> int:
     except (NumericalError, ConvergenceError, SmoError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         viol = getattr(exc, "max_violation", None)
+        steps = getattr(exc, "iterations", None)
         detail = "" if viol is None else f"; max KKT violation {viol}"
+        detail += "" if steps is None else f"; SMO steps {steps}"
         print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -22,7 +22,7 @@ from .ingest import (FEATURE_NAMES, DataError, Dataset, load_dataset,
                      reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
-                        svm_predict_class)
+                        svm_predict_class, svr_active_set)
 from .linmod import (fit_elastic_net, fit_lasso, fit_logistic, fit_ols,
                      fit_ridge, linear_predict, logistic_scores)
 from .metrics import (classification_report, confusion_matrix,
@@ -207,11 +207,14 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
 
     def svr_path(Xs, ys, Xq):
         # the grid ascends, so each optimum stays feasible for the next,
-        # larger box and warm-starts it, which greatly cuts solver work
+        # larger box; the active-set engine moves it close to the next
+        # optimum, and SMO finishes and certifies the solve
         K = kernel_matrix(kern, Xs, Xs)
         K_test = kernel_matrix(kern, Xq, Xs)
         beta, preds = None, []
         for C in FIXED["svr_c_grid"]:
+            if beta is not None:
+                beta = svr_active_set(K, ys, C, eps, beta)
             beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds
@@ -279,22 +282,18 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
     for r in table:
         value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)
         models[r.name] = model = r.fit(proto.Xtr, proto.ytr, value)
-        try:
-            m = regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p)
-        except Exception as exc:  # partial report: record per-row failure
-            rows.append({"model": r.name, "error": str(exc)})
-            continue
+        m = regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p)
         row = {"model": r.name, "mae": m.mae, "mse": m.mse, "rmse": m.rmse,
                "r2": m.r2, "adj_r2": m.adj_r2, "hyperparams": r.hyperparams(value),
                "cv_mean_r2": result["mean"] if r.cv_reported else None}
         if r.cv_reported:
             row["cv_fold_scores"] = result["fold_scores"]
         rows.append(row)
-    rows.sort(key=lambda r: r.get("r2", float("-inf")), reverse=True)
+    rows.sort(key=lambda r: r["r2"], reverse=True)
     return {"table": rows, "figure_data": {
         **diagnostics(models["Linear Regression"], proto.Xte, proto.yte,
                       FIXED["residual_bins"]),
-        "model_comparison": [{"model": r["model"], "r2": r.get("r2")} for r in rows],
+        "model_comparison": [{"model": r["model"], "r2": r["r2"]} for r in rows],
     }}
 
 

@@ -30,12 +30,15 @@ MAX_ITER = 2_000_000
 
 
 class SmoError(RuntimeError):
-    """Solver stalled or hit the iteration cap; carries diagnostics."""
+    """Solver stalled, hit the iteration cap or failed its KKT audit;
+    carries diagnostics."""
 
-    def __init__(self, message: str, dual=None, max_violation=None):
+    def __init__(self, message: str, dual=None, max_violation=None,
+                 iterations=None):
         super().__init__(message)
         self.dual = dual
         self.max_violation = max_violation
+        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,8 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
     guaranteed gain (Fan, Chen & Lin 2005) and solves the two-variable
     subproblem exactly: the best of its per-quadrant stationary points
     and its breakpoints at the sign kinks.  The dual never decreases; a
-    pair that makes no progress raises SmoError at once."""
+    pair that makes no progress raises SmoError at once, and so does a
+    result that fails the KKT audit at 2 * tol."""
     n = y.size
     beta = np.zeros(n) if beta0 is None else beta0
     g = np.zeros(n) if beta0 is None else K @ beta  # K @ beta, kept current
@@ -160,7 +164,8 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
     def failure(message, down_value):
         b = (up_max + down_value) / 2.0
         viol = _kkt_violations(beta, g + b - y, lo, hi, epsilon, 1e-8 * C)
-        return SmoError(message, dual=beta, max_violation=float(viol.max()))
+        return SmoError(message, dual=beta, max_violation=float(viol.max()),
+                        iterations=iterations)
 
     # KKT holds when every feasible "up" value is below every feasible
     # "down" value; the bias sits in the gap between them.
@@ -171,6 +176,9 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
         i1 = int(up.argmax())
         up_max, down_min = float(up[i1]), float(down[down.argmin()])
         if up_max - down_min <= 2.0 * tol:
+            audit = failure("SMO solution failed its KKT audit", down_min)
+            if audit.max_violation > 2.0 * tol:
+                raise audit
             return beta, (up_max + down_min) / 2.0
         if iterations >= max_iter:
             raise failure(f"SMO solver hit the iteration cap of {max_iter}",
@@ -272,6 +280,121 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
             raise ValueError("beta0 must lie in the box with sum 0")
     return _smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon, tol,
                 max_iter, beta0)
+
+
+def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
+                   beta0: np.ndarray) -> np.ndarray:
+    """A start for solve_svr_dual in the box [-C, C] from beta0 (in a box,
+    sum 0), by a primal active-set method on the dual (Scheinberg 2006).
+
+    beta0 is first stretched to the new box, as along the solution path
+    in C.  Each iteration solves the equality-constrained QP on the free
+    set F, through the bordered system [[0, 1'], [1, K_FF]], and steps
+    toward its solution until a free multiplier reaches 0 or a bound and
+    is fixed there.  After a full step the fixed multiplier with the
+    largest KKT violation is released, unless that is <= KKT_TOL / 2; a
+    release that the next step moves outward is undone and skipped until
+    a step is taken.  The bordered inverse takes rank-one updates in
+    einsum and ufuncs only: BLAS and LAPACK round differently with the
+    thread count at these sizes.  A singular free block, an empty F or 4n
+    iterations hand over early.  Returns the iterate, clipped to the box
+    with its sum re-centred to 0, or beta0 if that has the higher dual."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    beta0 = np.asarray(beta0, dtype=float)
+    stretch = C / np.abs(beta0).max() if beta0.any() else 1.0
+    beta = stretch * beta0
+    g = np.einsum("ij,j->i", K, beta)  # K @ beta, kept current
+    # -2 at -C, -1 negative free, 0 zero, 1 positive free, 2 at C
+    side = np.select([beta >= C - 1e-10 * C, beta > 1e-12 * C,
+                      beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
+    inv = np.empty((n + 1, n + 1))  # the inverse, in its leading |F|+1 block
+    free = []  # F, in the order of the inverse's rows 1..|F|
+    floor = 1e-10 * float(np.diag(K).max())
+    # by side + 2: the dual's gain rate for moving a fixed multiplier up
+    # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y)
+    up_rate = np.array([epsilon, epsilon, -epsilon, -epsilon, -np.inf])
+    down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
+
+    def add(j):  # F += {j}; False if the free block turns singular
+        m = len(free)
+        if m == 0:
+            inv[:2, :2] = [[-K[j, j], 1.0], [1.0, 0.0]]
+        else:
+            v = np.concatenate(([1.0], K[j, free]))
+            w = np.einsum("ij,j->i", inv[:m + 1, :m + 1], v)
+            schur = K[j, j] - np.einsum("i,i->", v, w)
+            if not schur > floor:
+                return False
+            inv[:m + 1, :m + 1] += np.multiply.outer(w, w / schur)
+            inv[m + 1, :m + 1] = inv[:m + 1, m + 1] = -w / schur
+            inv[m + 1, m + 1] = 1.0 / schur
+        free.append(j)
+        return True
+
+    def remove(p):  # F -= {free[p]}: swap it to the end, then drop it
+        m = len(free)
+        inv[[p + 1, m], :m + 1] = inv[[m, p + 1], :m + 1]
+        inv[:m + 1, [p + 1, m]] = inv[:m + 1, [m, p + 1]]
+        free[p] = free[-1]
+        free.pop()
+        c = inv[:m, m]
+        inv[:m, :m] -= np.multiply.outer(c, c / inv[m, m])
+
+    pending, skip = None, []  # the last release: (j, its side before, inward)
+    built = all(add(j) for j in np.flatnonzero(np.abs(side) == 1))
+    for _ in range(4 * n if built else 0):
+        m = len(free)
+        if m == 0:
+            break
+        F = np.array(free)
+        bF, sF = beta[F], side[F]
+        rhs = np.concatenate(([-beta.sum()], y[F] - g[F] - epsilon * sF))
+        x = np.einsum("ij,j->i", inv[:m + 1, :m + 1], rhs)  # [bias, step]
+        d = x[1:]
+        if pending is not None and not d[-1] * pending[2] > 0:
+            j, before, _ = pending
+            side[j] = before
+            remove(m - 1)
+            skip.append(j)
+        else:
+            pending, skip = None, []
+            # the wall each free multiplier moves toward: 0 or its bound
+            wall = np.where((d > 0) == (sF > 0), C * sF, 0.0)
+            t = np.full(m, np.inf)
+            np.divide(wall - bF, d, out=t, where=d != 0)
+            k = int(t.argmin())
+            new = bF + min(1.0, max(t[k], 0.0)) * d
+            if t[k] < 1.0:
+                new[k] = wall[k]
+            g += np.einsum("ij,i->j", K[F], new - bF)
+            beta[F] = new
+            if t[k] < 1.0:
+                side[free[k]] = 2 * side[free[k]] if wall[k] else 0
+                remove(k)
+                continue
+            b = x[0]
+        E = g + b - y
+        up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
+        up[free] = down[free] = up[skip] = down[skip] = -np.inf
+        j = int(np.maximum(up, down).argmax())
+        if not max(up[j], down[j]) > KKT_TOL / 2:
+            break
+        to = 1 if up[j] >= down[j] else -1  # the way it moves: inward
+        pending = (j, side[j], to)
+        side[j] = to if side[j] == 0 else np.sign(side[j])
+        if not add(j):
+            break
+    np.clip(beta, -C, C, out=beta)
+    inside = (beta != 0.0) & (np.abs(beta) < C - abs(beta.sum()))
+    if inside.any():
+        beta[inside] -= beta.sum() / inside.sum()
+
+    def dual(v):  # y'v - eps |v|_1 - v'Kv / 2
+        return np.einsum("i,i->", v, y - epsilon * np.sign(v)
+                         - 0.5 * np.einsum("ij,j->i", K, v))
+
+    return beta if dual(beta) >= dual(beta0) else beta0.copy()
 
 
 def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,

@@ -41,12 +41,6 @@ class ForestModel:
     trees: tuple[TreeNode, ...]
 
 
-def gini_impurity(labels: np.ndarray) -> float:
-    counts = np.bincount(labels.astype(int))
-    p = counts / labels.size
-    return float(1.0 - (p * p).sum())
-
-
 # most padded rows in one batched split search; bounds its working memory
 _CHUNK_ROWS = 2048
 

@@ -158,14 +158,27 @@ def test_invalid_config_file_value_exits_one(tmp_path, capsys):
 def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
     def failing_solver(*args, **kwargs):
         raise SmoError("SVR solver hit the iteration cap of 1",
-                       dual=None, max_violation=0.5)
+                       dual=None, max_violation=0.5, iterations=1)
 
     monkeypatch.setattr(experiments, "solve_svr_dual", failing_solver)
     out = tmp_path / "out"
     assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure: SVR solver hit the iteration cap of 1" in err
-    assert "max KKT violation 0.5" in err
+    assert "max KKT violation 0.5; SMO steps 1" in err
+    assert not out.exists()
+
+
+def test_failed_model_scoring_exits_without_outputs(tmp_path, capsys, monkeypatch):
+    """A model that fails after its fit stops the run with the failure's
+    own exit code; no report carries it as a table row."""
+    def failing_predict(*args):
+        raise FloatingPointError("overflow in the forest's predictions")
+
+    monkeypatch.setattr(experiments, "forest_predict", failing_predict)
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "overflow in the forest's predictions" in capsys.readouterr().err
     assert not out.exists()
 
 

