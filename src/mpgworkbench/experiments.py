@@ -23,8 +23,9 @@ from .ingest import (FEATURE_NAMES, DataError, Dataset, load_dataset,
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class, svr_active_set)
-from .linmod import (fit_elastic_net, fit_lasso, fit_logistic, fit_ols,
-                     fit_ridge, linear_predict, logistic_scores)
+from .linmod import (fit_elastic_net, fit_elastic_net_grid, fit_lasso,
+                     fit_logistic, fit_ols, fit_ridge, linear_predict,
+                     logistic_scores)
 from .metrics import (classification_report, confusion_matrix,
                       dataset_correlations, histogram, regression_metrics,
                       roc_curve)
@@ -147,14 +148,16 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
                    seed: int) -> dict:
     """k-fold CV of several models' hyperparameter paths on one fold layout.
 
-    Each fold is standardized once, with its training statistics, and
-    ``paths[name](Xtr, ytr, Xte)`` returns the held-out predictions for
-    every grid value of that model, in grid order.  Scores are held-out
-    R^2 (scale-invariant, so the standardized units don't matter).
-    Returns name -> one {"fold_scores": [...], "mean": float} per grid
-    value.  Raises DataError, before any fit, when a held-out fold would
-    have fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and
-    when a column is constant in a fold's training rows.
+    Each fold is standardized once, with its training statistics.  Each
+    model's path is called once, as ``paths[name](folds)`` with the list
+    of all k folds' (Xtr, ytr, Xte), and returns per fold the held-out
+    predictions for every grid value of that model, in grid order; so a
+    path may fit the folds together.  Scores are held-out R^2
+    (scale-invariant, so the standardized units don't matter).  Returns
+    name -> one {"fold_scores": [...], "mean": float} per grid value.
+    Raises DataError, before any fit, when a held-out fold would have
+    fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and when a
+    column is constant in a fold's training rows.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -162,18 +165,20 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     if n // k < 3:
         raise DataError(f"{k}-fold cross-validation needs at least 3 held-out "
                         f"rows per fold, but the training split has {n} rows")
-    folds = kfold(n, k, seed)
-    scores = {name: [] for name in paths}  # name -> per fold, per grid value
-    for i, test_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
+    layout, folds, held_out = kfold(n, k, seed), [], []
+    for i, test_idx in enumerate(layout):
+        train_idx = np.concatenate([f for j, f in enumerate(layout) if j != i])
         Xtr, ytr, Xte, yte = _standardized(
             X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}")
-        for name, path in paths.items():
-            scores[name].append([regression_metrics(yte, pred, p=1).r2
-                                 for pred in path(Xtr, ytr, Xte)])
-    return {name: [{"fold_scores": list(s), "mean": float(np.mean(s))}
-                   for s in zip(*per_fold)]
-            for name, per_fold in scores.items()}
+        folds.append((Xtr, ytr, Xte))
+        held_out.append(yte)
+    results = {}
+    for name, path in paths.items():
+        per_fold = [[regression_metrics(yte, pred, p=1).r2 for pred in preds]
+                    for yte, preds in zip(held_out, path(folds))]
+        results[name] = [{"fold_scores": list(s), "mean": float(np.mean(s))}
+                         for s in zip(*per_fold)]
+    return results
 
 
 def _select(grid, results):
@@ -194,7 +199,7 @@ class _Regressor(NamedTuple):
     p: int  # feature count for adjusted R^2
     hyperparams: Callable  # selected value -> reported hyperparameters
     cv_reported: bool
-    path: Callable | None = None  # CV path, if not a refit per grid value
+    path: Callable | None = None  # CV path (see cross_validate); None: refit per value
 
 
 def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
@@ -205,7 +210,10 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                           FIXED["poly_degree"])
     kern = KernelSpec("rbf", gamma_scale(proto.Xtr))
 
-    def svr_path(Xs, ys, Xq):
+    def svr_path(folds):
+        return [svr_fold(*fold) for fold in folds]
+
+    def svr_fold(Xs, ys, Xq):
         # the grid ascends, so each optimum stays feasible for the next,
         # larger box; the active-set engine moves it close to the next
         # optimum, and SMO finishes and certifies the solve
@@ -218,6 +226,12 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
             beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds
+
+    def cd_path(ratio):  # every fold at every alpha: lanes of one descent
+        def path(folds):
+            fits = fit_elastic_net_grid([f[:2] for f in folds], FIXED["alpha_grid"], ratio)
+            return [[linear_predict(m, f[2]) for m in ms] for ms, f in zip(fits, folds)]
+        return path
 
     return (
         _Regressor("SVM Regression", FIXED["svr_c_grid"],
@@ -242,7 +256,8 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         _Regressor("Elastic Net Regression", FIXED["alpha_grid"],
                    lambda X, y, a: fit_elastic_net(X, y, a, l1_ratio),
                    linear_predict, d,
-                   lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True),
+                   lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True,
+                   cd_path(l1_ratio)),
         _Regressor("Polynomial Regression", None,
                    lambda X, y, _: fit_ols(polynomial_features(X, deg), y),
                    lambda m, X: linear_predict(m, polynomial_features(X, deg)),
@@ -250,7 +265,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                    lambda _: {"degree": deg}, False),
         _Regressor("Lasso Regression", FIXED["alpha_grid"],
                    lambda X, y, a: fit_lasso(X, y, a), linear_predict, d,
-                   lambda a: {"alpha": a}, True),
+                   lambda a: {"alpha": a}, True, cd_path(1.0)),
     )
 
 
@@ -273,9 +288,9 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
     table = _regression_table(config, proto)
     # CV on the training split: every grid on one fold layout
     cv = cross_validate(
-        {r.name: r.path or (lambda Xs, ys, Xq, r=r: [
-            r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid])
-         for r in table if r.grid},
+        {r.name: r.path or (lambda folds, r=r: [
+            [r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid]
+            for Xs, ys, Xq in folds]) for r in table if r.grid},
         proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
         derive_seeds(config.seed, 5)[_SEED_KFOLD])
     models, rows = {}, []

@@ -149,9 +149,7 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
     gain_floor, step_floor = 1e-15 * s * s, 1e-14 * s
     shifts = (0.0, 2.0 * epsilon, -2.0 * epsilon) if epsilon > 0 else (0.0,)
     diag_k = np.diag(K).copy()
-    # floored pair curvature K_ii + K_jj - 2 K_ij of the partner choice,
-    # tabulated once (n x n) instead of rebuilt from four passes per step
-    curv = np.maximum(diag_k[:, None] + diag_k - 2.0 * K, 1e-12)
+    curv = None  # pair curvatures, tabulated at the first step
     # The slope of the dual toward increasing (decreasing) beta_i is
     # (y - g) + off_up (+ off_down): -/+ eps by the sign of beta_i, or
     # -inf (+inf) at the bound it would move toward.  A step changes two
@@ -183,6 +181,10 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
         if iterations >= max_iter:
             raise failure(f"SMO solver hit the iteration cap of {max_iter}",
                           down_min)
+        if curv is None:
+            # floored pair curvature K_ii + K_jj - 2 K_ij of the partner
+            # choice, tabulated once (n x n), and not for an optimal start
+            curv = np.maximum(diag_k[:, None] + diag_k - 2.0 * K, 1e-12)
         # partner: the first maximum of the guaranteed gain diff^2 / curv
         # over diff > 0.  Clamping diff at 0 scores the others 0, not
         # -inf, which picks the same partner whenever that maximum is > 0.
@@ -308,8 +310,12 @@ def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     # -2 at -C, -1 negative free, 0 zero, 1 positive free, 2 at C
     side = np.select([beta >= C - 1e-10 * C, beta > 1e-12 * C,
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
-    inv = np.empty((n + 1, n + 1))  # the inverse, in its leading |F|+1 block
-    free = []  # F, in the order of the inverse's rows 1..|F|
+    inv = np.empty((n + 1, n + 1))  # the inverse, in its leading m+1 block
+    # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
+    # of K in KF[:m]; the bordered vectors v = [1, K[j, F]] and rhs are
+    # filled in place
+    fidx, KF, m = np.empty(n, dtype=np.intp), np.empty((n, n)), 0
+    v, rhs = np.ones(n + 1), np.empty(n + 1)
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y)
@@ -317,40 +323,42 @@ def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
 
     def add(j):  # F += {j}; False if the free block turns singular
-        m = len(free)
+        nonlocal m
         if m == 0:
             inv[:2, :2] = [[-K[j, j], 1.0], [1.0, 0.0]]
         else:
-            v = np.concatenate(([1.0], K[j, free]))
-            w = np.einsum("ij,j->i", inv[:m + 1, :m + 1], v)
-            schur = K[j, j] - np.einsum("i,i->", v, w)
+            np.take(K[j], fidx[:m], out=v[1:m + 1])
+            w = np.einsum("ij,j->i", inv[:m + 1, :m + 1], v[:m + 1])
+            schur = K[j, j] - np.einsum("i,i->", v[:m + 1], w)
             if not schur > floor:
                 return False
             inv[:m + 1, :m + 1] += np.multiply.outer(w, w / schur)
             inv[m + 1, :m + 1] = inv[:m + 1, m + 1] = -w / schur
             inv[m + 1, m + 1] = 1.0 / schur
-        free.append(j)
+        fidx[m], KF[m] = j, K[j]
+        m += 1
         return True
 
-    def remove(p):  # F -= {free[p]}: swap it to the end, then drop it
-        m = len(free)
+    def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it
+        nonlocal m
         inv[[p + 1, m], :m + 1] = inv[[m, p + 1], :m + 1]
         inv[:m + 1, [p + 1, m]] = inv[:m + 1, [m, p + 1]]
-        free[p] = free[-1]
-        free.pop()
+        fidx[p], KF[p] = fidx[m - 1], KF[m - 1]
         c = inv[:m, m]
         inv[:m, :m] -= np.multiply.outer(c, c / inv[m, m])
+        m -= 1
 
     pending, skip = None, []  # the last release: (j, its side before, inward)
     built = all(add(j) for j in np.flatnonzero(np.abs(side) == 1))
     for _ in range(4 * n if built else 0):
-        m = len(free)
         if m == 0:
             break
-        F = np.array(free)
+        F = fidx[:m]
         bF, sF = beta[F], side[F]
-        rhs = np.concatenate(([-beta.sum()], y[F] - g[F] - epsilon * sF))
-        x = np.einsum("ij,j->i", inv[:m + 1, :m + 1], rhs)  # [bias, step]
+        rhs[0] = -beta.sum()
+        np.subtract(y[F], g[F], out=rhs[1:m + 1])
+        rhs[1:m + 1] -= epsilon * sF
+        x = np.einsum("ij,j->i", inv[:m + 1, :m + 1], rhs[:m + 1])  # [bias, step]
         d = x[1:]
         if pending is not None and not d[-1] * pending[2] > 0:
             j, before, _ = pending
@@ -367,16 +375,16 @@ def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
             new = bF + min(1.0, max(t[k], 0.0)) * d
             if t[k] < 1.0:
                 new[k] = wall[k]
-            g += np.einsum("ij,i->j", K[F], new - bF)
+            g += np.einsum("ij,i->j", KF[:m], new - bF)
             beta[F] = new
             if t[k] < 1.0:
-                side[free[k]] = 2 * side[free[k]] if wall[k] else 0
+                side[F[k]] = 2 * side[F[k]] if wall[k] else 0
                 remove(k)
                 continue
             b = x[0]
         E = g + b - y
         up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
-        up[free] = down[free] = up[skip] = down[skip] = -np.inf
+        up[fidx[:m]] = down[fidx[:m]] = up[skip] = down[skip] = -np.inf
         j = int(np.maximum(up, down).argmax())
         if not max(up[j], down[j]) > KKT_TOL / 2:
             break

@@ -70,55 +70,52 @@ def fit_ridge(X: np.ndarray, y: np.ndarray, lam: float) -> LinearModel:
 
 def _centered_moments(X, y):
     """Column means, target mean, and the covariances G = Xc^T Xc / n and
-    c = Xc^T yc / n of the centered data, G and c as Python lists."""
+    c = Xc^T yc / n of the centered data."""
     n = X.shape[0]
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
-    G = Xc.T @ Xc / n
-    return x_mean, y_mean, G.tolist(), (Xc.T @ (y - y_mean) / n).tolist()
+    return x_mean, y_mean, Xc.T @ Xc / n, Xc.T @ (y - y_mean) / n
 
 
-def _coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int):
+def _coordinate_descent(G, c, l1, l2, tol: float, max_sweeps: int):
     """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
     + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
     Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
     by centering, and r = c - G beta is kept current in p multiply-adds
-    per changed coefficient.  Returns (beta, intercept)."""
-    x_mean, y_mean, G, r = _centered_moments(X, y)
-    beta = [0.0] * len(r)
-    indices = range(len(r))
-    coords = [(j, Gj, Gj[j], Gj[j] + l2) for j, Gj in enumerate(G)]
-    max_change = float("inf")
-    for _ in range(max_sweeps):
-        max_change = 0.0
-        for j, Gj, Gjj, denom in coords:
-            old = beta[j]
-            rho = r[j] + Gjj * old
-            # soft-threshold rho at l1, then scale (a constant column,
-            # whose G_jj is 0, always lands in the zero branch)
-            if rho > l1:
-                new = (rho - l1) / denom
-            elif rho < -l1:
-                new = (rho + l1) / denom
-            else:
-                new = 0.0
-            if new != old:
+    per changed coefficient.  L fits run as lanes in lock-step, lane i
+    with its own G[i] (p x p), c[i], l1[i] and l2[i], each doing one fit's
+    arithmetic; a lane freezes after its first sweep that changes no
+    coefficient by tol or more.  Returns the (L, p) coefficients and the
+    mask of lanes still moving after max_sweeps sweeps."""
+    n_lanes, p = c.shape
+    G = np.ascontiguousarray(G.transpose(1, 2, 0))  # G[j]: row j per lane
+    r = c.T.copy()  # (p, L), like beta
+    beta = np.zeros((p, n_lanes))
+    coords = [(r[j], G[j], G[j, j], G[j, j] + l2, beta[j]) for j in range(p)]
+    neg_l1 = -l1
+    moving = np.ones(n_lanes, dtype=bool)
+    # a constant column (G_jj = 0) at l2 = 0 divides by 0 only in the
+    # branches np.where discards: it always lands in the zero branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_sweeps):
+            if not moving.any():
+                break
+            change = np.zeros(n_lanes)
+            for rj, Gj, Gjj, denom, old in coords:
+                rho = rj + Gjj * old
+                # soft-threshold rho at l1, then scale
+                new = np.where(rho > l1, (rho - l1) / denom,
+                               np.where(rho < neg_l1, (rho + l1) / denom, 0.0))
+                # a lane that did not move leaves r untouched: even
+                # subtracting 0 * G_jk could turn -0.0 into +0.0
+                moved = (new != old) & moving
                 d = new - old
-                for k in indices:
-                    r[k] -= d * Gj[k]
-                beta[j] = new
-                max_change = max(max_change, abs(d))
-        if max_change < tol:
-            break
-    b = np.array(beta)
-    fit = (b, float(y_mean - x_mean @ b))
-    if max_change >= tol:
-        raise ConvergenceError(
-            f"coordinate descent did not converge in {max_sweeps} sweeps",
-            last_iterate=fit,
-        )
-    return fit
+                np.subtract(r, d * Gj, out=r, where=moved)
+                np.copyto(old, new, where=moved)
+                np.maximum(change, np.abs(d), out=change, where=moved)
+            moving &= change >= tol
+    return beta.T.copy(), moving
 
 
 def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
@@ -127,28 +124,42 @@ def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
     return fit_elastic_net(X, y, alpha, 1.0, tol, max_sweeps)
 
 
-def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
-    """Smallest alpha at which every lasso coefficient is exactly zero."""
-    # the cold-start sweep's first rho for every coordinate, bit for bit,
-    # so soft-thresholding at this alpha zeroes every coefficient
-    _, _, _, c = _centered_moments(np.asarray(X, dtype=float),
-                                   np.asarray(y, dtype=float))
-    return max(abs(v) for v in c)
-
-
 def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float,
                     tol: float = 1e-7, max_sweeps: int = 10000) -> LinearModel:
     """Elastic net via coordinate descent (combined shrink-and-threshold)."""
-    if alpha <= 0:
+    return fit_elastic_net_grid([(X, y)], [alpha], l1_ratio, tol, max_sweeps)[0][0]
+
+
+def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
+                         tol: float = 1e-7,
+                         max_sweeps: int = 10000) -> list[list[LinearModel]]:
+    """Elastic nets on each training set (X, y) of ``folds`` at each of
+    ``alphas``, as lanes of one coordinate descent: per fold, the models
+    in alpha order.  ConvergenceError names the first stuck fit."""
+    if any(alpha <= 0 for alpha in alphas):
         raise ValueError("alpha must be > 0")
     if not 0.0 <= l1_ratio <= 1.0:
         raise ValueError("l1_ratio must lie in [0, 1]")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    l1 = alpha * l1_ratio
-    l2 = alpha * (1.0 - l1_ratio)
-    beta, intercept = _coordinate_descent(X, y, l1, l2, tol, max_sweeps)
-    return LinearModel(coefficients=beta, intercept=float(intercept))
+    moments = [_centered_moments(np.asarray(X, dtype=float),
+                                 np.asarray(y, dtype=float)) for X, y in folds]
+    alphas = np.asarray(alphas, dtype=float)
+    k, n_alphas = len(folds), alphas.size  # lane i: fold i // n_alphas
+    beta, stuck = _coordinate_descent(
+        np.repeat([m[2] for m in moments], n_alphas, axis=0),
+        np.repeat([m[3] for m in moments], n_alphas, axis=0),
+        np.tile(alphas * l1_ratio, k), np.tile(alphas * (1.0 - l1_ratio), k),
+        tol, max_sweeps)
+    per_fold = beta.reshape(k, n_alphas, -1)
+    fits = [[LinearModel(b, float(y_mean - x_mean @ b)) for b in lanes]
+            for lanes, (x_mean, y_mean, _, _) in zip(per_fold, moments)]
+    if stuck.any():
+        fold, a = divmod(int(stuck.argmax()), n_alphas)
+        m = fits[fold][a]
+        raise ConvergenceError(
+            f"coordinate descent did not converge in {max_sweeps} sweeps "
+            f"at alpha={float(alphas[a])} on fold {fold + 1} of {k}",
+            last_iterate=(m.coefficients, m.intercept))
+    return fits
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

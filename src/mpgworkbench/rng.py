@@ -75,16 +75,6 @@ class Xoshiro256StarStar:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), via partial Fisher-Yates."""
-        if not 0 <= k <= n:
-            raise ValueError("need 0 <= k <= n")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
 
 class XoshiroLanes:
     """Independent xoshiro256** streams, one per seed, advanced side by

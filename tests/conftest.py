@@ -2,6 +2,8 @@
 
 Session scope keeps the expensive artifacts (parsed data, the seed-1
 protocol, the full experiment suites) computed exactly once per run.
+Also the oracles that more than one test module uses, imported as
+``from conftest import ...``.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from mpgworkbench.experiments import (ExperimentConfig, prepare_protocol,
                                       run_classification_grid,
                                       run_regression_suite)
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
+from mpgworkbench.linmod import _centered_moments
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +50,25 @@ def classification_grid(protocol):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
+    """Smallest alpha at which every lasso coefficient is exactly zero."""
+    # the cold-start sweep's first rho for every coordinate, bit for bit,
+    # so soft-thresholding at this alpha zeroes every coefficient
+    _, _, _, c = _centered_moments(np.asarray(X, dtype=float),
+                                   np.asarray(y, dtype=float))
+    return float(max(abs(v) for v in c))
+
+
+def sample_indices(gen, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n) drawn by the scalar generator
+    ``gen``, via partial Fisher-Yates: the oracle of
+    ``XoshiroLanes.sample_indices``."""
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    pool = list(range(n))
+    for i in range(k):
+        j = i + gen.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]

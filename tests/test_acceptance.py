@@ -12,14 +12,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import lasso_alpha_max
 
 from mpgworkbench.experiments import ExperimentConfig, report_to_json, run_full_report
 from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, fit_svc_smo,
                                     kernel_matrix, solve_svr_dual,
                                     svc_kkt_violations, svm_decision,
                                     svr_kkt_violations)
-from mpgworkbench.linmod import (fit_lasso, fit_ols, fit_ridge,
-                                 lasso_alpha_max, linear_predict,
+from mpgworkbench.linmod import (fit_lasso, fit_ols, fit_ridge, linear_predict,
                                  logistic_gradient, logistic_objective)
 from mpgworkbench.metrics import adjusted_r2, dataset_correlations, roc_curve
 from mpgworkbench.treemod import fit_cart, tree_predict

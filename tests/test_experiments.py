@@ -89,8 +89,8 @@ def test_config_records_the_fixed_settings():
 
 def ols_cv(X, y, k, seed):
     """The CV result of OLS, the one-entry path of the fold loop."""
-    def ols_path(Xs, ys, Xq):
-        return [linear_predict(fit_ols(Xs, ys), Xq)]
+    def ols_path(folds):
+        return [[linear_predict(fit_ols(Xs, ys), Xq)] for Xs, ys, Xq in folds]
 
     return cross_validate({"ols": ols_path}, X, y, k, seed)["ols"][0]
 
@@ -144,9 +144,9 @@ def test_cv_scores_every_path_entry_on_one_fold_layout(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30)
 
-    def two_entry_path(Xs, ys, Xq):
-        pred = linear_predict(fit_ols(Xs, ys), Xq)
-        return [pred, np.zeros_like(pred)]
+    def two_entry_path(folds):
+        preds = [linear_predict(fit_ols(Xs, ys), Xq) for Xs, ys, Xq in folds]
+        return [[pred, np.zeros_like(pred)] for pred in preds]
 
     result = cross_validate({"pair": two_entry_path}, X, y, 6, 3)["pair"]
     assert len(result) == 2

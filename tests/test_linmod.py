@@ -1,16 +1,21 @@
 """Linear family: OLS, ridge, lasso, elastic net and logistic regression
 against closed-form and finite-difference oracles."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from conftest import lasso_alpha_max
 
-from mpgworkbench.experiments import FIXED
-from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net, fit_lasso,
-                                 fit_logistic, fit_ols, fit_ridge,
-                                 lasso_alpha_max, linear_predict,
+from mpgworkbench.experiments import FIXED, _SEED_KFOLD, cross_validate
+from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net,
+                                 fit_elastic_net_grid, fit_lasso, fit_logistic,
+                                 fit_ols, fit_ridge, linear_predict,
                                  logistic_gradient, logistic_objective,
                                  logistic_scores)
 from mpgworkbench.metrics import regression_metrics
+from mpgworkbench.rng import derive_seeds
 
 
 def orthonormal_design(rng, n, p):
@@ -312,11 +317,12 @@ def reference_coordinate_descent(X, y, l1: float, l2: float, tol: float,
 
 
 def cd_problems(rng, protocol):
-    """The seed-1 standardized training split, and a raw design whose
-    columns differ in scale and offset."""
+    """The seed-1 standardized training split, a raw design whose columns
+    differ in scale and offset, and that design with a constant column."""
     X = rng.normal(size=(80, 6)) * [1.0, 3.0, 0.2, 1.0, 10.0, 1.0] + 2.0
     y = X @ rng.normal(size=6) + rng.normal(size=80)
-    return [(protocol.Xtr, protocol.ytr), (X, y)]
+    return [(protocol.Xtr, protocol.ytr), (X, y),
+            (np.column_stack([X, np.full(80, 3.7)]), y)]
 
 
 def fit_cd(X, y, alpha, l1_ratio, **kwargs):
@@ -397,3 +403,125 @@ def test_cd_constant_column_gets_zero_coefficient(rng):
     for m in (fit_lasso(X, y, 0.1), fit_elastic_net(X, y, 0.1, 0.5)):
         assert m.coefficients[1] == 0.0
         assert m.coefficients[0] > 1.0
+
+
+# --- coordinate descent lanes against the scalar sweep
+
+# The scalar covariance-update sweep that ran one fit at a time before
+# the fits ran as lanes, kept verbatim (with the list form of the
+# moments it read) as the oracle every lane must match bit for bit.
+
+def scalar_centered_moments(X, y):
+    """Column means, target mean, and the covariances G = Xc^T Xc / n and
+    c = Xc^T yc / n of the centered data, G and c as Python lists."""
+    n = X.shape[0]
+    x_mean = X.mean(axis=0)
+    y_mean = y.mean()
+    Xc = X - x_mean
+    G = Xc.T @ Xc / n
+    return x_mean, y_mean, G.tolist(), (Xc.T @ (y - y_mean) / n).tolist()
+
+
+def scalar_coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int):
+    """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
+    + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
+    Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
+    by centering, and r = c - G beta is kept current in p multiply-adds
+    per changed coefficient.  Returns (beta, intercept)."""
+    x_mean, y_mean, G, r = scalar_centered_moments(X, y)
+    beta = [0.0] * len(r)
+    indices = range(len(r))
+    coords = [(j, Gj, Gj[j], Gj[j] + l2) for j, Gj in enumerate(G)]
+    max_change = float("inf")
+    for _ in range(max_sweeps):
+        max_change = 0.0
+        for j, Gj, Gjj, denom in coords:
+            old = beta[j]
+            rho = r[j] + Gjj * old
+            # soft-threshold rho at l1, then scale (a constant column,
+            # whose G_jj is 0, always lands in the zero branch)
+            if rho > l1:
+                new = (rho - l1) / denom
+            elif rho < -l1:
+                new = (rho + l1) / denom
+            else:
+                new = 0.0
+            if new != old:
+                d = new - old
+                for k in indices:
+                    r[k] -= d * Gj[k]
+                beta[j] = new
+                max_change = max(max_change, abs(d))
+        if max_change < tol:
+            break
+    b = np.array(beta)
+    fit = (b, float(y_mean - x_mean @ b))
+    if max_change >= tol:
+        raise ConvergenceError(
+            f"coordinate descent did not converge in {max_sweeps} sweeps",
+            last_iterate=fit,
+        )
+    return fit
+
+
+def seed1_cv_folds(protocol):
+    """The standardized (Xtr, ytr) of the seed-1 protocol's 10 CV folds,
+    as cross_validate hands them to every path."""
+    captured = []
+
+    def capture(folds):
+        captured.extend((Xs, ys) for Xs, ys, _ in folds)
+        return [[] for _ in folds]
+
+    cross_validate({"capture": capture}, protocol.Xtr_raw, protocol.ytr_raw,
+                   10, derive_seeds(1, 5)[_SEED_KFOLD])
+    return captured
+
+
+def assert_fit_bits_equal(fit, ref):
+    """(beta, intercept) pairs equal bit for bit, signs of zero included."""
+    assert fit[0].tobytes() == ref[0].tobytes()
+    assert fit[1].hex() == ref[1].hex()
+
+
+@pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+def test_cd_lanes_match_scalar_sweep(rng, protocol, l1_ratio):
+    """All 150 seed-1 CV lanes (10 folds x alpha_grid) in one call, and
+    each cd_problem along alpha_grid plus its alpha_max, are bitwise
+    equal to one scalar fit at a time."""
+    grid = FIXED["alpha_grid"]
+    runs = [(seed1_cv_folds(protocol), grid)]
+    runs += [([(X, y)], grid + (lasso_alpha_max(X, y),))
+             for X, y in cd_problems(rng, protocol)]
+    for folds, alphas in runs:
+        fits = fit_elastic_net_grid(folds, alphas, l1_ratio)
+        assert [len(models) for models in fits] == [len(alphas)] * len(folds)
+        for (X, y), models in zip(folds, fits):
+            for alpha, m in zip(alphas, models):
+                assert_fit_bits_equal(
+                    (m.coefficients, m.intercept), scalar_coordinate_descent(
+                        X, y, alpha * l1_ratio, alpha * (1.0 - l1_ratio),
+                        1e-7, 10000))
+
+
+def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol):
+    # alpha 10 zeroes every coefficient in the first sweep, so each
+    # fold's first lane converges and the first stuck lane is the second
+    folds = seed1_cv_folds(protocol)
+    with pytest.raises(ConvergenceError,
+                       match=r"1 sweeps at alpha=0\.0001 on fold 1 of 10") as exc:
+        fit_elastic_net_grid(folds, (10.0, 1e-4), 0.5, max_sweeps=1)
+    with pytest.raises(ConvergenceError) as ref:
+        scalar_coordinate_descent(*folds[0], 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
+    assert_fit_bits_equal(exc.value.last_iterate, ref.value.last_iterate)
+
+
+def test_cd_cv_fold_scores_are_pinned(regression_suite):
+    # sha256 of the seed-1 lasso and elastic-net cv_fold_scores, recorded
+    # while each CV fit still ran alone
+    scores = {r["model"]: r["cv_fold_scores"] for r in regression_suite["table"]
+              if r["model"] in ("Lasso Regression", "Elastic Net Regression")}
+    assert len(scores) == 2
+    digest = hashlib.sha256(json.dumps(scores, sort_keys=True).encode()).hexdigest()
+    assert digest == ("306cf197992cfac40e952f8c0c67200842da116d"
+                      "0d7ee5f9082a900165872b39")

@@ -3,6 +3,7 @@ and the deterministic generators underneath them."""
 
 import numpy as np
 import pytest
+from conftest import sample_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +73,7 @@ def test_lanes_advance_only_the_lanes_drawn():
     scalar = [Xoshiro256StarStar(s) for s in seeds]
     for lanes in ([0, 3], [5], [1, 2, 3, 4], [3]):
         picks = gen.sample_indices(7, 3, np.array(lanes))
-        assert picks.tolist() == [scalar[t].sample_indices(7, 3) for t in lanes]
+        assert picks.tolist() == [sample_indices(scalar[t], 7, 3) for t in lanes]
     assert gen.next_u64(np.arange(6)).tolist() == [g.next_u64() for g in scalar]
     with pytest.raises(ValueError):
         gen.randbelow(0, np.arange(6))
@@ -86,11 +87,11 @@ def test_shuffle_is_a_permutation(seed, n):
 
 
 def test_sample_indices_distinct_and_in_range():
-    got = Xoshiro256StarStar(3).sample_indices(10, 4)
+    got = XoshiroLanes([3]).sample_indices(10, 4, np.array([0]))[0].tolist()
     assert len(got) == 4 == len(set(got))
     assert all(0 <= i < 10 for i in got)
     with pytest.raises(ValueError):
-        Xoshiro256StarStar(3).sample_indices(3, 4)
+        XoshiroLanes([3]).sample_indices(3, 4, np.array([0]))
 
 
 # --- standardizer

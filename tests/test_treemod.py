@@ -5,6 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import sample_indices
 
 from mpgworkbench import experiments
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
@@ -237,7 +238,7 @@ def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         if max_depth is not None and depth >= max_depth:
             return leaf
         if max_features < d:
-            feats = np.array(sorted(rng.sample_indices(d, max_features)))
+            feats = np.array(sorted(sample_indices(rng, d, max_features)))
         else:
             feats = np.arange(d)
         found = reference_best_split(X[idx], tn, task, feats,
