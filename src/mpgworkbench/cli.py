@@ -16,6 +16,7 @@ table, and a Markdown rendering.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import os
 import shutil
@@ -36,13 +37,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = {
-    "data_path": str,
-    "seed": int,
-    "split_ratio": float,
-    "threshold_mpg": float,
-    "cv_folds": int,
-}
+# every run setting, with the type that parses it from a config file
+# (str for data_path, whose default is None)
+_CONFIG_KEYS = {f.name: str if f.default is None else type(f.default)
+                for f in dataclasses.fields(ExperimentConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,20 +181,12 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_config(args) -> ExperimentConfig:
-    values = {}
-    if args.config:
-        values.update(_load_config_file(args.config))
-    data = args.data or os.environ.get("MPGW_DATA")
-    if data:
-        values["data_path"] = data
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.split is not None:
-        values["split_ratio"] = args.split
-    if args.threshold is not None:
-        values["threshold_mpg"] = args.threshold
-    if args.folds is not None:
-        values["cv_folds"] = args.folds
+    """Config file values, overridden by --data (or MPGW_DATA) and the
+    other flags; each flag's dest is its config field."""
+    values = _load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     return ExperimentConfig(**values)
 
 
@@ -215,8 +205,7 @@ def _validate_data(path: str) -> int:
 
 def _run(args) -> int:
     if args.command == "validate-data":
-        return _validate_data(args.data or os.environ.get("MPGW_DATA")
-                              or reference_data_path())
+        return _validate_data(args.data_path or reference_data_path())
     config = _build_config(args)
     # compute fully in memory before writing anything, so a failure
     # leaves no partial files behind
@@ -279,20 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mpgw", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # an empty --data or MPGW_DATA counts as not given
+    env_data = os.environ.get("MPGW_DATA") or None
     for name in ("eda", "regress", "classify", "report", "validate-data"):
         p = sub.add_parser(name)
-        p.add_argument("--data", help="data file path (default: MPGW_DATA "
-                                      "env var, then the packaged file)")
+        p.add_argument("--data", dest="data_path", default=env_data,
+                       type=lambda path: path or env_data,
+                       help="data file path (default: MPGW_DATA env var, "
+                            "then the packaged file)")
         if name == "validate-data":
             continue
         p.add_argument("--out", default="results",
                        help="output directory (default: results)")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--split", type=float, default=None,
+        p.add_argument("--split", dest="split_ratio", type=float, default=None,
                        help="training fraction, e.g. 0.7")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="high-efficiency mpg threshold")
-        p.add_argument("--folds", type=int, default=None,
+        p.add_argument("--threshold", dest="threshold_mpg", type=float,
+                       default=None, help="high-efficiency mpg threshold")
+        p.add_argument("--folds", dest="cv_folds", type=int, default=None,
                        help="cross-validation folds")
         p.add_argument("--format", choices=("json", "csv", "md", "all"),
                        default="all")

@@ -22,7 +22,7 @@ from .ingest import (FEATURE_NAMES, DataError, Dataset, load_dataset,
                      reference_data_path)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
-                        svm_predict_class, svr_active_set)
+                        svm_predict_class)
 from .linmod import (fit_elastic_net, fit_elastic_net_grid, fit_lasso,
                      fit_logistic, fit_ols, fit_ridge, linear_predict,
                      logistic_scores)
@@ -214,15 +214,12 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         return [svr_fold(*fold) for fold in folds]
 
     def svr_fold(Xs, ys, Xq):
-        # the grid ascends, so each optimum stays feasible for the next,
-        # larger box; the active-set engine moves it close to the next
-        # optimum, and SMO finishes and certifies the solve
+        # the grid ascends, so each optimum warm-starts the solve at the
+        # next, larger C
         K = kernel_matrix(kern, Xs, Xs)
         K_test = kernel_matrix(kern, Xq, Xs)
         beta, preds = None, []
         for C in FIXED["svr_c_grid"]:
-            if beta is not None:
-                beta = svr_active_set(K, ys, C, eps, beta)
             beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
             preds.append(K_test @ beta + b)
         return preds

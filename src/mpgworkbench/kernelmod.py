@@ -13,6 +13,9 @@ with predictions f(x) = sum_i beta_i k(x_i, x) + b.
   [0, C] for class 1 and [-C, 0] for class 0.  A raw decision score of
   exactly 0 classifies as class 1.
 * KKT tolerance 1e-3 for both tasks; audits use twice that.
+
+A warm SVR solve (beta0, the optimum at a smaller C) runs an active-set
+engine first; the SMO loop finishes and certifies every solve.
 """
 
 from __future__ import annotations
@@ -261,8 +264,12 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
                    tol: float = KKT_TOL, max_iter: int = MAX_ITER,
                    beta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Epsilon-insensitive SVR dual on a precomputed Gram matrix: the
-    shared dual with the box [-C, C]; returns (beta, bias).  A warm start
-    (``beta0``, any point of the box with sum 0) speeds up grids over C."""
+    shared dual with the box [-C, C]; returns (beta, bias).
+
+    A warm start ``beta0`` is the optimum at a smaller C, as along an
+    ascending C grid.  The active-set engine (_svr_active_set) first
+    moves it close to the optimum at C; _smo then finishes and certifies
+    the solve from there."""
     y = np.asarray(y, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -272,9 +279,10 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     if K.shape != (n, n):
         raise ValueError("Gram matrix shape must match y")
     if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=float).copy()
+        beta0 = np.asarray(beta0, dtype=float)
         if beta0.shape != y.shape:
             raise ValueError("beta0 shape must match y")
+        beta0 = _svr_active_set(K, y, C, epsilon, beta0)  # a new array
         # a rounding-level multiplier would count as signed in the KKT
         # offsets, yet the step to 0 that fixes it is below the floor
         beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
@@ -284,10 +292,9 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
                 max_iter, beta0)
 
 
-def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-                   beta0: np.ndarray) -> np.ndarray:
-    """A start for solve_svr_dual in the box [-C, C] from beta0 (in a box,
-    sum 0), by a primal active-set method on the dual (Scheinberg 2006).
+def _svr_active_set(K, y, C, epsilon, beta0):
+    """A start for _smo in the box [-C, C] from beta0 (in a box, sum 0),
+    by a primal active-set method on the dual (Scheinberg 2006).
 
     beta0 is first stretched to the new box, as along the solution path
     in C.  Each iteration solves the equality-constrained QP on the free
@@ -300,10 +307,9 @@ def svr_active_set(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     einsum and ufuncs only: BLAS and LAPACK round differently with the
     thread count at these sizes.  A singular free block, an empty F or 4n
     iterations hand over early.  Returns the iterate, clipped to the box
-    with its sum re-centred to 0, or beta0 if that has the higher dual."""
-    y = np.asarray(y, dtype=float)
+    with its sum re-centred to 0, or a copy of beta0 if that has the
+    higher dual."""
     n = y.size
-    beta0 = np.asarray(beta0, dtype=float)
     stretch = C / np.abs(beta0).max() if beta0.any() else 1.0
     beta = stretch * beta0
     g = np.einsum("ij,j->i", K, beta)  # K @ beta, kept current

@@ -12,7 +12,7 @@ from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     kernel_matrix,
                                     solve_svr_dual, svc_kkt_violations,
                                     svm_decision, svm_predict_class,
-                                    svr_active_set, svr_kkt_violations)
+                                    svr_kkt_violations)
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
 
 LINEAR = KernelSpec("linear")
@@ -361,6 +361,19 @@ def reference_svr_dual(K, y, C, epsilon, tol=KKT_TOL, seed=0,
     return beta, b
 
 
+def plain_warm_smo(K, y, C, epsilon, beta0):
+    """A warm SVR solve by SMO alone, without the active-set engine:
+    zero the rounding-level multipliers of a copy of beta0, check the box
+    and the sum, then the shared loop on [-C, C]."""
+    beta0 = np.asarray(beta0, dtype=float).copy()
+    beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
+    assert abs(beta0.sum()) <= 1e-8 * max(1.0, C)
+    assert np.abs(beta0).max() <= C + 1e-12
+    n = y.size
+    return kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon,
+                          KKT_TOL, MAX_ITER, beta0)
+
+
 def svr_problem(rng, n, kind):
     X = rng.normal(size=(n, 3))
     X[-1] = X[0]  # a zero-curvature pair exercises the flat-direction path
@@ -381,7 +394,8 @@ def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
         for C in (1.0, 10.0, 100.0):  # ascending grid, as the SVR CV runs it
             starts = [None] if warm is None else [None, warm]
             for beta0 in starts:
-                beta, b = solve_svr_dual(K, y, C, epsilon, beta0=beta0)
+                beta, b = (solve_svr_dual(K, y, C, epsilon) if beta0 is None
+                           else plain_warm_smo(K, y, C, epsilon, beta0))
                 ref_beta, ref_b = reference_svr_dual(K, y, C, epsilon,
                                                      seed=trial, beta0=beta0)
                 assert np.array_equal(beta, ref_beta)
@@ -452,7 +466,7 @@ def test_svr_scaled_down_problem_converges(rng):
 def test_svr_dual_bits_are_pinned():
     """sha256 of beta and the hex bias of a cold solve at C = 10 and its
     warm start at C = 100, recorded from the SVR-only solver that the
-    shared SMO loop replaced.
+    shared SMO loop replaced; the warm start runs SMO alone.
     The Gram matrix comes from elementwise products, so no BLAS call
     rounds it.  Its points sit on a line with the second coordinate and
     the targets mirrored about the middle one, so partner scores tie up
@@ -467,7 +481,7 @@ def test_svr_dual_bits_are_pinned():
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "1474deb205620e13da91e47fae964510ab363c1b746d5258f37a15d7bbf2ab5e")
     assert b.hex() == "0x1.f380869b43801p-3"
-    beta, b = solve_svr_dual(K, y, 100.0, 0.1, beta0=beta)
+    beta, b = plain_warm_smo(K, y, 100.0, 0.1, beta)
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "f4763b80e0f19160d3de2dd98260d10ffda94d84d99ac0b048f6bc20d6f08ebf")
     assert b.hex() == "0x1.a01712f66c69ap-3"
@@ -588,6 +602,35 @@ def test_active_set_leaves_smo_under_50_steps(protocol, monkeypatch):
     assert warm == [10.0, 100.0] * 10
 
 
+def test_active_set_runs_inside_the_cv_solves(protocol, monkeypatch):
+    """The benchmark times the SVR CV as the experiments.solve_svr_dual
+    calls, so on the seed-1 protocol's CV every engine call must run
+    inside one: 20 warm solves (C = 10 and C = 100) of 30, none at C = 1."""
+    depth, solves, engine_calls = [0], [], []
+    engine = kernelmod._svr_active_set
+
+    def solve(K, y, C, epsilon, beta0=None):
+        solves.append(C)
+        depth[0] += 1
+        try:
+            return solve_svr_dual(K, y, C, epsilon, beta0=beta0)
+        finally:
+            depth[0] -= 1
+
+    def spy(K, y, C, epsilon, beta0):
+        engine_calls.append((C, depth[0]))
+        return engine(K, y, C, epsilon, beta0)
+
+    monkeypatch.setattr(experiments, "solve_svr_dual", solve)
+    monkeypatch.setattr(kernelmod, "_svr_active_set", spy)
+    svr = experiments._regression_table(experiments.ExperimentConfig(), protocol)[0]
+    experiments.cross_validate(
+        {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw, 10,
+        derive_seeds(1, 5)[experiments._SEED_KFOLD])
+    assert len(solves) == 30
+    assert engine_calls == [(10.0, 1), (100.0, 1)] * 10
+
+
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
 def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
@@ -599,12 +642,12 @@ def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
         K, y = svr_problem(rng, int(rng.integers(20, 60)), kind)
         beta0, _ = solve_svr_dual(K, y, 1.0, epsilon)
         for C in (10.0, 100.0):
-            start = svr_active_set(K, y, C, epsilon, beta0)
+            start = kernelmod._svr_active_set(K, y, C, epsilon, beta0)
             assert np.abs(start).max() <= C
             assert abs(start.sum()) <= 1e-8 * max(1.0, C)
             assert (svr_dual_value(K, y, epsilon, start)
                     >= svr_dual_value(K, y, epsilon, beta0))
-            beta0, b = solve_svr_dual(K, y, C, epsilon, beta0=start)
+            beta0, b = plain_warm_smo(K, y, C, epsilon, start)
             E = K @ beta0 + b - y
             assert svr_kkt_violations(beta0, E, C, epsilon).max() <= 2.0 * KKT_TOL
 
