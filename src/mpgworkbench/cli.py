@@ -229,10 +229,11 @@ def _run(args) -> int:
 
 def _write_outputs(report: dict, out: str, fmt: str) -> None:
     """Write every output into a temporary directory next to ``out``,
-    then move them into ``out``; a failure leaves ``out`` as it was."""
-    os.makedirs(out, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".mpgw-",
-                               dir=os.path.dirname(os.path.abspath(out)))
+    then create ``out`` and move them into it; a failure leaves ``out``
+    as it was, or absent."""
+    parent = os.path.dirname(os.path.abspath(out))
+    os.makedirs(parent, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".mpgw-", dir=parent)
     try:
         _write_files(report, staging, fmt)
         names = sorted(os.listdir(staging))
@@ -240,6 +241,7 @@ def _write_outputs(report: dict, out: str, fmt: str) -> None:
             if os.path.isdir(os.path.join(out, name)):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         os.path.join(out, name))
+        os.makedirs(out, exist_ok=True)
         for name in names:
             os.replace(os.path.join(staging, name), os.path.join(out, name))
     finally:

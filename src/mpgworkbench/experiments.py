@@ -73,6 +73,8 @@ class ExperimentConfig:
         fails it too."""
         if not 0.0 < self.split_ratio < 1.0:
             raise ValueError("split_ratio must lie strictly between 0 and 1")
+        if not 0.0 < self.threshold_mpg < np.inf:
+            raise ValueError("threshold_mpg must be finite and above 0")
         if not self.cv_folds >= 2:
             raise ValueError("cv_folds must be >= 2")
 
@@ -174,7 +176,7 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
         held_out.append(yte)
     results = {}
     for name, path in paths.items():
-        per_fold = [[regression_metrics(yte, pred, p=1).r2 for pred in preds]
+        per_fold = [[regression_metrics(yte, pred, p=1)["r2"] for pred in preds]
                     for yte, preds in zip(held_out, path(folds))]
         results[name] = [{"fold_scores": list(s), "mean": float(np.mean(s))}
                          for s in zip(*per_fold)]
@@ -294,9 +296,9 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
     for r in table:
         value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)
         models[r.name] = model = r.fit(proto.Xtr, proto.ytr, value)
-        m = regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p)
-        row = {"model": r.name, "mae": m.mae, "mse": m.mse, "rmse": m.rmse,
-               "r2": m.r2, "adj_r2": m.adj_r2, "hyperparams": r.hyperparams(value),
+        row = {"model": r.name,
+               **regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p),
+               "hyperparams": r.hyperparams(value),
                "cv_mean_r2": result["mean"] if r.cv_reported else None}
         if r.cv_reported:
             row["cv_fold_scores"] = result["fold_scores"]
@@ -310,12 +312,8 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
 
 
 def _classifier_row(name, C, labels_true, labels_pred):
-    rep = classification_report(confusion_matrix(labels_true, labels_pred))
-    return {"model": name, "C": C, "accuracy": rep.accuracy,
-            **{f"class{k}": {"precision": rep.precision[k],
-                             "recall": rep.recall[k], "f1": rep.f1[k]}
-               for k in (0, 1)},
-            "flags": list(rep.flags)}
+    return {"model": name, "C": C,
+            **classification_report(confusion_matrix(labels_true, labels_pred))}
 
 
 class _Family(NamedTuple):
@@ -361,17 +359,11 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
 
     # ROC series for the four reported configurations
     c_max, c_one = max(FIXED["c_grid"]), min(FIXED["c_grid"])
-    roc_data = {}
-    for key, (family, C) in {"svm_linear_initial": ("linear", c_max),
-                             "svm_linear_optimized": ("linear", c_one),
-                             "svm_rbf": ("rbf", c_one),
-                             "logistic": ("logistic", c_one)}.items():
-        curve = roc_curve(families[family].scores(models[family, C], proto.Xte),
-                          proto.labels_te)
-        # +inf anchor threshold serialized as null
-        roc_data[key] = {"points": [list(p) for p in curve.points], "auc": curve.auc,
-                         "thresholds": [None if np.isinf(t) else t
-                                        for t in curve.thresholds]}
+    reported = {"svm_linear_initial": ("linear", c_max),
+                "svm_linear_optimized": ("linear", c_one),
+                "svm_rbf": ("rbf", c_one), "logistic": ("logistic", c_one)}
+    roc_data = {key: roc_curve(families[f].scores(models[f, C], proto.Xte), proto.labels_te)
+                for key, (f, C) in reported.items()}
 
     # class-wise summaries from the best C per family (ties -> smaller C)
     summary_sources = [(f.summary, max((by_key[family, C] for C in c_desc),
@@ -393,15 +385,11 @@ def run_eda(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:
     ``dataset``, or of the config's data file when it is None."""
     if dataset is None:
         dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
-    corr = dataset_correlations(dataset)
     columns = {"mpg": dataset.y}
     for j, name in enumerate(dataset.column_names):
         columns[name] = dataset.X[:, j]
     return {
-        "correlation": {
-            "labels": list(corr.labels),
-            "values": [[float(v) for v in row] for row in corr.values],
-        },
+        "correlation": dataset_correlations(dataset),
         "distributions": {name: histogram(col, FIXED["eda_bins"])
                           for name, col in columns.items()},
         "pairwise": {name: col.tolist() for name, col in columns.items()},

@@ -115,19 +115,6 @@ def _kkt_violations(beta, E, lo, hi, epsilon, bnd):
         default=np.maximum(0.0, epsilon - E))
 
 
-def svc_kkt_violations(alpha, y, errors, C, tol=KKT_TOL):
-    """Per-point KKT violation magnitudes for a SVC dual iterate
-    (alpha >= 0, labels y = +/-1, errors = f(x) - y)."""
-    pos = y > 0
-    return _kkt_violations(alpha * y, errors, np.where(pos, 0.0, -C),
-                           np.where(pos, C, 0.0), 0.0, 1e-8 * C)
-
-
-def svr_kkt_violations(beta, E, C, epsilon):
-    """Per-point KKT violation magnitudes for a SVR dual iterate."""
-    return _kkt_violations(beta, E, -C, C, epsilon, 1e-8 * C)
-
-
 def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
     """The SMO loop of both tasks: maximize the beta-form dual in the
     box [lo, hi] from beta0 (feasible, or None for 0); returns (beta, b).

@@ -1,54 +1,15 @@
 """Evaluation mathematics: regression metrics, confusion-based
-classification metrics, ROC/AUC, Pearson correlation and histograms."""
+classification metrics, ROC/AUC, Pearson correlation and histograms.
+
+Results are Python floats and ints, or dicts and lists of them in the
+shape the report stores: a regression-table row's metrics, a
+classification row's scores and flags, a ROC series, the correlation
+block and a histogram.  The experiments put them into the report as
+they are."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class RegressionMetrics:
-    mae: float
-    mse: float
-    rmse: float
-    r2: float
-    adj_r2: float
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    accuracy: float
-    precision: dict  # class -> value
-    recall: dict
-    f1: dict
-    flags: tuple = ()  # names of metrics zeroed by an empty denominator
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    points: tuple  # ((fpr, tpr), ...) sorted by threshold descending
-    thresholds: tuple  # matching score values; +inf for the (0, 0) anchor
-    auc: float
-
-
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    values: np.ndarray
-    labels: tuple
 
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:
@@ -57,7 +18,9 @@ def adjusted_r2(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
-def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray, p: int) -> RegressionMetrics:
+def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray, p: int) -> dict:
+    """{"mae", "mse", "rmse", "r2", "adj_r2"} of the predictions, with p
+    features counted by the adjusted R^2."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.shape != y_pred.shape:
@@ -73,11 +36,12 @@ def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray, p: int) -> Regres
     mse = float((err * err).mean())
     sse = mse * n
     r2 = 1.0 - sse / sst
-    return RegressionMetrics(mae=mae, mse=mse, rmse=float(np.sqrt(mse)), r2=r2,
-                             adj_r2=adjusted_r2(r2, n, p))
+    return {"mae": mae, "mse": mse, "rmse": float(np.sqrt(mse)), "r2": r2,
+            "adj_r2": adjusted_r2(r2, n, p)}
 
 
-def confusion_matrix(labels_true: np.ndarray, labels_pred: np.ndarray) -> ConfusionMatrix:
+def confusion_matrix(labels_true: np.ndarray, labels_pred: np.ndarray) -> dict:
+    """{"tp", "fp", "tn", "fn"} counts of 0/1 labels (class 1 = positive)."""
     t = np.asarray(labels_true).astype(int)
     q = np.asarray(labels_pred).astype(int)
     if t.size == 0:
@@ -86,17 +50,19 @@ def confusion_matrix(labels_true: np.ndarray, labels_pred: np.ndarray) -> Confus
         raise ValueError("length mismatch")
     if not (np.isin(t, (0, 1)).all() and np.isin(q, (0, 1)).all()):
         raise ValueError("labels must be in {0, 1}")
-    return ConfusionMatrix(
-        tp=int(((t == 1) & (q == 1)).sum()),
-        fp=int(((t == 0) & (q == 1)).sum()),
-        tn=int(((t == 0) & (q == 0)).sum()),
-        fn=int(((t == 1) & (q == 0)).sum()),
-    )
+    return {
+        "tp": int(((t == 1) & (q == 1)).sum()),
+        "fp": int(((t == 0) & (q == 1)).sum()),
+        "tn": int(((t == 0) & (q == 0)).sum()),
+        "fn": int(((t == 1) & (q == 0)).sum()),
+    }
 
 
-def classification_report(cm: ConfusionMatrix) -> ClassificationReport:
-    """Per-class precision/recall/F1 plus accuracy (class 1 = positive).
-    A zero denominator yields metric 0 and records a flag."""
+def classification_report(cm: dict) -> dict:
+    """{"accuracy", "class0", "class1", "flags"} of confusion counts: each
+    class maps to its {"precision", "recall", "f1"} (class 1 = positive).
+    A zero denominator yields metric 0 and adds its name to "flags", in
+    the order precision_0, precision_1, recall_0, recall_1, f1_0, f1_1."""
     flags = []
 
     def ratio(num, den, name):
@@ -105,26 +71,23 @@ def classification_report(cm: ConfusionMatrix) -> ClassificationReport:
             return 0.0
         return num / den
 
-    precision = {
-        0: ratio(cm.tn, cm.tn + cm.fn, "precision_0"),
-        1: ratio(cm.tp, cm.tp + cm.fp, "precision_1"),
-    }
-    recall = {
-        0: ratio(cm.tn, cm.tn + cm.fp, "recall_0"),
-        1: ratio(cm.tp, cm.tp + cm.fn, "recall_1"),
-    }
-    f1 = {}
-    for c in (0, 1):
-        s = precision[c] + recall[c]
-        f1[c] = ratio(2.0 * precision[c] * recall[c], s, f"f1_{c}")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    return ClassificationReport(accuracy=accuracy, precision=precision,
-                                recall=recall, f1=f1, flags=tuple(flags))
+    tp, fp, tn, fn = cm["tp"], cm["fp"], cm["tn"], cm["fn"]
+    precision = (ratio(tn, tn + fn, "precision_0"), ratio(tp, tp + fp, "precision_1"))
+    recall = (ratio(tn, tn + fp, "recall_0"), ratio(tp, tp + fn, "recall_1"))
+    f1 = [ratio(2.0 * p * r, p + r, f"f1_{c}")
+          for c, (p, r) in enumerate(zip(precision, recall))]
+    return {"accuracy": (tp + tn) / (tp + fp + tn + fn),
+            **{f"class{c}": {"precision": precision[c], "recall": recall[c],
+                             "f1": f1[c]} for c in (0, 1)},
+            "flags": flags}
 
 
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
+def roc_curve(scores: np.ndarray, labels: np.ndarray) -> dict:
     """ROC by sweeping thresholds over descending unique scores; tied
-    scores are grouped into a single point.  AUC by trapezoidal rule."""
+    scores are grouped into a single point.  AUC by trapezoidal rule.
+    Returns {"points": [[fpr, tpr], ...], "thresholds": [...], "auc"},
+    points from (0, 0) to (1, 1); the threshold of the (0, 0) anchor,
+    +inf, is None."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(int)
     n_pos = int((labels == 1).sum())
@@ -139,11 +102,9 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     last_of_group = np.flatnonzero(np.append(s[1:] != s[:-1], True))
     tpr = np.concatenate([[0.0], tps[last_of_group] / n_pos])
     fpr = np.concatenate([[0.0], fps[last_of_group] / n_neg])
-    thresholds = np.concatenate([[np.inf], s[last_of_group]])
     auc = float(((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1])).sum() / 2.0)
-    points = tuple((float(x), float(t)) for x, t in zip(fpr, tpr))
-    return RocCurve(points=points, thresholds=tuple(float(t) for t in thresholds),
-                    auc=auc)
+    return {"points": np.column_stack([fpr, tpr]).tolist(),
+            "thresholds": [None, *s[last_of_group].tolist()], "auc": auc}
 
 
 def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -157,11 +118,12 @@ def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float((ac * bc).sum() / denom)
 
 
-def pearson_matrix(columns: np.ndarray, labels) -> CorrelationMatrix:
-    """Symmetric correlation matrix over the given columns (n x k)."""
+def pearson_matrix(columns: np.ndarray, labels) -> dict:
+    """Symmetric correlation matrix over the given columns (n x k), as
+    {"labels": [...], "values": [[...], ...]}."""
     columns = np.asarray(columns, dtype=float)
     k = columns.shape[1]
-    labels = tuple(labels)
+    labels = list(labels)
     if len(labels) != k:
         raise ValueError("label count must match column count")
     values = np.eye(k)
@@ -169,14 +131,14 @@ def pearson_matrix(columns: np.ndarray, labels) -> CorrelationMatrix:
         for j in range(i + 1, k):
             r = pearson_correlation(columns[:, i], columns[:, j])
             values[i, j] = values[j, i] = r
-    return CorrelationMatrix(values=values, labels=labels)
+    return {"labels": labels, "values": values.tolist()}
 
 
-def dataset_correlations(dataset) -> CorrelationMatrix:
-    """Correlation matrix over mpg plus the seven features, computed on
-    the full imputed dataset (pre-split)."""
+def dataset_correlations(dataset) -> dict:
+    """pearson_matrix over mpg plus the seven features, computed on the
+    full imputed dataset (pre-split)."""
     cols = np.column_stack([dataset.y, dataset.X])
-    return pearson_matrix(cols, ("mpg",) + tuple(dataset.column_names))
+    return pearson_matrix(cols, ["mpg", *dataset.column_names])
 
 
 def histogram(series: np.ndarray, bins: int) -> dict:

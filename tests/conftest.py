@@ -13,6 +13,7 @@ from mpgworkbench.experiments import (ExperimentConfig, prepare_protocol,
                                       run_classification_grid,
                                       run_regression_suite)
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
+from mpgworkbench.kernelmod import _kkt_violations
 from mpgworkbench.linmod import _centered_moments
 
 
@@ -72,3 +73,19 @@ def sample_indices(gen, n: int, k: int) -> list[int]:
         j = i + gen.randbelow(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+def svc_kkt_violations(alpha, y, errors, C):
+    """Per-point KKT violation magnitudes for a SVC dual iterate
+    (alpha >= 0, labels y = +/-1, errors = f(x) - y): the SMO loop's
+    audit in the beta = alpha * y form, on the box [0, C] for class +1
+    and [-C, 0] for class -1."""
+    pos = y > 0
+    return _kkt_violations(alpha * y, errors, np.where(pos, 0.0, -C),
+                           np.where(pos, C, 0.0), 0.0, 1e-8 * C)
+
+
+def svr_kkt_violations(beta, E, C, epsilon):
+    """Per-point KKT violation magnitudes for a SVR dual iterate on the
+    box [-C, C] (E = f(x) - y): the SMO loop's audit."""
+    return _kkt_violations(beta, E, -C, C, epsilon, 1e-8 * C)

@@ -12,13 +12,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import lasso_alpha_max
+from conftest import lasso_alpha_max, svc_kkt_violations, svr_kkt_violations
 
 from mpgworkbench.experiments import ExperimentConfig, report_to_json, run_full_report
 from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, fit_svc_smo,
                                     kernel_matrix, solve_svr_dual,
-                                    svc_kkt_violations, svm_decision,
-                                    svr_kkt_violations)
+                                    svm_decision)
 from mpgworkbench.linmod import (fit_lasso, fit_ols, fit_ridge, linear_predict,
                                  logistic_gradient, logistic_objective)
 from mpgworkbench.metrics import adjusted_r2, dataset_correlations, roc_curve
@@ -85,11 +84,11 @@ def _median(seed_reports, extract):
 
 def test_criterion_01_correlation_matrix_matches_reference(dataset):
     cm = dataset_correlations(dataset)
-    assert list(cm.labels) == ["mpg", "cylinders", "displacement",
-                               "horsepower", "weight", "acceleration",
-                               "model_year", "origin"]
+    assert cm["labels"] == ["mpg", "cylinders", "displacement",
+                            "horsepower", "weight", "acceleration",
+                            "model_year", "origin"]
     off_diag = ~np.eye(8, dtype=bool)
-    errors = np.abs(cm.values - REFERENCE_CORRELATIONS)[off_diag]
+    errors = np.abs(np.array(cm["values"]) - REFERENCE_CORRELATIONS)[off_diag]
     assert errors.max() <= 0.005
 
 
@@ -250,7 +249,7 @@ def test_criterion_15_auc_equals_pair_statistic(rng):
         neg = scores[labels == 0]
         pairs = sum((p > q) + 0.5 * (p == q) for p in pos for q in neg)
         expected = pairs / (len(pos) * len(neg))
-        assert abs(roc_curve(scores, labels).auc - expected) <= 1e-12
+        assert abs(roc_curve(scores, labels)["auc"] - expected) <= 1e-12
 
 
 def test_criterion_16_ols_orthogonality_and_ridge_shrinkage(rng):

@@ -89,7 +89,9 @@ def test_invalid_split_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--split", "1.5"], ["--split", "0"],
-                                   ["--folds", "1"]])
+                                   ["--folds", "1"], ["--threshold", "-1"],
+                                   ["--threshold", "0"], ["--threshold", "nan"],
+                                   ["--threshold", "inf"]])
 def test_invalid_config_exits_one_before_output(tmp_path, capsys, flags):
     out = tmp_path / "out"
     assert run_cli(["eda", *flags, "--out", str(out)]) == EXIT_USAGE
@@ -264,6 +266,19 @@ def test_failed_write_leaves_out_as_it_was(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
     assert tree() == before
     assert (out / "report.json").read_text(encoding="utf-8") == "old\n"
+
+
+def test_failed_staging_leaves_no_out(tmp_path, capsys, monkeypatch):
+    """A write that fails while staging creates no --out directory."""
+    def fail(report, out, fmt):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_files", fail)
+    out = tmp_path / "out"
+    assert run_cli(["eda", "--out", str(out)]) == EXIT_USAGE
+    assert "disk full" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- classify outputs

@@ -5,14 +5,13 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import svc_kkt_violations, svr_kkt_violations
 
 from mpgworkbench import experiments, kernelmod
 from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     fit_svc_smo, fit_svr, gamma_scale,
-                                    kernel_matrix,
-                                    solve_svr_dual, svc_kkt_violations,
-                                    svm_decision, svm_predict_class,
-                                    svr_kkt_violations)
+                                    kernel_matrix, solve_svr_dual,
+                                    svm_decision, svm_predict_class)
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
 
 LINEAR = KernelSpec("linear")
@@ -659,3 +658,20 @@ def test_regression_suite_bits_are_pinned(regression_suite):
     text = experiments.report_to_json(regression_suite)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "fd596b3267666689330fe470f2cd2cf89e4a1f8c9c613447ffe7022813881de6")
+
+
+def test_classification_grid_bits_are_pinned(classification_grid):
+    """sha256 of the seed-1 classification grid: its rows, ROC series
+    and class-wise summaries are the metric functions' own dicts."""
+    text = experiments.report_to_json(classification_grid)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "57ac6a736257f95e1e3e3039a219574bd00986c8e453fad22ddc210cf39d3437")
+
+
+def test_eda_bits_are_pinned(protocol):
+    """sha256 of the EDA report of the packaged file: its correlation
+    block is pearson_matrix's own dict."""
+    text = experiments.report_to_json(
+        experiments.run_eda(experiments.ExperimentConfig(), protocol.dataset))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "67c73a8fa453cd01dd8ca3a3323523a63de6a599b979231a961a0b026b6f6f72")

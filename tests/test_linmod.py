@@ -32,7 +32,7 @@ def test_ols_exact_linear_data(rng):
     m = fit_ols(x, 3.0 * x[:, 0])
     np.testing.assert_allclose(m.coefficients, [3.0], atol=1e-10)
     assert abs(m.intercept) < 1e-10
-    assert regression_metrics(3.0 * x[:, 0], linear_predict(m, x), p=1).r2 == pytest.approx(1.0)
+    assert regression_metrics(3.0 * x[:, 0], linear_predict(m, x), p=1)["r2"] == pytest.approx(1.0)
 
 
 def test_ols_constant_target(rng):
@@ -94,10 +94,10 @@ def test_ridge_norm_nonincreasing_in_lambda(rng):
 def test_ols_train_r2_dominates_ridge(rng):
     X = rng.normal(size=(50, 5))
     y = rng.normal(size=50)
-    r2_ols = regression_metrics(y, linear_predict(fit_ols(X, y), X), p=5).r2
+    r2_ols = regression_metrics(y, linear_predict(fit_ols(X, y), X), p=5)["r2"]
     for lam in (0.1, 1.0, 10.0):
         r2_ridge = regression_metrics(
-            y, linear_predict(fit_ridge(X, y, lam), X), p=5).r2
+            y, linear_predict(fit_ridge(X, y, lam), X), p=5)["r2"]
         assert r2_ols >= r2_ridge - 1e-12
 
 

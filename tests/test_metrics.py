@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpgworkbench.metrics import (ClassificationReport, ConfusionMatrix,
-                                  adjusted_r2, classification_report,
+from mpgworkbench.metrics import (adjusted_r2, classification_report,
                                   confusion_matrix, dataset_correlations,
                                   histogram, pearson_correlation,
                                   pearson_matrix, regression_metrics,
@@ -18,15 +17,15 @@ from mpgworkbench.metrics import (ClassificationReport, ConfusionMatrix,
 
 def test_perfect_predictions():
     m = regression_metrics(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), p=1)
-    assert m.mae == 0.0 and m.mse == 0.0 and m.rmse == 0.0
-    assert m.r2 == 1.0 and m.adj_r2 == 1.0
+    assert m["mae"] == 0.0 and m["mse"] == 0.0 and m["rmse"] == 0.0
+    assert m["r2"] == 1.0 and m["adj_r2"] == 1.0
 
 
 def test_hand_computed_example():
     m = regression_metrics(np.array([1.0, 2.0, 3.0]), np.array([2.0, 2.0, 2.0]), p=1)
-    assert m.mae == pytest.approx(2.0 / 3.0)
-    assert m.mse == pytest.approx(2.0 / 3.0)
-    assert m.r2 == pytest.approx(0.0)
+    assert m["mae"] == pytest.approx(2.0 / 3.0)
+    assert m["mse"] == pytest.approx(2.0 / 3.0)
+    assert m["r2"] == pytest.approx(0.0)
 
 
 def test_adjusted_r2_published_example():
@@ -42,9 +41,9 @@ def test_rmse_mae_relation(rng):
     y = rng.normal(size=30)
     pred = y + rng.normal(size=30)
     m = regression_metrics(y, pred, p=2)
-    assert m.rmse == pytest.approx(np.sqrt(m.mse))
-    assert m.mae <= m.rmse + 1e-12
-    assert m.adj_r2 <= m.r2
+    assert m["rmse"] == pytest.approx(np.sqrt(m["mse"]))
+    assert m["mae"] <= m["rmse"] + 1e-12
+    assert m["adj_r2"] <= m["r2"]
 
 
 def test_constant_y_true_rejected():
@@ -60,7 +59,7 @@ def test_length_mismatch_rejected():
 def test_train_mean_predictor_r2_zero(rng):
     y = rng.normal(size=25)
     m = regression_metrics(y, np.full(25, y.mean()), p=1)
-    assert m.r2 == pytest.approx(0.0, abs=1e-12)
+    assert m["r2"] == pytest.approx(0.0, abs=1e-12)
 
 
 # --- confusion matrix / report
@@ -68,24 +67,31 @@ def test_train_mean_predictor_r2_zero(rng):
 def test_all_correct():
     rep = classification_report(
         confusion_matrix(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1])))
-    assert rep.accuracy == 1.0
-    assert rep.f1[0] == 1.0 and rep.f1[1] == 1.0
-    assert rep.flags == ()
+    assert rep["accuracy"] == 1.0
+    assert rep["class0"]["f1"] == 1.0 and rep["class1"]["f1"] == 1.0
+    assert rep["flags"] == []
 
 
 def test_hand_counted_example():
     rep = classification_report(
         confusion_matrix(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1])))
-    assert rep.precision[1] == pytest.approx(2.0 / 3.0)
-    assert rep.recall[1] == 1.0
-    assert rep.f1[1] == pytest.approx(0.8)
+    assert rep["class1"]["precision"] == pytest.approx(2.0 / 3.0)
+    assert rep["class1"]["recall"] == 1.0
+    assert rep["class1"]["f1"] == pytest.approx(0.8)
 
 
 def test_no_predicted_positives_flagged_not_raised():
     rep = classification_report(
         confusion_matrix(np.array([0, 1]), np.array([0, 0])))
-    assert rep.precision[1] == 0.0
-    assert "precision_1" in rep.flags
+    assert rep["class1"]["precision"] == 0.0
+    assert "precision_1" in rep["flags"]
+
+
+def test_flags_keep_metric_then_class_order():
+    """Flags list every precision, then every recall, then every F1,
+    class 0 before class 1 within each."""
+    rep = classification_report(confusion_matrix([1, 1], [0, 0]))
+    assert rep["flags"] == ["precision_1", "recall_0", "f1_0", "f1_1"]
 
 
 def test_confusion_validation():
@@ -104,7 +110,8 @@ def test_accuracy_is_prevalence_weighted_recall(rng):
     rep = classification_report(confusion_matrix(t, q))
     n0 = (t == 0).sum() / t.size
     n1 = (t == 1).sum() / t.size
-    assert rep.accuracy == pytest.approx(n0 * rep.recall[0] + n1 * rep.recall[1])
+    assert rep["accuracy"] == pytest.approx(
+        n0 * rep["class0"]["recall"] + n1 * rep["class1"]["recall"])
 
 
 # --- ROC / AUC
@@ -119,12 +126,12 @@ def auc_by_pairs(scores, labels):
 
 def test_perfect_ranking_auc_one():
     curve = roc_curve(np.array([0.9, 0.8, 0.3, 0.1]), np.array([1, 1, 0, 0]))
-    assert curve.auc == 1.0
+    assert curve["auc"] == 1.0
 
 
 def test_interleaved_ranking_auc():
     curve = roc_curve(np.array([0.9, 0.6, 0.4, 0.1]), np.array([1, 0, 1, 0]))
-    assert curve.auc == pytest.approx(0.75)
+    assert curve["auc"] == pytest.approx(0.75)
 
 
 def test_roc_endpoints_and_monotone(rng):
@@ -132,20 +139,20 @@ def test_roc_endpoints_and_monotone(rng):
     labels = rng.integers(0, 2, 40)
     labels[0], labels[1] = 0, 1
     curve = roc_curve(scores, labels)
-    assert curve.points[0] == (0.0, 0.0)
-    assert curve.points[-1] == (1.0, 1.0)
-    fpr = [p[0] for p in curve.points]
-    tpr = [p[1] for p in curve.points]
+    assert curve["points"][0] == [0.0, 0.0]
+    assert curve["points"][-1] == [1.0, 1.0]
+    fpr = [p[0] for p in curve["points"]]
+    tpr = [p[1] for p in curve["points"]]
     assert all(a <= b for a, b in zip(fpr, fpr[1:]))
     assert all(a <= b for a, b in zip(tpr, tpr[1:]))
-    assert curve.thresholds[0] == np.inf
+    assert curve["thresholds"][0] is None  # the +inf anchor
 
 
 def test_tied_scores_grouped():
     curve = roc_curve(np.array([0.5, 0.5, 0.2]), np.array([1, 0, 0]))
     # one point for the tied pair plus the anchor and the final point
-    assert len(curve.points) == 3
-    assert curve.auc == pytest.approx(auc_by_pairs(
+    assert len(curve["points"]) == 3
+    assert curve["auc"] == pytest.approx(auc_by_pairs(
         np.array([0.5, 0.5, 0.2]), np.array([1, 0, 0])))
 
 
@@ -156,7 +163,7 @@ def test_auc_equals_pair_statistic(rng):
         labels = rng.integers(0, 2, n)
         labels[0], labels[1] = 0, 1
         curve = roc_curve(scores, labels)
-        assert abs(curve.auc - auc_by_pairs(scores, labels)) <= 1e-12
+        assert abs(curve["auc"] - auc_by_pairs(scores, labels)) <= 1e-12
 
 
 def test_auc_invariant_under_monotone_transform(rng):
@@ -165,8 +172,8 @@ def test_auc_invariant_under_monotone_transform(rng):
     labels[0], labels[1] = 0, 1
     a = roc_curve(scores, labels)
     b = roc_curve(np.exp(2.0 * scores), labels)
-    assert a.auc == pytest.approx(b.auc, abs=1e-12)
-    assert a.points == b.points
+    assert a["auc"] == pytest.approx(b["auc"], abs=1e-12)
+    assert a["points"] == b["points"]
 
 
 def test_roc_one_class_rejected():
@@ -197,18 +204,20 @@ def test_constant_column_rejected():
 def test_pearson_matrix_symmetric_unit_diagonal(rng):
     cols = rng.normal(size=(30, 4))
     cm = pearson_matrix(cols, ["a", "b", "c", "d"])
-    np.testing.assert_allclose(cm.values, cm.values.T)
-    np.testing.assert_allclose(np.diag(cm.values), 1.0)
-    assert np.abs(cm.values).max() <= 1.0 + 1e-12
+    assert cm["labels"] == ["a", "b", "c", "d"]
+    values = np.array(cm["values"])
+    np.testing.assert_allclose(values, values.T)
+    np.testing.assert_allclose(np.diag(values), 1.0)
+    assert np.abs(values).max() <= 1.0 + 1e-12
 
 
 def test_dataset_correlation_anchors(dataset):
     cm = dataset_correlations(dataset)
-    labels = list(cm.labels)
+    values, labels = np.array(cm["values"]), cm["labels"]
     i = {name: labels.index(name) for name in labels}
-    assert cm.values[i["displacement"], i["cylinders"]] == pytest.approx(0.951, abs=5e-3)
-    assert cm.values[i["mpg"], i["weight"]] == pytest.approx(-0.832, abs=5e-3)
-    assert cm.values[i["displacement"], i["weight"]] == pytest.approx(0.933, abs=5e-3)
+    assert values[i["displacement"], i["cylinders"]] == pytest.approx(0.951, abs=5e-3)
+    assert values[i["mpg"], i["weight"]] == pytest.approx(-0.832, abs=5e-3)
+    assert values[i["displacement"], i["weight"]] == pytest.approx(0.933, abs=5e-3)
 
 
 # --- histogram
