@@ -49,81 +49,65 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
+def _fmt(value, places: int = 6) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.6f}"
+        return f"{value:.{places}f}"
     return str(value)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _bins(h: dict) -> list:
+    return [[h["edges"][i], h["edges"][i + 1], c] for i, c in enumerate(h["counts"])]
 
 
-def _eda_csvs(eda: dict, out: str) -> None:
-    labels = eda["correlation"]["labels"]
-    _write_csv(os.path.join(out, "correlation.csv"),
-               ["feature"] + labels,
-               [[lab] + list(row)
-                for lab, row in zip(labels, eda["correlation"]["values"])])
-    dist_rows = []
-    for name, h in sorted(eda["distributions"].items()):
-        for i, count in enumerate(h["counts"]):
-            dist_rows.append([name, h["edges"][i], h["edges"][i + 1], count])
-    _write_csv(os.path.join(out, "distributions.csv"),
-               ["feature", "bin_left", "bin_right", "count"], dist_rows)
-    names = sorted(eda["pairwise"])
-    columns = [eda["pairwise"][n] for n in names]
-    _write_csv(os.path.join(out, "pairwise.csv"), names,
-               [list(row) for row in zip(*columns)])
+_PRF = ["precision", "recall", "f1"]
 
 
-def _regression_csvs(reg: dict, out: str) -> None:
-    _write_csv(os.path.join(out, "table3.csv"),
-               ["model", "mae", "mse", "rmse", "r2", "adj_r2", "cv_mean_r2"],
-               [[r["model"], r["mae"], r["mse"], r["rmse"], r["r2"],
-                 r["adj_r2"], r["cv_mean_r2"]] for r in reg["table"]])
-    fig = reg["figure_data"]
-    _write_csv(os.path.join(out, "true_vs_pred.csv"), ["y_true", "y_pred"],
-               fig["true_vs_pred"])
-    _write_csv(os.path.join(out, "residuals.csv"), ["y_pred", "residual"],
-               fig["pred_vs_residual"])
-    h = fig["residual_histogram"]
-    _write_csv(os.path.join(out, "residual_hist.csv"),
-               ["bin_left", "bin_right", "count"],
-               [[h["edges"][i], h["edges"][i + 1], c]
-                for i, c in enumerate(h["counts"])])
-    _write_csv(os.path.join(out, "model_comparison.csv"), ["model", "r2"],
+def _csv_tables(report: dict):
+    """(file name, header, rows) of every CSV table the report holds."""
+    eda = report.get("eda")
+    if eda:
+        labels = eda["correlation"]["labels"]
+        yield ("correlation.csv", ["feature", *labels],
+               [[lab, *row] for lab, row in zip(labels, eda["correlation"]["values"])])
+        yield ("distributions.csv", ["feature", "bin_left", "bin_right", "count"],
+               [[name, *b] for name, h in sorted(eda["distributions"].items())
+                for b in _bins(h)])
+        names = sorted(eda["pairwise"])
+        yield "pairwise.csv", names, list(zip(*(eda["pairwise"][n] for n in names)))
+    reg = report.get("regression")
+    if reg:
+        cols = ["model", "mae", "mse", "rmse", "r2", "adj_r2", "cv_mean_r2"]
+        yield "table3.csv", cols, [[r[k] for k in cols] for r in reg["table"]]
+        fig = reg["figure_data"]
+        yield "true_vs_pred.csv", ["y_true", "y_pred"], fig["true_vs_pred"]
+        yield "residuals.csv", ["y_pred", "residual"], fig["pred_vs_residual"]
+        yield ("residual_hist.csv", ["bin_left", "bin_right", "count"],
+               _bins(fig["residual_histogram"]))
+        yield ("model_comparison.csv", ["model", "r2"],
                [[r["model"], r["r2"]] for r in fig["model_comparison"]])
-
-
-def _classification_csvs(clf: dict, out: str) -> None:
-    _write_csv(os.path.join(out, "table4.csv"),
-               ["model", "C", "accuracy",
-                "class0_precision", "class0_recall", "class0_f1",
-                "class1_precision", "class1_recall", "class1_f1"],
+    clf = report.get("classification")
+    if clf:
+        yield ("table4.csv",
+               ["model", "C", "accuracy", *(f"class{c}_{m}" for c in (0, 1) for m in _PRF)],
                [[r["model"], r["C"], r["accuracy"],
-                 r["class0"]["precision"], r["class0"]["recall"], r["class0"]["f1"],
-                 r["class1"]["precision"], r["class1"]["recall"], r["class1"]["f1"]]
-                for r in clf["table"]])
-    for table_name, cls in (("table5.csv", "class0"), ("table6.csv", "class1")):
-        _write_csv(os.path.join(out, table_name),
-                   ["model", "precision", "recall", "f1"],
-                   [[r["model"], r["precision"], r["recall"], r["f1"]]
-                    for r in clf["class_summaries"][cls]])
-    for key, curve in sorted(clf["roc"].items()):
-        _write_csv(os.path.join(out, f"roc_{key}.csv"),
-                   ["fpr", "tpr", "threshold"],
-                   [[p[0], p[1], t] for p, t in
-                    zip(curve["points"], curve["thresholds"])])
+                 *(r[f"class{c}"][m] for c in (0, 1) for m in _PRF)] for r in clf["table"]])
+        for name, cls in (("table5.csv", "class0"), ("table6.csv", "class1")):
+            yield (name, ["model", *_PRF],
+                   [[r["model"], *(r[m] for m in _PRF)] for r in clf["class_summaries"][cls]])
+        for key, curve in sorted(clf["roc"].items()):
+            yield (f"roc_{key}.csv", ["fpr", "tpr", "threshold"],
+                   [[*p, t] for p, t in zip(curve["points"], curve["thresholds"])])
+
+
+def _md_table(header: list, rows) -> list:
+    return ["| " + " | ".join(header) + " |", "|" + "---|" * len(header),
+            *("| " + " | ".join(_fmt(v, 3) for v in row) + " |" for row in rows)]
 
 
 def _markdown(report: dict) -> str:
+    tables = {name: rows for name, _, rows in _csv_tables(report)}
     lines = ["# Auto MPG workbench report", ""]
     prov = report.get("provenance")
     if prov:
@@ -133,32 +117,18 @@ def _markdown(report: dict) -> str:
                   f"- data sha256: `{prov['data_sha256']}`",
                   f"- seed: {prov['config']['seed']}",
                   f"- train/test: {prov['n_train']}/{prov['n_test']}", ""]
-    reg = report.get("regression")
-    if reg:
+    if "table3.csv" in tables:
         lines += ["## Regression comparison", "",
-                  "| Model | MAE | MSE | RMSE | R2 | Adj R2 | CV |",
-                  "|---|---|---|---|---|---|---|"]
-        for r in reg["table"]:
-            cv = "" if r["cv_mean_r2"] is None else f"{r['cv_mean_r2']:.3f}"
-            lines.append(
-                f"| {r['model']} | {r['mae']:.3f} | {r['mse']:.3f} "
-                f"| {r['rmse']:.3f} | {r['r2']:.3f} | {r['adj_r2']:.3f} | {cv} |")
-        lines.append("")
-    clf = report.get("classification")
-    if clf:
+                  *_md_table(["Model", "MAE", "MSE", "RMSE", "R2", "Adj R2", "CV"],
+                             tables["table3.csv"]), ""]
+    if "table4.csv" in tables:
         lines += ["## Classification grid", "",
-                  "| Model | Accuracy | C0 P | C0 R | C0 F1 | C1 P | C1 R | C1 F1 |",
-                  "|---|---|---|---|---|---|---|---|"]
-        for r in clf["table"]:
-            c0, c1 = r["class0"], r["class1"]
-            lines.append(
-                f"| {r['model']} | {r['accuracy']:.3f} "
-                f"| {c0['precision']:.3f} | {c0['recall']:.3f} | {c0['f1']:.3f} "
-                f"| {c1['precision']:.3f} | {c1['recall']:.3f} | {c1['f1']:.3f} |")
-        lines += ["", "### ROC AUC", ""]
-        for key, curve in sorted(clf["roc"].items()):
-            lines.append(f"- {key}: AUC = {curve['auc']:.3f}")
-        lines.append("")
+                  *_md_table(["Model", "Accuracy", "C0 P", "C0 R", "C0 F1",
+                              "C1 P", "C1 R", "C1 F1"],
+                             ([model, *scores] for model, _, *scores in tables["table4.csv"])),
+                  "", "### ROC AUC", "",
+                  *(f"- {key}: AUC = {curve['auc']:.3f}"
+                    for key, curve in sorted(report["classification"]["roc"].items())), ""]
     return "\n".join(lines) + "\n"
 
 
@@ -228,11 +198,13 @@ def _run(args) -> int:
 
 
 def _write_outputs(report: dict, out: str, fmt: str) -> None:
-    """Write every output into a temporary directory next to ``out``,
-    then create ``out`` and move them into it; a failure leaves ``out``
-    as it was, or absent."""
+    """Write every output into a temporary directory in the nearest
+    existing directory above ``out``, then create ``out`` with its
+    missing parents and move them into it; a failure leaves ``out`` as
+    it was, or absent, and creates no parent."""
     parent = os.path.dirname(os.path.abspath(out))
-    os.makedirs(parent, exist_ok=True)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
     staging = tempfile.mkdtemp(prefix=".mpgw-", dir=parent)
     try:
         _write_files(report, staging, fmt)
@@ -249,21 +221,18 @@ def _write_outputs(report: dict, out: str, fmt: str) -> None:
 
 
 def _write_files(report: dict, out: str, fmt: str) -> None:
+    files = {}
     if fmt in ("json", "all"):
-        with open(os.path.join(out, "report.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(report_to_json(report) + "\n")
+        files["report.json"] = report_to_json(report) + "\n"
     if fmt in ("csv", "all"):
-        if "eda" in report:
-            _eda_csvs(report["eda"], out)
-        if "regression" in report:
-            _regression_csvs(report["regression"], out)
-        if "classification" in report:
-            _classification_csvs(report["classification"], out)
+        for name, header, rows in _csv_tables(report):
+            files[name] = "".join(",".join(_fmt(v) for v in row) + "\n"
+                                  for row in [header, *rows])
     if fmt in ("md", "all"):
-        with open(os.path.join(out, "report.md"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(_markdown(report))
+        files["report.md"] = _markdown(report)
+    for name, text in files.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,10 +273,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (FileNotFoundError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ParseError, DataError) as exc:
+            UnicodeDecodeError, ParseError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -20,11 +20,14 @@ def adjusted_r2(r2: float, n: int, p: int) -> float:
 
 def regression_metrics(y_true: np.ndarray, y_pred: np.ndarray, p: int) -> dict:
     """{"mae", "mse", "rmse", "r2", "adj_r2"} of the predictions, with p
-    features counted by the adjusted R^2."""
+    features counted by the adjusted R^2.  A non-finite prediction (a
+    diverged model) raises FloatingPointError."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
     if y_true.shape != y_pred.shape:
         raise ValueError("y_true and y_pred must have equal length")
+    if not np.isfinite(y_pred).all():
+        raise FloatingPointError("non-finite prediction")
     n = y_true.size
     if n < 2:
         raise ValueError("need n >= 2")
@@ -87,9 +90,12 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> dict:
     scores are grouped into a single point.  AUC by trapezoidal rule.
     Returns {"points": [[fpr, tpr], ...], "thresholds": [...], "auc"},
     points from (0, 0) to (1, 1); the threshold of the (0, 0) anchor,
-    +inf, is None."""
+    +inf, is None.  A non-finite score (a diverged decision function)
+    raises FloatingPointError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(int)
+    if not np.isfinite(scores).all():
+        raise FloatingPointError("non-finite score")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

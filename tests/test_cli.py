@@ -1,15 +1,16 @@
 """Command-line interface: exit codes, output files, config handling."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mpgworkbench import cli, experiments
 from mpgworkbench.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                              _load_config_file, _markdown, _regression_csvs,
-                              main)
+                              _load_config_file, _markdown, _write_files, main)
 from mpgworkbench.ingest import DATA_SHA256, reference_data_path
 from mpgworkbench.kernelmod import SmoError
 
@@ -184,6 +185,28 @@ def test_failed_model_scoring_exits_without_outputs(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, bad", [
+    ("classify", "logistic_scores", np.inf),
+    ("regress", "forest_predict", np.nan),
+])
+def test_non_finite_model_output_exits_three(tmp_path, capsys, monkeypatch,
+                                             command, name, bad):
+    """A diverged model is a numerical failure, not a JSON encoding
+    (usage) error."""
+    real = getattr(experiments, name)
+
+    def diverged(*args):
+        values = np.array(real(*args), dtype=float)
+        values[0] = bad
+        return values
+
+    monkeypatch.setattr(experiments, name, diverged)
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not out.exists()
+
+
 # --- recorded data path (the suite itself is stubbed: only the config
 # written next to it is under test)
 
@@ -281,6 +304,27 @@ def test_failed_staging_leaves_no_out(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_failed_staging_creates_no_parents(tmp_path, capsys, monkeypatch):
+    """Staging happens in the nearest existing directory above --out;
+    the missing parents are made only once every file is staged."""
+    def fail(report, out, fmt):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_files", fail)
+    out = tmp_path / "nest" / "a" / "out"
+    assert run_cli(["eda", "--out", str(out)]) == EXIT_USAGE
+    assert "disk full" in capsys.readouterr().err
+    assert not (tmp_path / "nest").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_with_missing_parents_is_created(tmp_path):
+    out = tmp_path / "nest" / "a" / "out"
+    assert run_cli(["eda", "--out", str(out), "--format", "json"]) == EXIT_OK
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+    assert list(tmp_path.iterdir()) == [tmp_path / "nest"]
+
+
 # --- classify outputs
 
 @pytest.fixture(scope="module")
@@ -313,19 +357,63 @@ def test_classify_json_carries_config(classify_out):
     assert report["config"]["threshold_mpg"] == 25.0
 
 
-# --- regression CSV writers (driven from the session fixture, not a
-# second expensive CLI run)
+# --- renderers (driven from the session fixtures, not a second
+# expensive CLI run)
+
+@pytest.fixture(scope="module")
+def eda(protocol):
+    return experiments.run_eda(experiments.ExperimentConfig(), protocol.dataset)
+
 
 def test_regression_csvs_written(tmp_path, regression_suite):
     out = tmp_path / "reg"
     os.makedirs(out)
-    _regression_csvs(regression_suite, str(out))
+    _write_files({"regression": regression_suite}, str(out), "csv")
     names = {p.name for p in out.iterdir()}
     assert names == {"table3.csv", "true_vs_pred.csv", "residuals.csv",
                      "residual_hist.csv", "model_comparison.csv"}
     table3 = (out / "table3.csv").read_text().strip().split("\n")
     assert len(table3) == 8  # header + 7 model rows
     assert table3[0].startswith("model,mae,mse,rmse,r2,adj_r2")
+
+
+def test_rendered_csv_and_markdown_bits_are_pinned(tmp_path, eda, regression_suite,
+                                                  classification_grid):
+    """sha256 over the sorted (name, bytes) of every CSV and report.md of
+    the seed-1 suites, recorded from the per-suite CSV writers and the
+    hand-built Markdown rows."""
+    report = {"eda": eda, "regression": regression_suite,
+              "classification": classification_grid}
+    _write_files(report, str(tmp_path), "all")
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        if path.name != "report.json":
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == (
+        "6773353a8dad044da47d4e276bd635837c899aff2e4a376d323310a23461de94")
+
+
+@pytest.mark.parametrize("command", ["eda", "regress", "classify", "report"])
+def test_formats_split_the_files_of_all(tmp_path, monkeypatch, eda, regression_suite,
+                                        classification_grid, command):
+    """--format json, csv and md together write exactly the files of
+    --format all, with the same bytes (the suites are stubbed)."""
+    monkeypatch.setattr(cli, "run_eda", lambda config: eda)
+    monkeypatch.setattr(cli, "run_regression_suite", lambda config: regression_suite)
+    monkeypatch.setattr(cli, "run_classification_grid",
+                        lambda config: classification_grid)
+    monkeypatch.setattr(cli, "run_full_report", lambda config: {
+        "eda": eda, "regression": regression_suite,
+        "classification": classification_grid})
+
+    def files(fmt):
+        out = tmp_path / fmt
+        assert run_cli([command, "--out", str(out), "--format", fmt]) == EXIT_OK
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    parts, whole = [files(fmt) for fmt in ("json", "csv", "md")], files("all")
+    assert sum(len(p) for p in parts) == len(whole)
+    assert {k: v for p in parts for k, v in p.items()} == whole
 
 
 # --- config files

@@ -56,6 +56,13 @@ def test_length_mismatch_rejected():
         regression_metrics(np.ones(4), np.ones(3), p=1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_prediction_raises(bad):
+    # a diverged model fails as a numerical error, not with an inf MAE
+    with pytest.raises(FloatingPointError):
+        regression_metrics([0.0, 1.0, 2.0], [0.0, 1.0, bad], p=1)
+
+
 def test_train_mean_predictor_r2_zero(rng):
     y = rng.normal(size=25)
     m = regression_metrics(y, np.full(25, y.mean()), p=1)
@@ -179,6 +186,13 @@ def test_auc_invariant_under_monotone_transform(rng):
 def test_roc_one_class_rejected():
     with pytest.raises(ValueError):
         roc_curve(np.array([0.1, 0.2]), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_roc_non_finite_score_raises(bad):
+    # an inf would become a threshold; a NaN sorts first and gives AUC 0
+    with pytest.raises(FloatingPointError):
+        roc_curve([bad, 0.5, 0.0], [1, 0, 0])
 
 
 # --- correlations
