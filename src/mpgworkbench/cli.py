@@ -9,8 +9,17 @@ Subcommands map to the workbench's artifacts:
 * ``validate-data``  structural checks + checksum of a data file
 
 Outputs are written under ``--out``: a canonical JSON report, one CSV per
-table, and a Markdown rendering.  Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical failure.
+table, and a Markdown rendering.  The phase a failure comes from picks
+its exit code:
+
+  0  success
+  1  usage: parsing the flags, reading --config, checking the run
+     settings; and writing --out
+  2  data: any other ValueError or OSError while reading the data file
+     or computing on it (a missing or malformed file, a constant column,
+     too few rows for the split, the folds or a model)
+  3  numerical: NumericalError (SmoError, ConvergenceError, a singular
+     system), LinAlgError or FloatingPointError (non-finite output)
 """
 
 from __future__ import annotations
@@ -26,10 +35,8 @@ import tempfile
 import numpy as np
 
 from .experiments import ExperimentConfig, report_to_json, run_classification_grid, run_eda, run_full_report, run_regression_suite
-from .ingest import (DATA_SHA256, DataError, ParseError, parse_auto_mpg,
-                     read_data_file, reference_data_path)
-from .kernelmod import SmoError
-from .linmod import ConvergenceError
+from .ingest import (DATA_SHA256, parse_auto_mpg, read_data_file,
+                     reference_data_path)
 from .numcore import NumericalError
 
 EXIT_OK = 0
@@ -173,28 +180,11 @@ def _validate_data(path: str) -> int:
     return EXIT_OK
 
 
-def _run(args) -> int:
-    if args.command == "validate-data":
-        return _validate_data(args.data_path or reference_data_path())
-    config = _build_config(args)
-    # compute fully in memory before writing anything, so a failure
-    # leaves no partial files behind
-    if args.command == "report":
-        report = run_full_report(config)
-    elif args.command == "eda":
-        report = {"eda": run_eda(config)}
-    elif args.command == "regress":
-        report = {"regression": run_regression_suite(config)}
-    else:  # classify
-        report = {"classification": run_classification_grid(config)}
-    report.setdefault("config", config.to_dict())
-    try:
-        _write_outputs(report, args.out, args.format)
-    except OSError as exc:  # an unusable --out; unreadable --data exits 2
-        print(f"error: cannot write outputs to {args.out}: {exc}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+# each command's report (looked up when it runs)
+_REPORTS = {"report": lambda config: run_full_report(config),
+            "eda": lambda config: {"eda": run_eda(config)},
+            "regress": lambda config: {"regression": run_regression_suite(config)},
+            "classify": lambda config: {"classification": run_classification_grid(config)}}
 
 
 def _write_outputs(report: dict, out: str, fmt: str) -> None:
@@ -266,27 +256,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the phase a failure comes from picks its exit
+    code (see the module docstring)."""
     try:
         args = build_parser().parse_args(argv)
+        config = None if args.command == "validate-data" else _build_config(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _run(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError,
-            UnicodeDecodeError, ParseError, DataError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, ConvergenceError, SmoError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    # compute fully in memory before writing anything, so a failure
+    # leaves no partial files behind
+    try:
+        if config is None:
+            return _validate_data(args.data_path or reference_data_path())
+        report = _REPORTS[args.command](config)
+        report.setdefault("config", config.to_dict())
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        # before ValueError, which LinAlgError subclasses
         viol = getattr(exc, "max_violation", None)
         steps = getattr(exc, "iterations", None)
         detail = "" if viol is None else f"; max KKT violation {viol}"
         detail += "" if steps is None else f"; SMO steps {steps}"
         print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    try:
+        _write_outputs(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out}: {exc}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .ingest import (FEATURE_NAMES, DataError, Dataset, load_dataset,
-                     reference_data_path)
+from .ingest import (DataError, Dataset, load_dataset, reference_data_path,
+                     require_varying)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class)
@@ -109,20 +109,11 @@ def _standardized(X, y, train, test, split: str):
     """(Xtr, ytr, Xte, yte): rows ``train`` and ``test`` of X and y,
     standardized with the training rows' statistics.  A column constant
     in the training rows is a DataError naming it and ``split``."""
-    out = []
-    for M, names in ((X, FEATURE_NAMES), (y[:, None], ("mpg",))):
-        rows = M[train]
-        try:
-            s = fit_standardizer(rows)
-        except ValueError:
-            constant = np.flatnonzero(rows.std(axis=0) <= 0.0)
-            if constant.size == 0:
-                raise
-            raise DataError(f"{names[constant[0]]!r} is constant in the "
-                            f"{split}; cannot standardize") from None
-        out += [apply_standardizer(s, rows), apply_standardizer(s, M[test])]
-    Xtr, Xte, ytr, yte = out
-    return Xtr, ytr[:, 0], Xte, yte[:, 0]
+    Xs, ys = X[train], y[train, None]
+    require_varying(Xs, ys[:, 0], f"the {split}")
+    fx, fy = fit_standardizer(Xs), fit_standardizer(ys)
+    return (apply_standardizer(fx, Xs), apply_standardizer(fy, ys)[:, 0],
+            apply_standardizer(fx, X[test]), apply_standardizer(fy, y[test, None])[:, 0])
 
 
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:

@@ -200,10 +200,21 @@ def build_dataset(table: RawTable, threshold_mpg: float = DEFAULT_THRESHOLD_MPG)
     return Dataset(X=X, y=y, label=label, column_names=FEATURE_NAMES)
 
 
+def require_varying(X: np.ndarray, y: np.ndarray, where: str) -> None:
+    """Raise DataError naming the first feature column of X, then mpg (y),
+    whose values are all equal; ``where`` names the rows."""
+    for M, names in ((X, FEATURE_NAMES), (y[:, None], ("mpg",))):
+        constant = np.flatnonzero(M.min(axis=0) == M.max(axis=0))
+        if constant.size:
+            raise DataError(f"{names[constant[0]]!r} is constant in {where}")
+
+
 def load_dataset(path: str, threshold_mpg: float = DEFAULT_THRESHOLD_MPG) -> Dataset:
     """Parse, impute and assemble in one step from one read of a file;
-    the Dataset carries the SHA-256 of the bytes it was parsed from."""
+    the Dataset carries the SHA-256 of the bytes it was parsed from.  A
+    feature or mpg constant in the whole file is a DataError."""
     text, sha256 = read_data_file(path)
     dataset = build_dataset(impute_horsepower_median(parse_auto_mpg(text)),
                             threshold_mpg)
+    require_varying(dataset.X, dataset.y, "the data file")
     return replace(dataset, sha256=sha256)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numcore import NumericalError
+
 # unused here, but perfbench/layers.py names kernelmod.Xoshiro256StarStar
 # as the generator whose draws it counts, and subclasses it
 from .rng import Xoshiro256StarStar  # noqa: F401
@@ -32,9 +34,9 @@ KKT_TOL = 1e-3
 MAX_ITER = 2_000_000
 
 
-class SmoError(RuntimeError):
-    """Solver stalled, hit the iteration cap or failed its KKT audit;
-    carries diagnostics."""
+class SmoError(NumericalError):
+    """SMO stalled, hit the iteration cap or failed its KKT audit, or the
+    active-set start left the box; carries diagnostics."""
 
     def __init__(self, message: str, dual=None, max_violation=None,
                  iterations=None):
@@ -269,12 +271,14 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         beta0 = np.asarray(beta0, dtype=float)
         if beta0.shape != y.shape:
             raise ValueError("beta0 shape must match y")
+        if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
+            raise ValueError("beta0 must lie in the box with sum 0")
         beta0 = _svr_active_set(K, y, C, epsilon, beta0)  # a new array
         # a rounding-level multiplier would count as signed in the KKT
         # offsets, yet the step to 0 that fixes it is below the floor
         beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
         if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
-            raise ValueError("beta0 must lie in the box with sum 0")
+            raise SmoError("the active-set start left the box with sum 0")
     return _smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon, tol,
                 max_iter, beta0)
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import least_squares, solve_spd
+from .numcore import NumericalError, least_squares, solve_spd
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(NumericalError):
     """Iterative fit failed to converge; carries the last iterate."""
 
     def __init__(self, message: str, last_iterate=None):

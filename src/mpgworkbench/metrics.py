@@ -116,12 +116,11 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> dict:
 def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.min() == a.max() or b.min() == b.max():
+        raise ValueError("constant column: correlation undefined")
     ac = a - a.mean()
     bc = b - b.mean()
-    denom = np.sqrt((ac * ac).sum() * (bc * bc).sum())
-    if denom == 0.0:
-        raise ValueError("constant column: correlation undefined")
-    return float((ac * bc).sum() / denom)
+    return float((ac * bc).sum() / np.sqrt((ac * ac).sum() * (bc * bc).sum()))
 
 
 def pearson_matrix(columns: np.ndarray, labels) -> dict:

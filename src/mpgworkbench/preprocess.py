@@ -35,12 +35,10 @@ def fit_standardizer(M: np.ndarray) -> Standardizer:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    means = M.mean(axis=0)
-    stds = M.std(axis=0)  # population convention, divisor n
-    for j, s in enumerate(stds):
-        if s <= 0.0:
-            raise ValueError(f"column {j} is constant; cannot standardize")
-    return Standardizer(means=means, stds=stds)
+    constant = np.flatnonzero(M.min(axis=0) == M.max(axis=0))
+    if constant.size:
+        raise ValueError(f"column {constant[0]} is constant; cannot standardize")
+    return Standardizer(means=M.mean(axis=0), stds=M.std(axis=0))
 
 
 def apply_standardizer(s: Standardizer, M: np.ndarray) -> np.ndarray:

@@ -236,11 +236,10 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
     return roots
 
 
-def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
-             max_features: int | None = None, seed: int = 0) -> TreeNode:
-    """Greedy recursive partitioning, drawing ``max_features`` candidate
-    features per split (default: all); stops on zero impurity or when
-    no split decreases it.  Classification labels are 0 and 1."""
+def fit_cart(X: np.ndarray, target: np.ndarray, task: str) -> TreeNode:
+    """Greedy recursive partitioning over every feature; stops on zero
+    impurity or when no split decreases it.  Classification labels are 0
+    and 1."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     X = np.asarray(X, dtype=float)
@@ -249,14 +248,8 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         raise ValueError("empty input")
     if task == "classify" and not np.isin(target, (0.0, 1.0)).all():
         raise ValueError("classification labels must be 0 or 1")
-    d = X.shape[1]
-    if max_features is None:
-        max_features = d
-    if not 1 <= max_features <= d:
-        raise ValueError("max_features out of range")
-    rng = XoshiroLanes([seed]) if max_features < d else None
     return _grow(X, target, np.arange(X.shape[0])[None, :], task,
-                 max_features, rng)[0]
+                 X.shape[1], None)[0]
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ per seed (in parallel when more than one core is available) and every
 band test reads from it.
 """
 
+import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -100,6 +101,39 @@ def test_criterion_03_report_runs_are_byte_identical(seed_reports):
     first = report_to_json(seed_reports["by_seed"][SEEDS[0]]).encode()
     second = report_to_json(seed_reports["seed1_repeat"]).encode()
     assert first == second
+
+
+# sha256 of report_to_json of each SEEDS full report (one BLAS thread or
+# more: test_reports_do_not_depend_on_blas_threads guards that).  A change
+# that moves a report on purpose re-records this table.
+SEED_REPORT_SHA256 = {
+    21: "8e00158bd12b35309de444cca3e33eea417a4855612e841130c0f13bee11dd1d",
+    22: "841bb5b43c21386f008bf9ccb8cde2f37d00fa01b15fdc5688877662d879b581",
+    23: "beacd4daf6efc17df3a2336e407f78a13415b677ac2b2ed16716df94e2f9925a",
+    24: "e1c12169f9918381472835b758480e066e9d2d4ce094dd889ccfa978f0f9f826",
+    25: "ab0af68edce809e7a02c695c544f93ac7be00c72ea5011201e9062614dc6c829",
+    26: "3f9c123430a7f0110bea8f6d34947c854c7fd5ee029d678de32ad98cd241639d",
+    27: "56e95d7b0e1aa216fe487bf84a23d2aa6554176492deef8c07726488be27e59d",
+    28: "71386290798e46b71bc095b910b3db1d6eb885f955b2d02598814d04cb84e8d2",
+    29: "2fcb6311451fe251c4eebb6fcc0fdf4354c2dc97d60b3c41b69d266675132420",
+    30: "732fe7e73f5cbcbf7962d96d4ef173cf368160c5565939a8b4ba545890c1eeb2",
+    31: "cb5d35da743bf14e2e23cb4bd3afb3d344cea47b8d9ca04b548839a8076e647d",
+    32: "8a7359d9eb7d261aa56d36f979eb7fdfc50b5a712d28f0cc06eb6fee328ed4a6",
+    33: "804e60a668348f6f5a698239e3d295c8576b3c50591319c4ea0c292e3915e633",
+    34: "96fbdff8f528019c2ae4b18943e9a15e0aa8fbbd3636855aac774fa0122fdf03",
+    35: "db2d2b012b441e99f5727bef73e2adac43167df93d644ee0a1179390af6520b6",
+    36: "5ef9eab93df38fc7d6a704014c53fa377330af52c3b52f5e58e1a7b39fdc99b7",
+    37: "9e98ab9d4cbb4b83c311e1380bd9e4513a7f0a3f433bb82940f509061820ab64",
+    38: "25368e5fd6079f34fb060a95217ab0779176ecd99e820510634ce247217191c8",
+    39: "676a2aaf4e5626964805851f7ebde58fdd9c698e986d42aafffe7f5d451db622",
+    40: "52708fa23532d3a10adc279921e67cb9169a39f31ed36b82c5292048aeee36df",
+}
+
+
+def test_seed_panel_report_bits_are_pinned(seed_reports):
+    digests = {seed: hashlib.sha256(report_to_json(report).encode()).hexdigest()
+               for seed, report in seed_reports["by_seed"].items()}
+    assert digests == SEED_REPORT_SHA256
 
 
 # --- statistical bands (median over 20 seeds)

@@ -8,11 +8,12 @@ import os
 import numpy as np
 import pytest
 
-from mpgworkbench import cli, experiments
+from mpgworkbench import cli, experiments, kernelmod
 from mpgworkbench.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                               _load_config_file, _markdown, _write_files, main)
-from mpgworkbench.ingest import DATA_SHA256, reference_data_path
-from mpgworkbench.kernelmod import SmoError
+from mpgworkbench.ingest import (DATA_SHA256, RawTable, parse_auto_mpg,
+                                 reference_data_path, serialize_raw_table)
+from mpgworkbench.kernelmod import SmoError, kernel_matrix, solve_svr_dual
 
 
 def run_cli(argv):
@@ -128,7 +129,7 @@ def test_constant_training_feature_exits_two(tmp_path, capsys):
                     "--out", str(out)])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert "data error: 'model_year' is constant in the training split" in err
+    assert "data error: 'model_year' is constant in the data file" in err
     assert not out.exists()
 
 
@@ -205,6 +206,105 @@ def test_non_finite_model_output_exits_three(tmp_path, capsys, monkeypatch,
     assert run_cli([command, "--out", str(out)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err.startswith("numerical failure:")
     assert not out.exists()
+
+
+# --- phases: flags and --config exit 1, the data 2, numerics 3
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"seed = 7  # \xff\n")
+    out = tmp_path / "out"
+    assert run_cli(["eda", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_linalg_error_exits_three(tmp_path, capsys, monkeypatch):
+    """LinAlgError is a ValueError, but a numerical failure."""
+    def singular(config):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_regression_suite", singular)
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+    assert not out.exists()
+
+
+def test_active_set_start_outside_the_box_exits_three(tmp_path, capsys,
+                                                      monkeypatch):
+    """The box-and-sum guard on the engine's start is a numerical check."""
+    monkeypatch.setattr(kernelmod, "_svr_active_set",
+                        lambda K, y, C, epsilon, beta0: np.full(y.size, 2.0 * C))
+    X = np.arange(6.0)[:, None]
+    K = kernel_matrix(kernelmod.KernelSpec("linear"), X, X)
+    with pytest.raises(SmoError, match="left the box"):
+        solve_svr_dual(K, X[:, 0], 10.0, 0.1, beta0=np.zeros(6))
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "numerical failure: the active-set start left the box" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+# --- adversarial data files: each cause has one exit code, whatever the
+# command; a run that fails exits 2 and leaves no --out
+
+COMMANDS = ("eda", "regress", "classify", "report")
+
+
+def _set(rows, **values):
+    return [dataclasses.replace(r, **values) for r in rows]
+
+
+# name: (the packaged rows -> the file's rows, exit code per command of
+# COMMANDS, the constant column that every command names, or None)
+ADVERSARIAL = {
+    "cylinders-all-4": (lambda rows: _set(rows, cylinders=4), (2, 2, 2, 2), "cylinders"),
+    # constant, yet its std is ~1e-15, not 0: the mean rounds
+    "acceleration-all-12.3": (lambda rows: _set(rows, acceleration=12.3),
+                              (2, 2, 2, 2), "acceleration"),
+    "mpg-all-20.0": (lambda rows: _set(rows, mpg=20.0), (2, 2, 2, 2), "mpg"),
+    "mpg-all-17.3": (lambda rows: _set(rows, mpg=17.3), (2, 2, 2, 2), "mpg"),
+    "first-1-row": (lambda rows: rows[:1], (2, 2, 2, 2), "cylinders"),
+    "first-2-rows": (lambda rows: rows[:2], (2, 2, 2, 2), "cylinders"),
+    "first-3-rows": (lambda rows: rows[:3], (2, 2, 2, 2), "cylinders"),
+    # 79 rows: 24 test rows for the polynomial model's 35 features, so
+    # its adjusted R^2 is undefined
+    "every-5th-row": (lambda rows: rows[4::5], (0, 2, 0, 2), None),
+    # 49 rows: 34 training rows for the polynomial model's 36 coefficients
+    "every-8th-row": (lambda rows: rows[7::8], (0, 2, 0, 2), None),
+    # a held-out fold of only 20.0 mpg: R^2 is undefined there
+    "two-mpg-values": (lambda rows: [dataclasses.replace(r, mpg=30.0 if i % 7 == 0 else 20.0)
+                                     for i, r in enumerate(rows[:60])], (0, 2, 0, 2), None),
+    "one-class": (lambda rows: [dataclasses.replace(r, mpg=24.0) if r.mpg >= 25 else r
+                                for r in rows], (0, 0, 2, 2), None),
+}
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
+    make, codes, constant = ADVERSARIAL[name]
+    data = tmp_path / "cars.data"
+    data.write_text(serialize_raw_table(RawTable(rows=tuple(
+        make(parse_auto_mpg(reference_text).rows)))), encoding="utf-8")
+    errors = []
+    for command, code in zip(COMMANDS, codes):
+        out = tmp_path / command
+        assert run_cli([command, "--data", str(data), "--out", str(out)]) == code, command
+        err = capsys.readouterr().err
+        if code == EXIT_OK:
+            assert (out / "report.json").exists()
+        else:
+            assert err.startswith("data error: ")
+            assert not out.exists()
+            errors.append(err)
+    if constant:
+        assert errors == [f"data error: {constant!r} is constant in the data file\n"] * 4
 
 
 # --- recorded data path (the suite itself is stubbed: only the config

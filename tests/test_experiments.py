@@ -121,16 +121,17 @@ def test_cv_rejects_folds_below_three_rows(rng, n, k):
 
 def test_cv_constant_training_column_is_a_data_error(rng):
     """A column that varies only inside one held-out fold is constant in
-    that fold's training rows: a DataError naming the column and fold."""
-    X = rng.normal(size=(30, 7))
-    y = X[:, 0] + rng.normal(size=30)
+    that fold's training rows: a DataError naming the column and fold.
+    A column of 12.3 counts too, though its std rounds to ~1e-15."""
     held_out = kfold(30, 6, 3)[2]
-    X[:, 5] = 70.0
-    X[held_out, 5] = 71.0
-    with pytest.raises(DataError,
-                       match="'model_year' is constant in the training rows "
-                             "of CV fold 3"):
-        ols_cv(X, y, k=6, seed=3)
+    for j, name, value in ((5, "model_year", 70.0), (4, "acceleration", 12.3)):
+        X = rng.normal(size=(30, 7))
+        y = X[:, 0] + rng.normal(size=30)
+        X[:, j] = value
+        X[held_out, j] = value + 1.0
+        with pytest.raises(DataError, match=f"'{name}' is constant in the "
+                                            "training rows of CV fold 3"):
+            ols_cv(X, y, k=6, seed=3)
 
 
 def test_cv_mean_matches_fold_scores(rng):

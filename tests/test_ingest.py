@@ -1,5 +1,7 @@
 """Parsing, imputation and dataset assembly against hand-computed oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,6 +156,17 @@ def test_nonpositive_threshold_rejected():
     table = RawTable(rows=(make_record(),))
     with pytest.raises(DataError):
         build_dataset(table, 0.0)
+
+
+@pytest.mark.parametrize("field, value", [("cylinders", 4), ("acceleration", 12.3),
+                                          ("mpg", 17.3)])
+def test_load_rejects_a_constant_column(tmp_path, raw_table, field, value):
+    """min == max, not std == 0: a column of 12.3 has a std of ~1e-15."""
+    path = tmp_path / "cars.data"
+    path.write_text(serialize_raw_table(RawTable(rows=tuple(
+        replace(r, **{field: value}) for r in raw_table.rows))), encoding="utf-8")
+    with pytest.raises(DataError, match=f"^'{field}' is constant in the data file$"):
+        load_dataset(str(path))
 
 
 def test_dataset_invariants(dataset):

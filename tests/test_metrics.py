@@ -213,6 +213,9 @@ def test_correlation_affine_invariance(rng):
 def test_constant_column_rejected():
     with pytest.raises(ValueError):
         pearson_correlation(np.ones(5), np.arange(5.0))
+    # the mean of 30 times 12.3 rounds, so the centred column is not 0
+    with pytest.raises(ValueError, match="constant column"):
+        pearson_correlation(np.arange(30.0), np.full(30, 12.3))
 
 
 def test_pearson_matrix_symmetric_unit_diagonal(rng):

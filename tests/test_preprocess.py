@@ -121,6 +121,10 @@ def test_constant_column_error_names_column():
     M = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     with pytest.raises(ValueError, match="column 1"):
         fit_standardizer(M)
+    M = np.column_stack([np.arange(30.0), np.full(30, 12.3)])
+    assert M[:, 1].std() > 0.0  # the mean rounds, so the std is not 0
+    with pytest.raises(ValueError, match="column 1"):
+        fit_standardizer(M)
 
 
 def test_apply_single_value():
