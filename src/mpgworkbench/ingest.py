@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib.resources
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +94,8 @@ def _parse_number(token: str, line_no: int, field: str, want_int: bool):
         raise ParseError(
             f"line {line_no}: field '{field}' is not numeric: {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"line {line_no}: field '{field}' is not finite: {token!r}")
     if want_int:
         if value != int(value):
             raise ParseError(f"line {line_no}: field '{field}' is not an integer: {token!r}")

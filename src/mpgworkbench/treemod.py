@@ -7,6 +7,10 @@ equal to the threshold goes LEFT.  Classification splits maximize Gini
 impurity decrease; regression splits maximize variance reduction.  Ties
 between equally good splits resolve to the lower feature index, then the
 lower threshold.
+
+A forest's trees live in one array of NODE records, which the grower
+appends to once per lock-step round and prediction walks level by level
+for every tree and row at once; TreeNode is a read-only view of one node.
 """
 
 from __future__ import annotations
@@ -19,26 +23,41 @@ import numpy as np
 from .rng import XoshiroLanes, derive_seeds
 
 
-@dataclass
+# one record per node, in creation order; a leaf's feature, threshold,
+# left and right are -1, and a split node's prediction is its mean
+NODE = np.dtype([("feature", np.intp), ("threshold", float),
+                 ("left", np.intp), ("right", np.intp), ("prediction", float),
+                 ("n_samples", np.intp), ("impurity", float)])
+
+
+@dataclass(frozen=True, eq=False)
+class ForestModel:
+    nodes: np.ndarray  # of NODE records; tree t is rooted at node t
+    n_trees: int
+
+    @property
+    def trees(self) -> tuple[TreeNode, ...]:
+        return tuple(TreeNode(self.nodes, t) for t in range(self.n_trees))
+
+
 class TreeNode:
-    # split node fields
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    # leaf fields
-    prediction: float | None = None
-    n_samples: int = 0
-    impurity: float = 0.0
+    """Read-only view of node ``i``: each field reads as a Python number,
+    and ``left`` and ``right`` as views (None at a leaf)."""
+
+    def __init__(self, nodes: np.ndarray, i: int):
+        self.nodes, self.i = nodes, i
+
+    def __getattr__(self, field):
+        if field not in NODE.names:
+            raise AttributeError(field)
+        value = self.nodes[field][self.i].item()
+        if field in ("left", "right"):
+            return TreeNode(self.nodes, value) if value >= 0 else None
+        return value
 
     @property
     def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass(frozen=True)
-class ForestModel:
-    trees: tuple[TreeNode, ...]
+        return self.left is None
 
 
 # most padded rows in one batched split search; bounds its working memory
@@ -47,21 +66,9 @@ _CHUNK_ROWS = 2048
 
 def _row_sums(V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Sum of the first sizes[i] entries of each row of V, bitwise what
-    numpy's sum gives for that row alone."""
-    out = np.empty(sizes.size)
-    # numpy adds fewer than 8 entries in order, starting from +0.0 ...
-    small = sizes < 8
-    head = V[small, :7]
-    head[:, 0] += 0.0
-    out[small] = head.cumsum(axis=1)[np.arange(head.shape[0]), sizes[small] - 1]
-    # ... and more pairwise, which one sum over rows of one width repeats
-    widths = {}
-    large = np.flatnonzero(~small)
-    for i, s in zip(large.tolist(), sizes[large].tolist()):
-        widths.setdefault(s, []).append(i)
-    for s, sel in widths.items():
-        out[sel] = V[sel, :s].sum(axis=1)
-    return out
+    numpy's sum gives for that row alone: a masked sum hands each row's
+    unmasked run to the same pairwise loop."""
+    return V.sum(axis=1, where=np.arange(V.shape[1]) < sizes[:, None])
 
 
 def _node_stats(V: np.ndarray, sizes: np.ndarray, task: str):
@@ -76,18 +83,20 @@ def _node_stats(V: np.ndarray, sizes: np.ndarray, task: str):
     return mean, _row_sums((V - mean[:, None]) ** 2, sizes) / sizes
 
 
-def _chunks(sizes: list[int]) -> list[list[int]]:
+def _chunks(sizes: np.ndarray) -> list[np.ndarray]:
     """Node positions in batches for the split search, largest first:
     sizes within 4x of each other, which bounds the padding, and at most
     _CHUNK_ROWS padded rows (or a single node)."""
-    chunks = []
-    for i in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):
-        if chunks:
-            top = sizes[chunks[-1][0]]
-            if 4 * sizes[i] >= top and (len(chunks[-1]) + 1) * top <= _CHUNK_ROWS:
-                chunks[-1].append(i)
-                continue
-        chunks.append([i])
+    order = np.argsort(-sizes, kind="stable")
+    ranked = sizes[order]
+    chunks, start = [], 0
+    while start < order.size:
+        top = ranked[start]
+        # ranked falls, so the sizes within 4x of top are a prefix of it
+        stop = min(np.searchsorted(-4 * ranked, -top, side="right"),
+                   start + max(1, _CHUNK_ROWS // top))
+        chunks.append(order[start:stop])
+        start = stop
     return chunks
 
 
@@ -154,7 +163,7 @@ def _best_splits(X, F, R, size, V, task):
 
 
 def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
-          max_features: int, rng: XoshiroLanes | None) -> list[TreeNode]:
+          max_features: int, rng: XoshiroLanes | None) -> ForestModel:
     """Grow one tree on the rows boots[t] of each lane t, in lock-step.
 
     Each round splits the top node of every tree's depth-first stack, so
@@ -168,72 +177,69 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
     d = X.shape[1]
     rows = np.zeros((n_lanes, n + 1), dtype=np.intp)  # padding uses column n
     rows[:, :n] = boots
-    prediction, impurity = _node_stats(target[boots], np.full(n_lanes, n), task)
-    roots = [TreeNode(prediction=p, n_samples=n, impurity=i)
-             for p, i in zip(prediction.tolist(), impurity.tolist())]
+    nodes = np.full(n_lanes * (2 * n - 1), -1, NODE)  # 2n - 1 nodes at most
+    feature, threshold, left, right, prediction, n_samples, impurity = (
+        nodes[field] for field in NODE.names)  # views that write to nodes
+    n_samples[:n_lanes] = n
+    prediction[:n_lanes], impurity[:n_lanes] = _node_stats(
+        target[boots], n_samples[:n_lanes], task)
+    count = n_lanes
+    # each lane's depth-first stack of (node, offset of the node's rows)
+    stack = np.zeros((n_lanes, n, 2), dtype=np.intp)
+    stack[:, 0, 0] = np.arange(n_lanes)
     # a pure node (a one-row node always is) is a leaf and draws nothing
-    stacks = [[(root, 0)] if root.impurity > 0.0 else [] for root in roots]
-    live = [t for t in range(n_lanes) if stacks[t]]
-    while live:
-        tops = [stacks[t].pop() for t in live]
-        lanes = np.array(live)
+    depth = (impurity[:n_lanes] > 0.0).astype(np.intp)
+    while (live := np.flatnonzero(depth)).size:
+        depth[live] -= 1
+        node, offset = stack[live, depth[live]].T
         if rng is None:
-            feats = np.broadcast_to(np.arange(d), (len(live), d))
+            feats = np.broadcast_to(np.arange(d), (live.size, d))
         else:
-            feats = np.sort(rng.sample_indices(d, max_features, lanes), axis=1)
-        sizes = [node.n_samples for node, _ in tops]
+            feats = np.sort(rng.sample_indices(d, max_features, live), axis=1)
+        sizes = n_samples[node]
+        found = []
         for chunk in _chunks(sizes):
-            lane = lanes[chunk][:, None]
-            size = np.array([sizes[i] for i in chunk])
+            lane = live[chunk][:, None]
+            size = sizes[chunk]
             real = np.arange(size[0]) < size[:, None]
-            at = np.where(real, [[tops[i][1]] for i in chunk]
-                          + np.arange(size[0]), n)
+            at = np.where(real, offset[chunk][:, None] + np.arange(size[0]), n)
             R = rows[lane, at]
-            best, feature, threshold = _best_splits(X, feats[chunk], R, size,
-                                                    target[R], task)
-            impurity = np.array([tops[i][0].impurity for i in chunk])
+            best, f, thr = _best_splits(X, feats[chunk], R, size, target[R],
+                                        task)
             # accepted splits must strictly decrease impurity
-            split = np.flatnonzero(np.isfinite(best)
-                                   & ~(impurity - best <= 1e-15))
-            if not split.size:
-                continue
+            split = np.flatnonzero(
+                np.isfinite(best) & ~(impurity[node[chunk]] - best <= 1e-15))
             # partition the split nodes' rows stably, left rows first and
             # padding last, and write them back
-            R, real, size = R[split], real[split], size[split]
-            feature, threshold = feature[split], threshold[split]
-            goes_right = ~(X[R, feature[:, None]] <= threshold[:, None])
+            R, real = R[split], real[split]
+            f, thr = f[split], thr[split]
+            goes_right = ~(X[R, f[:, None]] <= thr[:, None])
             side = np.where(real, goes_right, 2)
-            R = R[np.arange(split.size)[:, None],
-                  side.argsort(axis=1, kind="stable")]
-            rows[lane[split], at[split]] = R
-            # the left children, then the right children
-            n_left = (side == 0).sum(axis=1)
-            sizes_c = np.concatenate([n_left, size - n_left])
-            offset = np.concatenate([np.zeros_like(n_left), n_left])
-            at_c = np.minimum(offset[:, None] + np.arange(sizes_c.max()),
-                              R.shape[1] - 1)
-            parent = np.tile(np.arange(split.size), 2)[:, None]
-            prediction, impurity = _node_stats(target[R[parent, at_c]],
-                                               sizes_c, task)
-            prediction, impurity = prediction.tolist(), impurity.tolist()
-            for i, (c, f, thr, nl) in enumerate(zip(
-                    split.tolist(), feature.tolist(), threshold.tolist(),
-                    n_left.tolist())):
-                node, a = tops[chunk[c]]
-                node.feature, node.threshold, node.prediction = f, thr, None
-                node.left = TreeNode(prediction=prediction[i], n_samples=nl,
-                                     impurity=impurity[i])
-                j = split.size + i
-                node.right = TreeNode(prediction=prediction[j],
-                                      n_samples=node.n_samples - nl,
-                                      impurity=impurity[j])
-                stack = stacks[live[chunk[c]]]
-                if node.right.impurity > 0.0:
-                    stack.append((node.right, a + nl))
-                if node.left.impurity > 0.0:
-                    stack.append((node.left, a))
-        live = [t for t in live if stacks[t]]
-    return roots
+            rows[lane[split], at[split]] = R[np.arange(split.size)[:, None],
+                                             side.argsort(axis=1, kind="stable")]
+            found.append((chunk[split], f, thr, (side == 0).sum(axis=1)))
+        c, f, thr, n_left = map(np.concatenate, zip(*found))
+        # the left children, then the right children
+        parent, k = node[c], c.size
+        child = count + np.arange(2 * k)
+        count += 2 * k
+        feature[parent], threshold[parent] = f, thr
+        left[parent], right[parent] = child[:k], child[k:]
+        sizes_c = n_samples[child] = np.concatenate([n_left, sizes[c] - n_left])
+        at_c = np.concatenate([offset[c], offset[c] + n_left])
+        lane_c = np.tile(live[c], 2)
+        at = np.minimum(at_c[:, None] + np.arange(sizes_c.max(initial=1)), n)
+        prediction[child], impurity[child] = _node_stats(
+            target[rows[lane_c[:, None], at]], sizes_c, task)
+        # push the right child, then the left one, so each lane pops its
+        # nodes in preorder
+        entries = np.stack([child, at_c], axis=1)
+        for half in (slice(k, None), slice(None, k)):
+            push = impurity[child[half]] > 0.0
+            lane = lane_c[half][push]
+            stack[lane, depth[lane]] = entries[half][push]
+            depth[lane] += 1
+    return ForestModel(nodes[:count].copy(), n_lanes)
 
 
 def fit_cart(X: np.ndarray, target: np.ndarray, task: str) -> TreeNode:
@@ -249,19 +255,30 @@ def fit_cart(X: np.ndarray, target: np.ndarray, task: str) -> TreeNode:
     if task == "classify" and not np.isin(target, (0.0, 1.0)).all():
         raise ValueError("classification labels must be 0 or 1")
     return _grow(X, target, np.arange(X.shape[0])[None, :], task,
-                 X.shape[1], None)[0]
+                 X.shape[1], None).trees[0]
+
+
+def _leaf_values(nodes: np.ndarray, roots: np.ndarray,
+                 X: np.ndarray) -> np.ndarray:
+    """(len(roots), n_rows) predictions of the trees at roots on the rows
+    of X, walked level by level; values equal to a threshold go left."""
+    X = np.asarray(X, dtype=float)
+    at = np.repeat(roots, X.shape[0])
+    row = np.tile(np.arange(X.shape[0]), roots.size)
+    feature, threshold, left, right = (
+        nodes[field] for field in ("feature", "threshold", "left", "right"))
+    todo = np.flatnonzero(left[at] >= 0)
+    while todo.size:
+        a = at[todo]
+        at[todo] = a = np.where(X[row[todo], feature[a]] <= threshold[a],
+                                left[a], right[a])
+        todo = todo[left[a] >= 0]
+    return nodes["prediction"][at].reshape(roots.size, X.shape[0])
 
 
 def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
     """Deterministic traversal; values equal to a threshold go left."""
-    X = np.asarray(X, dtype=float)
-    out = np.empty(X.shape[0])
-    for i, row in enumerate(X):
-        node = root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out[i] = node.prediction
-    return out
+    return _leaf_values(root.nodes, np.array([root.i]), X)[0]
 
 
 def forest_max_features(d: int) -> int:
@@ -287,11 +304,10 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     boots = np.empty((n_trees, n), dtype=np.intp)
     for i in range(n):
         boots[:, i] = draws.randbelow(n, lanes)
-    trees = _grow(X, y, boots, "regress", forest_max_features(d),
-                  XoshiroLanes(tree_seeds[1::2]))
-    return ForestModel(trees=tuple(trees))
+    return _grow(X, y, boots, "regress", forest_max_features(d),
+                 XoshiroLanes(tree_seeds[1::2]))
 
 
 def forest_predict(m: ForestModel, X: np.ndarray) -> np.ndarray:
     """Mean of the trees' predictions."""
-    return np.stack([tree_predict(t, X) for t in m.trees]).mean(axis=0)
+    return _leaf_values(m.nodes, np.arange(m.n_trees), X).mean(axis=0)

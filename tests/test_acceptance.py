@@ -8,14 +8,18 @@ band test reads from it.
 """
 
 import hashlib
+import importlib.util
+import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import lasso_alpha_max, svc_kkt_violations, svr_kkt_violations
 
-from mpgworkbench.experiments import ExperimentConfig, report_to_json, run_full_report
+from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
+                                      run_full_report, run_regression_suite)
 from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, fit_svc_smo,
                                     kernel_matrix, solve_svr_dual,
                                     svm_decision)
@@ -134,6 +138,23 @@ def test_seed_panel_report_bits_are_pinned(seed_reports):
     digests = {seed: hashlib.sha256(report_to_json(report).encode()).hexdigest()
                for seed, report in seed_reports["by_seed"].items()}
     assert digests == SEED_REPORT_SHA256
+
+
+def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
+    """The benchmark's regress-2x input (each packaged row twice, jittered
+    from data seed 1; 796 rows): sha256 of its regression report at
+    protocol seed 1, made as the benchmark makes it."""
+    worker_py = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", worker_py)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    worker.prepare(1, str(tmp_path))
+    prepared = json.loads(capsys.readouterr().out)
+    assert prepared["rows"] == 796
+    report = run_regression_suite(ExperimentConfig(
+        seed=1, data_path=prepared["data_path"]))
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
+        "1e94b5f11a45bc2b3d6a50f170abca6e563af07b479321a994446fa50c23cf8f")
 
 
 # --- statistical bands (median over 20 seeds)

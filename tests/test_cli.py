@@ -11,8 +11,9 @@ import pytest
 from mpgworkbench import cli, experiments, kernelmod
 from mpgworkbench.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                               _load_config_file, _markdown, _write_files, main)
-from mpgworkbench.ingest import (DATA_SHA256, RawTable, parse_auto_mpg,
-                                 reference_data_path, serialize_raw_table)
+from mpgworkbench.ingest import (DATA_SHA256, FEATURE_NAMES, RawTable,
+                                 parse_auto_mpg, reference_data_path,
+                                 serialize_raw_table)
 from mpgworkbench.kernelmod import SmoError, kernel_matrix, solve_svr_dual
 
 
@@ -261,8 +262,20 @@ def _set(rows, **values):
     return [dataclasses.replace(r, **values) for r in rows]
 
 
-# name: (the packaged rows -> the file's rows, exit code per command of
-# COMMANDS, the constant column that every command names, or None)
+def _token(field, token):
+    """The packaged rows, serialized, with ``field`` of the first line
+    replaced by a token that no RawRecord holds."""
+    def make(rows):
+        first, rest = serialize_raw_table(RawTable(rows=tuple(rows))).split("\n", 1)
+        fields = first.split("   ")
+        fields[(("mpg",) + FEATURE_NAMES).index(field)] = token
+        return "   ".join(fields) + "\n" + rest
+    return make
+
+
+# name: (the packaged rows -> the file's rows or text, exit code per
+# command of COMMANDS, the constant column that every command names, or
+# None)
 ADVERSARIAL = {
     "cylinders-all-4": (lambda rows: _set(rows, cylinders=4), (2, 2, 2, 2), "cylinders"),
     # constant, yet its std is ~1e-15, not 0: the mean rounds
@@ -283,6 +296,10 @@ ADVERSARIAL = {
                                      for i, r in enumerate(rows[:60])], (0, 2, 0, 2), None),
     "one-class": (lambda rows: [dataclasses.replace(r, mpg=24.0) if r.mpg >= 25 else r
                                 for r in rows], (0, 0, 2, 2), None),
+    # float() parses these; int("inf") overflows, and NaN passes min == max
+    "inf-cylinders": (_token("cylinders", "inf"), (2, 2, 2, 2), None),
+    "nan-weight": (_token("weight", "nan"), (2, 2, 2, 2), None),
+    "minus-inf-mpg": (_token("mpg", "-inf"), (2, 2, 2, 2), None),
 }
 
 
@@ -290,8 +307,10 @@ ADVERSARIAL = {
 def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
     make, codes, constant = ADVERSARIAL[name]
     data = tmp_path / "cars.data"
-    data.write_text(serialize_raw_table(RawTable(rows=tuple(
-        make(parse_auto_mpg(reference_text).rows)))), encoding="utf-8")
+    made = make(parse_auto_mpg(reference_text).rows)
+    if not isinstance(made, str):
+        made = serialize_raw_table(RawTable(rows=tuple(made)))
+    data.write_text(made, encoding="utf-8")
     errors = []
     for command, code in zip(COMMANDS, codes):
         out = tmp_path / command

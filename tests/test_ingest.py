@@ -68,6 +68,19 @@ def test_non_numeric_field_names_line_and_field():
         parse_auto_mpg(bad)
 
 
+@pytest.mark.parametrize("old, token, field", [
+    (" 8 ", " inf ", "cylinders"), ("3504.0", "nan", "weight"),
+    ("18.0", "-inf", "mpg"), (" 70 ", " NaN ", "model_year"),
+    ("12.0", "Infinity", "acceleration")])
+def test_non_finite_field_names_line_and_field(old, token, field):
+    """float() parses these tokens; an integer field would then overflow in
+    int(), and a NaN would pass every later min == max check."""
+    bad = GOOD_LINE.replace(old, token, 1)
+    with pytest.raises(ParseError,
+                       match=f"line 1: field '{field}' is not finite"):
+        parse_auto_mpg(bad)
+
+
 def test_empty_input_rejected():
     with pytest.raises(ParseError, match="empty"):
         parse_auto_mpg("\n\n")

@@ -2,6 +2,9 @@
 determinism, and ensemble properties."""
 
 import hashlib
+import importlib.util
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from conftest import sample_indices
 
 from mpgworkbench import experiments
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
-from mpgworkbench.treemod import (TreeNode, fit_cart, fit_random_forest,
+from mpgworkbench.treemod import (fit_cart, fit_random_forest,
                                   forest_max_features, forest_predict,
                                   tree_predict)
 
@@ -59,7 +62,8 @@ def test_boundary_value_goes_left():
 def test_leaf_only_tree_constant_prediction(rng):
     X = rng.normal(size=(5, 2))
     tree = fit_cart(X, np.full(5, 3.0), "regress")
-    assert tree.is_leaf
+    assert tree.is_leaf and tree.left is None and tree.right is None
+    X[0] = [np.inf, -np.inf]
     np.testing.assert_array_equal(tree_predict(tree, X), np.full(5, 3.0))
 
 
@@ -145,6 +149,25 @@ def test_forest_param_validation(rng):
 # were trimmed: t.var()/t.mean() per node, every column of the node's rows
 # gathered, np.take_along_axis and a per-feature argmin loop.  Kept
 # verbatim as the oracle fit_cart must match bit for bit.
+
+@dataclass
+class TreeNode:
+    """A node of the reference grower's trees."""
+
+    # split node fields
+    feature: int | None = None
+    threshold: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    # leaf fields
+    prediction: float | None = None
+    n_samples: int = 0
+    impurity: float = 0.0
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
 
 def reference_node_impurity(t: np.ndarray, task: str) -> float:
     if task == "classify":
@@ -350,3 +373,80 @@ def test_protocol_forest_bits_are_pinned(protocol):
     digest = hashlib.sha256(repr([dump(t) for t in forest.trees]).encode())
     assert digest.hexdigest() == (
         "708e0e4bf67d127cd61863e6945f66de4dde54d210014622446f991c5c6c4721")
+
+
+# --- the batched walk against a row-at-a-time walk of the node view
+
+def walk_predict(tree, X):
+    """Each row of X walked down the node view alone: the oracle of the
+    level-by-level walk."""
+    out = []
+    for row in X:
+        node = tree
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node.prediction)
+    return np.array(out)
+
+
+def tie_rows(tree, X):
+    """For each row of X and each split on its path, the row moved onto
+    that split's threshold.  It still reaches the split, since a threshold
+    lies between two values of its node's rows, and it ties there."""
+    out = []
+    for row in X:
+        node = tree
+        while not node.is_leaf:
+            tie = row.copy()
+            tie[node.feature] = node.threshold
+            out.append(tie)
+            node = node.left if row[node.feature] <= node.threshold else node.right
+    return np.array(out)
+
+
+@pytest.mark.parametrize("task", ["regress", "classify"])
+def test_cart_walk_matches_node_view_walk(rng, task):
+    X, target = oracle_inputs(rng, task)
+    tree = fit_cart(X, target, task)
+    Q = np.concatenate([X, tie_rows(tree, X), rng.normal(size=(30, 5))])
+    assert tree_predict(tree, Q).tobytes() == walk_predict(tree, Q).tobytes()
+
+
+def test_forest_walk_matches_node_view_walk(rng):
+    X, target = oracle_inputs(rng, "regress")
+    forest = fit_random_forest(X, target, n_trees=20, seed=5)
+    Q = np.concatenate([X, rng.normal(size=(30, 5)),
+                        *(tie_rows(t, X[:10]) for t in forest.trees)])
+    per_tree = [walk_predict(t, Q) for t in forest.trees]
+    for tree, expected in zip(forest.trees, per_tree):
+        assert tree_predict(tree, Q).tobytes() == expected.tobytes()
+    # the mean over trees in tree order (past 8 trees, a pairwise sum
+    # over them would round differently)
+    assert forest_predict(forest, Q).tobytes() == (
+        np.stack(per_tree).mean(axis=0).tobytes())
+
+
+def test_node_view_reads_python_numbers(rng):
+    """repr of a numpy scalar differs from a Python number's, and dump's
+    repr is what the forest pin hashes."""
+    X, target = oracle_inputs(rng, "regress")
+    for node in walk(fit_cart(X, target, "regress")):
+        fields = (node.feature, node.n_samples, node.threshold,
+                  node.prediction, node.impurity)
+        assert [type(v) for v in fields] == [int, int, float, float, float]
+
+
+def test_benchmark_tree_shape_on_the_protocol_forest(protocol):
+    """perfbench's node count and depth walk .is_leaf, .left and .right of
+    each element of ForestModel.trees."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    seed = derive_seeds(1, 5)[experiments._SEED_FOREST]
+    forest = fit_random_forest(protocol.Xtr, protocol.ytr,
+                               n_trees=experiments.FIXED["forest_trees"],
+                               seed=seed)
+    shapes = [layers._tree_shape(tree) for tree in forest.trees]
+    assert sum(n for n, _ in shapes) == 30962
+    assert max(depth for _, depth in shapes) == 19
