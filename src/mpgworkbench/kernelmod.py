@@ -32,6 +32,7 @@ from .rng import Xoshiro256StarStar  # noqa: F401
 
 KKT_TOL = 1e-3
 MAX_ITER = 2_000_000
+RELEASE_BLOCK = 4  # violators the SVR active-set engine releases at once
 
 
 class SmoError(NumericalError):
@@ -291,15 +292,18 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     in C.  Each iteration solves the equality-constrained QP on the free
     set F, through the bordered system [[0, 1'], [1, K_FF]], and steps
     toward its solution until a free multiplier reaches 0 or a bound and
-    is fixed there.  After a full step the fixed multiplier with the
-    largest KKT violation is released, unless that is <= KKT_TOL / 2; a
-    release that the next step moves outward is undone and skipped until
-    a step is taken.  The bordered inverse takes rank-one updates in
-    einsum and ufuncs only: BLAS and LAPACK round differently with the
-    thread count at these sizes.  A singular free block, an empty F or 4n
-    iterations hand over early.  Returns the iterate, clipped to the box
-    with its sum re-centred to 0, or a copy of beta0 if that has the
-    higher dual."""
+    is fixed there.  After a full step up to RELEASE_BLOCK fixed
+    multipliers, the largest KKT violators above KKT_TOL / 2, are
+    released at once, as a primal-dual active-set method changes several
+    statuses per iteration (Hintermueller, Ito & Kunisch 2002).  After
+    the next solve, each of them that would move outward is fixed again
+    and skipped until a step is taken; while others of the block stay
+    free, the system is solved again before the next release.  The
+    bordered inverse takes rank-one updates in einsum and ufuncs only:
+    BLAS and LAPACK round differently with the thread count at these
+    sizes.  A singular free block, an empty F or 4n iterations hand over
+    early.  Returns the iterate, clipped to the box with its sum
+    re-centred to 0, or a copy of beta0 if that has the higher dual."""
     n = y.size
     stretch = C / np.abs(beta0).max() if beta0.any() else 1.0
     beta = stretch * beta0
@@ -309,15 +313,18 @@ def _svr_active_set(K, y, C, epsilon, beta0):
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
     inv = np.empty((n + 1, n + 1))  # the inverse, in its leading m+1 block
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
-    # of K in KF[:m]; the bordered vectors v = [1, K[j, F]] and rhs are
-    # filled in place
-    fidx, KF, m = np.empty(n, dtype=np.intp), np.empty((n, n)), 0
-    v, rhs = np.ones(n + 1), np.empty(n + 1)
+    # of K in KF[:m], its y, eps * side and C * side in FA[:, :m] and its
+    # side > 0 in pos[:m]; v, rhs and the ratio test's t are filled in place
+    fidx, KF, FA, pos = (np.empty(n, dtype=np.intp), np.empty((n, n)),
+                         np.empty((3, n)), np.empty(n, dtype=bool))
+    v, rhs, t, m = np.ones(n + 1), np.empty(n + 1), np.empty(n), 0
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
-    # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y)
+    # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
+    # ups and downs hold them per point, -inf at free and skipped points
     up_rate = np.array([epsilon, epsilon, -epsilon, -epsilon, -np.inf])
     down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
+    ups, downs = up_rate[side + 2], down_rate[side + 2]
 
     def add(j):  # F += {j}; False if the free block turns singular
         nonlocal m
@@ -329,10 +336,13 @@ def _svr_active_set(K, y, C, epsilon, beta0):
             schur = K[j, j] - np.einsum("i,i->", v[:m + 1], w)
             if not schur > floor:
                 return False
-            inv[:m + 1, :m + 1] += np.multiply.outer(w, w / schur)
-            inv[m + 1, :m + 1] = inv[:m + 1, m + 1] = -w / schur
+            ws = w / schur
+            inv[:m + 1, :m + 1] += np.multiply.outer(w, ws)
+            inv[m + 1, :m + 1] = inv[:m + 1, m + 1] = -ws
             inv[m + 1, m + 1] = 1.0 / schur
-        fidx[m], KF[m] = j, K[j]
+        fidx[m], KF[m], pos[m] = j, K[j], side[j] > 0
+        FA[:, m] = y[j], epsilon * side[j], C * side[j]
+        ups[j] = downs[j] = -np.inf
         m += 1
         return True
 
@@ -340,55 +350,70 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         nonlocal m
         inv[[p + 1, m], :m + 1] = inv[[m, p + 1], :m + 1]
         inv[:m + 1, [p + 1, m]] = inv[:m + 1, [m, p + 1]]
-        fidx[p], KF[p] = fidx[m - 1], KF[m - 1]
+        fidx[p], KF[p], pos[p] = fidx[m - 1], KF[m - 1], pos[m - 1]
+        FA[:, p] = FA[:, m - 1]
         c = inv[:m, m]
         inv[:m, :m] -= np.multiply.outer(c, c / inv[m, m])
         m -= 1
 
-    pending, skip = None, []  # the last release: (j, its side before, inward)
+    def fix(i):  # i is fixed at side[i]: price it again
+        ups[i], downs[i] = up_rate[side[i] + 2], down_rate[side[i] + 2]
+
+    def release(j, to):  # F += {j}, moving inward: up (to = 1) or down
+        pending[j] = (side[j], to)
+        side[j] = to if side[j] == 0 else np.sign(side[j])
+        return add(j)
+
+    pending, skip = {}, []  # the last block: j -> (its side before, inward)
     built = all(add(j) for j in np.flatnonzero(np.abs(side) == 1))
     for _ in range(4 * n if built else 0):
         if m == 0:
             break
         F = fidx[:m]
-        bF, sF = beta[F], side[F]
+        bF = beta[F]
         rhs[0] = -beta.sum()
-        np.subtract(y[F], g[F], out=rhs[1:m + 1])
-        rhs[1:m + 1] -= epsilon * sF
+        np.subtract(FA[0, :m], g[F], out=rhs[1:m + 1])
+        rhs[1:m + 1] -= FA[1, :m]
         x = np.einsum("ij,j->i", inv[:m + 1, :m + 1], rhs[:m + 1])  # [bias, step]
         d = x[1:]
-        if pending is not None and not d[-1] * pending[2] > 0:
-            j, before, _ = pending
-            side[j] = before
-            remove(m - 1)
-            skip.append(j)
-        else:
-            pending, skip = None, []
+        m0 = m  # the block sits in the last len(pending) rows
+        for p in range(m - 1, m - 1 - len(pending), -1):
+            j = int(fidx[p])
+            if not d[p] * pending[j][1] > 0:
+                side[j] = pending.pop(j)[0]
+                remove(p)
+                skip.append(j)
+        if m < m0 and pending:
+            continue
+        if m == m0:
+            pending.clear()
+            for i in skip:
+                fix(i)
+            skip = []
             # the wall each free multiplier moves toward: 0 or its bound
-            wall = np.where((d > 0) == (sF > 0), C * sF, 0.0)
-            t = np.full(m, np.inf)
-            np.divide(wall - bF, d, out=t, where=d != 0)
-            k = int(t.argmin())
-            new = bF + min(1.0, max(t[k], 0.0)) * d
-            if t[k] < 1.0:
+            wall = np.where((d > 0) == pos[:m], FA[2, :m], 0.0)
+            tm = t[:m]
+            tm.fill(np.inf)
+            np.divide(wall - bF, d, out=tm, where=d != 0)
+            k = int(tm.argmin())
+            new = bF + min(1.0, max(tm[k], 0.0)) * d
+            if tm[k] < 1.0:
                 new[k] = wall[k]
             g += np.einsum("ij,i->j", KF[:m], new - bF)
             beta[F] = new
-            if t[k] < 1.0:
+            if tm[k] < 1.0:
                 side[F[k]] = 2 * side[F[k]] if wall[k] else 0
+                fix(F[k])
                 remove(k)
                 continue
             b = x[0]
         E = g + b - y
-        up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
-        up[fidx[:m]] = down[fidx[:m]] = up[skip] = down[skip] = -np.inf
-        j = int(np.maximum(up, down).argmax())
-        if not max(up[j], down[j]) > KKT_TOL / 2:
-            break
-        to = 1 if up[j] >= down[j] else -1  # the way it moves: inward
-        pending = (j, side[j], to)
-        side[j] = to if side[j] == 0 else np.sign(side[j])
-        if not add(j):
+        up, down = ups - E, downs + E
+        viol = np.maximum(up, down)
+        top = np.argsort(viol)[:-RELEASE_BLOCK - 1:-1]  # largest first
+        top = top[viol[top] > KKT_TOL / 2].tolist()
+        if not (top and all(release(j, 1 if up[j] >= down[j] else -1)
+                            for j in top)):
             break
     np.clip(beta, -C, C, out=beta)
     inside = (beta != 0.0) & (np.abs(beta) < C - abs(beta.sum()))

@@ -32,15 +32,21 @@ def derive_seeds(master: int, n: int) -> list[int]:
     return seeds
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
+def _wrap(x):
+    """x modulo 2**64: ints grow past 64 bits, while numpy uint64 lanes
+    wrap by themselves and pass through unmasked."""
+    return x & MASK64 if type(x) is int else x
+
+
+def _rotl(x, k: int):
+    return _wrap((x << k) | (x >> (64 - k)))
 
 
 def _xoshiro_next(s: list):
     """Advance a xoshiro256** state of four words in place and return its
     output; the words are ints, or numpy uint64 arrays of lanes."""
-    result = (_rotl((s[1] * 5) & MASK64, 7) * 9) & MASK64
-    t = (s[1] << 17) & MASK64
+    result = _wrap(_rotl(_wrap(s[1] * 5), 7) * 9)
+    t = _wrap(s[1] << 17)
     s[2] ^= s[0]
     s[3] ^= s[1]
     s[1] ^= s[2]

@@ -6,6 +6,10 @@ Also the oracles that more than one test module uses, imported as
 ``from conftest import ...``.
 """
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +50,20 @@ def regression_suite(protocol):
 @pytest.fixture(scope="session")
 def classification_grid(protocol):
     return run_classification_grid(ExperimentConfig(), protocol)
+
+
+def regress_2x_data_path(work_dir, capsys) -> str:
+    """The benchmark's regress-2x input (each packaged row twice, jittered
+    from data seed 1; 796 rows), written into work_dir by
+    perfbench/worker.py's own writer; returns its path."""
+    worker_py = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", worker_py)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    worker.prepare(1, str(work_dir))
+    prepared = json.loads(capsys.readouterr().out)
+    assert prepared["rows"] == 796
+    return prepared["data_path"]
 
 
 @pytest.fixture

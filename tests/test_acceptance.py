@@ -8,15 +8,13 @@ band test reads from it.
 """
 
 import hashlib
-import importlib.util
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import lasso_alpha_max, svc_kkt_violations, svr_kkt_violations
+from conftest import (lasso_alpha_max, regress_2x_data_path,
+                      svc_kkt_violations, svr_kkt_violations)
 
 from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
                                       run_full_report, run_regression_suite)
@@ -144,15 +142,8 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
     """The benchmark's regress-2x input (each packaged row twice, jittered
     from data seed 1; 796 rows): sha256 of its regression report at
     protocol seed 1, made as the benchmark makes it."""
-    worker_py = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_worker", worker_py)
-    worker = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(worker)
-    worker.prepare(1, str(tmp_path))
-    prepared = json.loads(capsys.readouterr().out)
-    assert prepared["rows"] == 796
     report = run_regression_suite(ExperimentConfig(
-        seed=1, data_path=prepared["data_path"]))
+        seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
         "1e94b5f11a45bc2b3d6a50f170abca6e563af07b479321a994446fa50c23cf8f")
 

@@ -2,10 +2,13 @@
 SVR tube behavior, and post-fit KKT audits on random data."""
 
 import hashlib
+import inspect
+import sys
 
 import numpy as np
 import pytest
-from conftest import svc_kkt_violations, svr_kkt_violations
+from conftest import (regress_2x_data_path, svc_kkt_violations,
+                      svr_kkt_violations)
 
 from mpgworkbench import experiments, kernelmod
 from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
@@ -580,11 +583,19 @@ def svr_dual_value(K, y, epsilon, beta):
     return float(y @ beta - epsilon * np.abs(beta).sum() - 0.5 * beta @ K @ beta)
 
 
-def test_active_set_leaves_smo_under_50_steps(protocol, monkeypatch):
-    """On the seed-1 protocol's CV folds, SMO finishes each warm solve
-    (C = 10 and C = 100) from the engine's start within 50 steps.  Warm
-    from the previous optimum alone, plain SMO takes 515-2,046 steps per
-    fold at C = 10 and 6,871-12,649 at C = 100."""
+def seed1_svr_cv(protocol):
+    """The SVR's C grid and its CV results on the protocol's training
+    split, as the seed-1 report runs them; every solve goes through
+    experiments.solve_svr_dual."""
+    config = experiments.ExperimentConfig()
+    svr = experiments._regression_table(config, protocol)[0]
+    return svr.grid, experiments.cross_validate(
+        {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw,
+        config.cv_folds, derive_seeds(config.seed, 5)[experiments._SEED_KFOLD]
+    )[svr.name]
+
+
+def assert_warm_smo_under_50_steps(protocol, monkeypatch):
     warm = []
 
     def capped(K, y, C, epsilon, beta0=None):
@@ -594,11 +605,48 @@ def test_active_set_leaves_smo_under_50_steps(protocol, monkeypatch):
         return solve_svr_dual(K, y, C, epsilon, beta0=beta0, max_iter=50)
 
     monkeypatch.setattr(experiments, "solve_svr_dual", capped)
-    svr = experiments._regression_table(experiments.ExperimentConfig(), protocol)[0]
-    experiments.cross_validate(
-        {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw, 10,
-        derive_seeds(1, 5)[experiments._SEED_KFOLD])
+    seed1_svr_cv(protocol)
     assert warm == [10.0, 100.0] * 10
+
+
+def test_active_set_leaves_smo_under_50_steps(protocol, monkeypatch):
+    """On the seed-1 protocol's CV folds, SMO finishes each warm solve
+    (C = 10 and C = 100) from the engine's start within 50 steps.  Warm
+    from the previous optimum alone, plain SMO takes 515-2,046 steps per
+    fold at C = 10 and 6,871-12,649 at C = 100."""
+    assert_warm_smo_under_50_steps(protocol, monkeypatch)
+
+
+@pytest.mark.slow
+def test_active_set_leaves_smo_under_50_steps_on_regress_2x(tmp_path, capsys,
+                                                            monkeypatch):
+    """The same on the benchmark's regress-2x file (data seed 1), whose
+    free blocks are the worst-conditioned."""
+    protocol = experiments.prepare_protocol(experiments.ExperimentConfig(
+        data_path=regress_2x_data_path(tmp_path, capsys)))
+    assert_warm_smo_under_50_steps(protocol, monkeypatch)
+
+
+@pytest.mark.slow
+def test_svr_cv_selects_the_same_c_without_the_engine(protocol, monkeypatch):
+    """The report reads the engine only through the SVR's selected C: its
+    CV fold scores are not reported and the final fit is cold.  On the
+    seed-1 CV, warm starts by SMO alone select the same C, and every CV
+    mean lies within 5e-4 of the engine's, under a third of the 1.67e-3
+    between the best and the next C.  Two solves certified at KKT_TOL
+    differ by up to 1.2e-4 here."""
+    grid, engine = seed1_svr_cv(protocol)
+
+    def plain(K, y, C, epsilon, beta0=None):
+        if beta0 is None:
+            return solve_svr_dual(K, y, C, epsilon)
+        return plain_warm_smo(K, y, C, epsilon, beta0)
+
+    monkeypatch.setattr(experiments, "solve_svr_dual", plain)
+    _, smo = seed1_svr_cv(protocol)
+    assert experiments._select(grid, smo)[0] == experiments._select(grid, engine)[0]
+    for ours, theirs in zip(engine, smo):
+        assert abs(ours["mean"] - theirs["mean"]) <= 5e-4
 
 
 def test_active_set_runs_inside_the_cv_solves(protocol, monkeypatch):
@@ -622,10 +670,7 @@ def test_active_set_runs_inside_the_cv_solves(protocol, monkeypatch):
 
     monkeypatch.setattr(experiments, "solve_svr_dual", solve)
     monkeypatch.setattr(kernelmod, "_svr_active_set", spy)
-    svr = experiments._regression_table(experiments.ExperimentConfig(), protocol)[0]
-    experiments.cross_validate(
-        {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw, 10,
-        derive_seeds(1, 5)[experiments._SEED_KFOLD])
+    seed1_svr_cv(protocol)
     assert len(solves) == 30
     assert engine_calls == [(10.0, 1), (100.0, 1)] * 10
 
@@ -649,6 +694,49 @@ def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
             beta0, b = plain_warm_smo(K, y, C, epsilon, start)
             E = K @ beta0 + b - y
             assert svr_kkt_violations(beta0, E, C, epsilon).max() <= 2.0 * KKT_TOL
+
+
+def engine_lines_run(*args):
+    """The engine's start from args, and the numbers of the lines of
+    _svr_active_set's own body that ran (traced)."""
+    code, ran = kernelmod._svr_active_set.__code__, set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+    try:
+        return kernelmod._svr_active_set(*args), ran
+    finally:
+        sys.settrace(previous)
+
+
+def test_active_set_block_undo_start_is_feasible_and_no_worse():
+    """On this RBF problem a released block member moves outward: the
+    engine fixes it again and, with others of the block still free,
+    solves again before the next release.  Its start still lies in the
+    box with sum 0, is no worse than beta0, and SMO certifies it."""
+    gen = np.random.default_rng(0)
+    X = gen.normal(size=(30, 3))
+    y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * gen.normal(size=30)
+    K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
+    beta0, _ = solve_svr_dual(K, y, 1.0, 0.1)
+    start, ran = engine_lines_run(K, y, 10.0, 0.1, beta0)
+    lines, first = inspect.getsourcelines(kernelmod._svr_active_set)
+
+    def line_of(text):
+        return first + next(i for i, s in enumerate(lines) if text in s)
+
+    assert line_of("side[j] = pending.pop(j)[0]") in ran  # a member fixed again
+    assert line_of("if m < m0 and pending:") + 1 in ran  # solved again
+    assert np.abs(start).max() <= 10.0
+    assert abs(start.sum()) <= 1e-8 * 10.0
+    assert svr_dual_value(K, y, 0.1, start) >= svr_dual_value(K, y, 0.1, beta0)
+    beta, b = plain_warm_smo(K, y, 10.0, 0.1, start)
+    assert svr_kkt_violations(beta, K @ beta + b - y, 10.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
 def test_regression_suite_bits_are_pinned(regression_suite):
