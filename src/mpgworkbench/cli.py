@@ -277,8 +277,12 @@ def main(argv=None) -> int:
         # before ValueError, which LinAlgError subclasses
         viol = getattr(exc, "max_violation", None)
         steps = getattr(exc, "iterations", None)
+        last = getattr(exc, "last_iterate", None)  # (coefficients, intercept)
         detail = "" if viol is None else f"; max KKT violation {viol}"
         detail += "" if steps is None else f"; SMO steps {steps}"
+        detail += "" if last is None else (
+            f"; last iterate intercept {float(last[1])}, max |coefficient| "
+            f"{float(np.abs(last[0]).max(initial=0.0))}")
         print(f"numerical failure: {exc}{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

@@ -23,9 +23,12 @@ from .ingest import (DataError, Dataset, load_dataset, reference_data_path,
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
                         kernel_matrix, solve_svr_dual, svm_decision,
                         svm_predict_class)
-from .linmod import (fit_elastic_net, fit_elastic_net_grid, fit_lasso,
-                     fit_logistic, fit_ols, fit_ridge, linear_predict,
-                     logistic_scores)
+# fit_lasso and fit_elastic_net are unused here, but perfbench/layers.py
+# names experiments.fit_lasso and experiments.fit_elastic_net as the CD
+# fits whose time and count it reports
+from .linmod import (fit_elastic_net, fit_elastic_net_grid,  # noqa: F401
+                     fit_lasso, fit_logistic, fit_ols, fit_ridge,
+                     linear_predict, logistic_scores)
 from .metrics import (classification_report, confusion_matrix,
                       dataset_correlations, histogram, regression_metrics,
                       roc_curve)
@@ -217,11 +220,23 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
             preds.append(K_test @ beta + b)
         return preds
 
-    def cd_path(ratio):  # every fold at every alpha: lanes of one descent
+    finals = {}  # l1 ratio -> the training split's models, in alpha order
+
+    def cd_path(ratio):
+        # every fold and the training split at every alpha: lanes of one
+        # descent, so the selected alpha's final model is already fitted
         def path(folds):
-            fits = fit_elastic_net_grid([f[:2] for f in folds], FIXED["alpha_grid"], ratio)
+            k = len(folds)
+            *fits, finals[ratio] = fit_elastic_net_grid(
+                [f[:2] for f in folds] + [(proto.Xtr, proto.ytr)],
+                FIXED["alpha_grid"], ratio,
+                names=[f"fold {i} of {k}" for i in range(1, k + 1)]
+                + ["the training split"])
             return [[linear_predict(m, f[2]) for m in ms] for ms, f in zip(fits, folds)]
         return path
+
+    def cd_final(ratio):  # (X, y) is the training split, fitted by cd_path
+        return lambda X, y, a: finals[ratio][FIXED["alpha_grid"].index(a)]
 
     return (
         _Regressor("SVM Regression", FIXED["svr_c_grid"],
@@ -244,8 +259,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                    lambda X, y, _: fit_ols(X, y), linear_predict, d,
                    lambda _: {}, True),
         _Regressor("Elastic Net Regression", FIXED["alpha_grid"],
-                   lambda X, y, a: fit_elastic_net(X, y, a, l1_ratio),
-                   linear_predict, d,
+                   cd_final(l1_ratio), linear_predict, d,
                    lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True,
                    cd_path(l1_ratio)),
         _Regressor("Polynomial Regression", None,
@@ -254,7 +268,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                    polynomial_feature_count(d, deg),
                    lambda _: {"degree": deg}, False),
         _Regressor("Lasso Regression", FIXED["alpha_grid"],
-                   lambda X, y, a: fit_lasso(X, y, a), linear_predict, d,
+                   cd_final(1.0), linear_predict, d,
                    lambda a: {"alpha": a}, True, cd_path(1.0)),
     )
 

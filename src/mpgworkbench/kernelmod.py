@@ -20,6 +20,7 @@ engine first; the SMO loop finishes and certifies every solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +285,37 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
                 max_iter, beta0)
 
 
+def _add_block(inv, m, K_JF, K_JJ, floor):
+    """Borders inv[:m + 1, :m + 1], the inverse of [[0, 1'], [1, K_FF]],
+    with the k rows J in one rank-k update, given K_JF (k x m) and K_JJ.
+    Returns how many rows joined: those before the first pivot at or
+    below floor.  Pivot i is the Schur complement that a one-at-a-time
+    add of J[i] would test."""
+    V = np.ones((len(K_JJ), m + 1))
+    V[:, 1:] = K_JF
+    # W = inv V' as k rows; S = K_JJ - V W', the Schur complement of the
+    # block, whose inverse is grown one pivot at a time (bordering)
+    W = np.einsum("ij,kj->ki", inv[:m + 1, :m + 1], V)
+    S_inv = []  # rows, in Python floats: k is at most 8
+    for i, row in enumerate((K_JJ - np.einsum("ki,li->kl", V, W)).tolist()):
+        u = [sum(map(operator.mul, r, row)) for r in S_inv]
+        pivot = row[i] - sum(map(operator.mul, row, u))
+        if not pivot > floor:
+            break
+        w = [b / pivot for b in u]
+        S_inv = [[a + ui * wj for a, wj in zip(r, w)] + [-wi]
+                 for r, ui, wi in zip(S_inv, u, w)]
+        S_inv.append([-b for b in w] + [1.0 / pivot])
+    k = len(S_inv)
+    if k:
+        T = np.einsum("kl,li->ki", S_inv, W[:k])
+        inv[:m + 1, :m + 1] += np.einsum("ki,kj->ij", W[:k], T)
+        inv[m + 1:m + 1 + k, :m + 1] = -T
+        inv[:m + 1, m + 1:m + 1 + k] = -T.T
+        inv[m + 1:m + 1 + k, m + 1:m + 1 + k] = S_inv
+    return k
+
+
 def _svr_active_set(K, y, C, epsilon, beta0):
     """A start for _smo in the box [-C, C] from beta0 (in a box, sum 0),
     by a primal active-set method on the dual (Scheinberg 2006).
@@ -295,14 +327,15 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     is fixed there.  After a full step up to RELEASE_BLOCK fixed
     multipliers, the largest KKT violators above KKT_TOL / 2, are
     released at once, as a primal-dual active-set method changes several
-    statuses per iteration (Hintermueller, Ito & Kunisch 2002).  After
-    the next solve, each of them that would move outward is fixed again
-    and skipped until a step is taken; while others of the block stay
-    free, the system is solved again before the next release.  The
-    bordered inverse takes rank-one updates in einsum and ufuncs only:
-    BLAS and LAPACK round differently with the thread count at these
-    sizes.  A singular free block, an empty F or 4n iterations hand over
-    early.  Returns the iterate, clipped to the box with its sum
+    statuses per iteration (Hintermueller, Ito & Kunisch 2002); the block
+    joins F by one k-row Schur-complement update (_add_block), as the
+    start's free set does 8 rows at a time.  After the next solve, each
+    released multiplier that would move outward is fixed again and
+    skipped until a step is taken; while others of the block stay free,
+    the system is solved again before the next release.  Updates run in einsum and
+    ufuncs only: BLAS and LAPACK round differently with the thread count
+    at these sizes.  A singular pivot, an empty F or 4n iterations hand
+    over early.  Returns the iterate, clipped to the box with its sum
     re-centred to 0, or a copy of beta0 if that has the higher dual."""
     n = y.size
     stretch = C / np.abs(beta0).max() if beta0.any() else 1.0
@@ -314,10 +347,10 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     inv = np.empty((n + 1, n + 1))  # the inverse, in its leading m+1 block
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
     # of K in KF[:m], its y, eps * side and C * side in FA[:, :m] and its
-    # side > 0 in pos[:m]; v, rhs and the ratio test's t are filled in place
+    # side > 0 in pos[:m]; rhs and the ratio test's t are filled in place
     fidx, KF, FA, pos = (np.empty(n, dtype=np.intp), np.empty((n, n)),
                          np.empty((3, n)), np.empty(n, dtype=bool))
-    v, rhs, t, m = np.ones(n + 1), np.empty(n + 1), np.empty(n), 0
+    rhs, t, m = np.empty(n + 1), np.empty(n), 0
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
@@ -326,25 +359,22 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
     ups, downs = up_rate[side + 2], down_rate[side + 2]
 
-    def add(j):  # F += {j}; False if the free block turns singular
+    def admit(J):  # the rows J, just bordered onto the inverse, join F
         nonlocal m
-        if m == 0:
-            inv[:2, :2] = [[-K[j, j], 1.0], [1.0, 0.0]]
-        else:
-            np.take(K[j], fidx[:m], out=v[1:m + 1])
-            w = np.einsum("ij,j->i", inv[:m + 1, :m + 1], v[:m + 1])
-            schur = K[j, j] - np.einsum("i,i->", v[:m + 1], w)
-            if not schur > floor:
-                return False
-            ws = w / schur
-            inv[:m + 1, :m + 1] += np.multiply.outer(w, ws)
-            inv[m + 1, :m + 1] = inv[:m + 1, m + 1] = -ws
-            inv[m + 1, m + 1] = 1.0 / schur
-        fidx[m], KF[m], pos[m] = j, K[j], side[j] > 0
-        FA[:, m] = y[j], epsilon * side[j], C * side[j]
-        ups[j] = downs[j] = -np.inf
-        m += 1
-        return True
+        k = J.size
+        fidx[m:m + k], KF[m:m + k], pos[m:m + k] = J, K[J], side[J] > 0
+        FA[:, m:m + k] = y[J], epsilon * side[J], C * side[J]
+        ups[J] = downs[J] = -np.inf
+        m += k
+
+    def add(J):  # F += J, one block update; False if a pivot is singular
+        if m == 0:  # the first point seeds the inverse
+            inv[:2, :2] = [[-K[J[0], J[0]], 1.0], [1.0, 0.0]]
+            admit(J[:1])
+            J = J[1:]
+        k = _add_block(inv, m, KF[:m, J].T, K[np.ix_(J, J)], floor)
+        admit(J[:k])
+        return k == J.size
 
     def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it
         nonlocal m
@@ -359,13 +389,9 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     def fix(i):  # i is fixed at side[i]: price it again
         ups[i], downs[i] = up_rate[side[i] + 2], down_rate[side[i] + 2]
 
-    def release(j, to):  # F += {j}, moving inward: up (to = 1) or down
-        pending[j] = (side[j], to)
-        side[j] = to if side[j] == 0 else np.sign(side[j])
-        return add(j)
-
     pending, skip = {}, []  # the last block: j -> (its side before, inward)
-    built = all(add(j) for j in np.flatnonzero(np.abs(side) == 1))
+    start = np.flatnonzero(np.abs(side) == 1)
+    built = all(add(start[i:i + 8]) for i in range(0, start.size, 8))
     for _ in range(4 * n if built else 0):
         if m == 0:
             break
@@ -411,9 +437,12 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         up, down = ups - E, downs + E
         viol = np.maximum(up, down)
         top = np.argsort(viol)[:-RELEASE_BLOCK - 1:-1]  # largest first
-        top = top[viol[top] > KKT_TOL / 2].tolist()
-        if not (top and all(release(j, 1 if up[j] >= down[j] else -1)
-                            for j in top)):
+        top = top[viol[top] > KKT_TOL / 2]
+        # the block moves inward: up (to = 1) or down (to = -1)
+        to = np.where(up[top] >= down[top], 1, -1)
+        pending.update(zip(top.tolist(), zip(side[top].tolist(), to.tolist())))
+        side[top] = np.where(side[top] == 0, to, np.sign(side[top]))
+        if not (top.size and add(top)):
             break
     np.clip(beta, -C, C, out=beta)
     inside = (beta != 0.0) & (np.abs(beta) < C - abs(beta.sum()))

@@ -23,7 +23,8 @@ from .numcore import NumericalError, least_squares, solve_spd
 
 
 class ConvergenceError(NumericalError):
-    """Iterative fit failed to converge; carries the last iterate."""
+    """Iterative fit failed to converge; carries the last iterate as
+    (coefficients, intercept)."""
 
     def __init__(self, message: str, last_iterate=None):
         super().__init__(message)
@@ -131,11 +132,12 @@ def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float,
 
 
 def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
-                         tol: float = 1e-7,
-                         max_sweeps: int = 10000) -> list[list[LinearModel]]:
+                         tol: float = 1e-7, max_sweeps: int = 10000, *,
+                         names=None) -> list[list[LinearModel]]:
     """Elastic nets on each training set (X, y) of ``folds`` at each of
     ``alphas``, as lanes of one coordinate descent: per fold, the models
-    in alpha order.  ConvergenceError names the first stuck fit."""
+    in alpha order.  ConvergenceError names the first stuck fit, and its
+    training set by ``names`` (default "fold i of k")."""
     if any(alpha <= 0 for alpha in alphas):
         raise ValueError("alpha must be > 0")
     if not 0.0 <= l1_ratio <= 1.0:
@@ -155,9 +157,10 @@ def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
     if stuck.any():
         fold, a = divmod(int(stuck.argmax()), n_alphas)
         m = fits[fold][a]
+        name = names[fold] if names else f"fold {fold + 1} of {k}"
         raise ConvergenceError(
             f"coordinate descent did not converge in {max_sweeps} sweeps "
-            f"at alpha={float(alphas[a])} on fold {fold + 1} of {k}",
+            f"at alpha={float(alphas[a])} on {name}",
             last_iterate=(m.coefficients, m.intercept))
     return fits
 
@@ -231,7 +234,7 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
         grad = logistic_gradient(w, X, s, C)
         if np.abs(grad).max() >= tol:
             raise ConvergenceError("logistic Newton did not converge",
-                                   last_iterate=w)
+                                   last_iterate=(w[1:], float(w[0])))
     return LinearModel(coefficients=w[1:], intercept=float(w[0]))
 
 

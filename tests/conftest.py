@@ -13,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpgworkbench.experiments import (ExperimentConfig, prepare_protocol,
+from mpgworkbench.experiments import (_SEED_KFOLD, ExperimentConfig,
+                                      cross_validate, prepare_protocol,
                                       run_classification_grid,
                                       run_regression_suite)
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
 from mpgworkbench.kernelmod import _kkt_violations
 from mpgworkbench.linmod import _centered_moments
+from mpgworkbench.rng import derive_seeds
 
 
 @pytest.fixture(scope="session")
@@ -69,6 +71,20 @@ def regress_2x_data_path(work_dir, capsys) -> str:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def seed1_cv_folds(protocol):
+    """The standardized (Xtr, ytr) of the seed-1 protocol's 10 CV folds,
+    as cross_validate hands them to every path."""
+    captured = []
+
+    def capture(folds):
+        captured.extend((Xs, ys) for Xs, ys, _ in folds)
+        return [[] for _ in folds]
+
+    cross_validate({"capture": capture}, protocol.Xtr_raw, protocol.ytr_raw,
+                   10, derive_seeds(1, 5)[_SEED_KFOLD])
+    return captured
 
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from mpgworkbench.ingest import (DATA_SHA256, FEATURE_NAMES, RawTable,
                                  parse_auto_mpg, reference_data_path,
                                  serialize_raw_table)
 from mpgworkbench.kernelmod import SmoError, kernel_matrix, solve_svr_dual
+from mpgworkbench.linmod import ConvergenceError
 
 
 def run_cli(argv):
@@ -171,6 +172,22 @@ def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure: SVR solver hit the iteration cap of 1" in err
     assert "max KKT violation 0.5; SMO steps 1" in err
+    assert not out.exists()
+
+
+def test_cd_failure_shows_last_iterate(tmp_path, capsys, monkeypatch):
+    def failing_cd(*args, **kwargs):
+        raise ConvergenceError("coordinate descent did not converge in 1 "
+                               "sweeps at alpha=0.0001 on the training split",
+                               last_iterate=(np.array([0.5, -2.25, 1.0]), 0.125))
+
+    monkeypatch.setattr(experiments, "fit_elastic_net_grid", failing_cd)
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: coordinate descent did not converge in 1 sweeps "
+        "at alpha=0.0001 on the training split; last iterate intercept "
+        "0.125, max |coefficient| 2.25\n")
     assert not out.exists()
 
 

@@ -310,10 +310,10 @@ for run in (run_regression_suite, run_classification_grid):
 """
 
 
-def test_reports_do_not_depend_on_blas_threads():
-    """The seed-1 regression and classification reports hash the same
-    with one and with two BLAS threads.  The thread count is read when
-    numpy loads, so each count runs in its own process."""
+def outputs_at_one_and_two_blas_threads(script: str) -> list[str]:
+    """script's stdout with one and with two BLAS threads.  The thread
+    count is read when numpy loads, so each count runs in its own
+    process."""
     src = str(Path(experiments.__file__).resolve().parents[1])
     procs = []
     for threads in ("1", "2"):
@@ -321,10 +321,48 @@ def test_reports_do_not_depend_on_blas_threads():
                "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(
                    [src, os.environ.get("PYTHONPATH", "")])}
-        procs.append(subprocess.Popen([sys.executable, "-c", _SEED1_DIGESTS],
+        procs.append(subprocess.Popen([sys.executable, "-c", script],
                                       env=env, stdout=subprocess.PIPE,
                                       text=True))
     outs = [p.communicate(timeout=600)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
+    return outs
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    """The seed-1 regression and classification reports hash the same
+    with one and with two BLAS threads."""
+    outs = outputs_at_one_and_two_blas_threads(_SEED1_DIGESTS)
     assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
+
+
+_ENGINE_DIGEST = """
+import hashlib
+from mpgworkbench import experiments
+from mpgworkbench.kernelmod import (KernelSpec, _svr_active_set, gamma_scale,
+                                    kernel_matrix, solve_svr_dual)
+from mpgworkbench.rng import derive_seeds
+config = experiments.ExperimentConfig(seed=1)
+proto = experiments.prepare_protocol(config)
+folds = []
+experiments.cross_validate(
+    {"capture": lambda fs: folds.extend(fs) or [[] for _ in fs]},
+    proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
+    derive_seeds(config.seed, 5)[experiments._SEED_KFOLD])
+Xs, ys, _ = folds[0]
+K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
+beta0, _ = solve_svr_dual(K, ys, 1.0, 0.1)
+start = _svr_active_set(K, ys, 10.0, 0.1, beta0)
+print(hashlib.sha256(start.tobytes()).hexdigest())
+"""
+
+
+def test_active_set_start_does_not_depend_on_blas_threads():
+    """The reports read the engine only through the SVR's selected C, so
+    the report check above cannot see its rounding.  The engine's start
+    for the seed-1 warm solve of fold 1 at C = 10 hashes the same with
+    one and with two BLAS threads."""
+    outs = outputs_at_one_and_two_blas_threads(_ENGINE_DIGEST)
+    assert len(outs[0].split()) == 1
     assert outs[0] == outs[1]

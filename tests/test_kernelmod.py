@@ -7,8 +7,8 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import (regress_2x_data_path, svc_kkt_violations,
-                      svr_kkt_violations)
+from conftest import (regress_2x_data_path, seed1_cv_folds,
+                      svc_kkt_violations, svr_kkt_violations)
 
 from mpgworkbench import experiments, kernelmod
 from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
@@ -732,6 +732,131 @@ def test_active_set_block_undo_start_is_feasible_and_no_worse():
 
     assert line_of("side[j] = pending.pop(j)[0]") in ran  # a member fixed again
     assert line_of("if m < m0 and pending:") + 1 in ran  # solved again
+    assert np.abs(start).max() <= 10.0
+    assert abs(start.sum()) <= 1e-8 * 10.0
+    assert svr_dual_value(K, y, 0.1, start) >= svr_dual_value(K, y, 0.1, beta0)
+    beta, b = plain_warm_smo(K, y, 10.0, 0.1, start)
+    assert svr_kkt_violations(beta, K @ beta + b - y, 10.0, 0.1).max() <= 2.0 * KKT_TOL
+
+
+@pytest.fixture(scope="module")
+def seed1_fold(protocol):
+    """The RBF Gram matrix of the seed-1 protocol's first CV fold, as the
+    SVR CV builds it, and the free rows (0 < |beta| < C) of its optima
+    along the C grid: 35, 83 and 133 rows."""
+    Xs, ys = seed1_cv_folds(protocol)[0]
+    K = kernel_matrix(KernelSpec("rbf", gamma_scale(protocol.Xtr)), Xs, Xs)
+    beta, free = None, {}
+    for C in experiments.FIXED["svr_c_grid"]:
+        beta, _ = solve_svr_dual(K, ys, C, 0.1, beta0=beta)
+        free[C] = np.flatnonzero((np.abs(beta) > 1e-8 * C)
+                                 & (np.abs(beta) < C - 1e-8 * C))
+    return K, free
+
+
+def rank_one_bordered_inverse(K, F, floor):
+    """The reference for _add_block: the inverse of [[0, 1'], [1, K_FF]]
+    by one rank-one add per row of F, and the number of rows admitted
+    before the first Schur complement at or below floor."""
+    inv = np.array([[-K[F[0], F[0]], 1.0], [1.0, 0.0]])
+    for m in range(1, len(F)):
+        v = np.concatenate([[1.0], K[F[m], F[:m]]])
+        w = np.einsum("ij,j->i", inv, v)
+        schur = K[F[m], F[m]] - np.einsum("i,i->", v, w)
+        if not schur > floor:
+            return inv, m
+        inv = np.block([[inv + np.outer(w, w) / schur, -w[:, None] / schur],
+                        [-w[None, :] / schur, np.array([[1.0 / schur]])]])
+    return inv, len(F)
+
+
+def block_and_rank_one_inverses(K, rows, k):
+    """The bordered inverse of K's rows, by rank-one adds of all but the
+    last k and one k-row block add, and by rank-one adds only; checks that
+    every row joins both ways."""
+    floor = 1e-10 * float(np.diag(K).max())
+    m = len(rows) - k
+    F, J = rows[:m], rows[m:]
+    inv = np.empty((K.shape[0] + 1, K.shape[0] + 1))
+    inv[:m + 1, :m + 1], admitted = rank_one_bordered_inverse(K, F, floor)
+    assert admitted == m
+    assert kernelmod._add_block(inv, m, K[np.ix_(J, F)], K[np.ix_(J, J)],
+                                floor) == k
+    ref, admitted = rank_one_bordered_inverse(K, rows, floor)
+    assert admitted == m + k
+    return inv[:m + k + 1, :m + k + 1], ref
+
+
+@pytest.mark.parametrize("C", [1.0, 10.0])
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_block_add_matches_rank_one_adds(seed1_fold, C, k):
+    """On the seed-1 fold's free rows at C = 1 and C = 10 (bordered
+    condition numbers 1e3 and 1.5e4), one add of the last k rows matches
+    k rank-one adds to 1e-10 (relative)."""
+    K, free = seed1_fold
+    block, ref = block_and_rank_one_inverses(K, free[C], k)
+    assert np.abs(block - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_block_add_is_as_accurate_as_rank_one_adds(seed1_fold, k):
+    """On the free rows at C = 100 (bordered condition number 2.8e5) the
+    two orders of rounding part by more than 1e-10: by 1.5e-10 relative
+    for the last 4 rows.  Against the inverse refined in long double, the
+    block add is as accurate as the rank-one adds, within a factor of 2."""
+    K, free = seed1_fold
+    rows = free[100.0]
+    block, ref = block_and_rank_one_inverses(K, rows, k)
+    M = np.zeros((len(rows) + 1, len(rows) + 1))
+    M[0, 1:] = M[1:, 0] = 1.0
+    M[1:, 1:] = K[np.ix_(rows, rows)]
+    exact, M = np.linalg.inv(M).astype(np.longdouble), M.astype(np.longdouble)
+    for _ in range(3):  # iterative refinement: X += X (I - M X)
+        exact += exact @ (np.eye(len(M), dtype=np.longdouble) - M @ exact)
+    exact = exact.astype(float)
+    assert np.abs(block - exact).max() <= 2.0 * np.abs(ref - exact).max()
+
+
+def test_block_add_stops_at_a_duplicate_of_a_free_row(seed1_fold):
+    """A block whose second row duplicates a free row: exactly the first
+    row joins, as one rank-one add would admit it."""
+    K, free = seed1_fold
+    F = free[10.0]
+    J = np.array([np.setdiff1d(np.arange(K.shape[0]), F)[0], F[5], *free[1.0][-2:]])
+    floor = 1e-10 * float(np.diag(K).max())
+    inv = np.empty((K.shape[0] + 1, K.shape[0] + 1))
+    m = F.size
+    inv[:m + 1, :m + 1], _ = rank_one_bordered_inverse(K, F, floor)
+    assert kernelmod._add_block(inv, m, K[np.ix_(J, F)], K[np.ix_(J, J)],
+                                floor) == 1
+    ref, _ = rank_one_bordered_inverse(K, np.append(F, J[0]), floor)
+    assert np.abs(inv[:m + 2, :m + 2] - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_active_set_hands_over_at_a_released_duplicate(monkeypatch):
+    """Row 1 duplicates row 0.  From a start with row 0 free and row 1 at
+    -C, the engine releases a block of 4 whose second point is row 1 (or
+    another copy of a free row): it admits exactly the first point, hands
+    over, and SMO still certifies the solve from its start."""
+    gen = np.random.default_rng(13)
+    X = gen.normal(size=(20, 2))
+    X[1] = X[0]
+    y = X[:, 0] + np.sin(X[:, 1]) + 0.3 * gen.normal(size=20)
+    K = kernel_matrix(KernelSpec("rbf", gamma=0.5), X, X)
+    beta0 = np.zeros(20)
+    beta0[:3] = 0.5, -1.0, 0.5
+    add_block, blocks = kernelmod._add_block, []
+
+    def spy(inv, m, K_JF, K_JJ, floor):
+        joined = add_block(inv, m, K_JF, K_JJ, floor)
+        blocks.append((m, len(K_JJ), joined, K_JF.copy()))
+        return joined
+
+    monkeypatch.setattr(kernelmod, "_add_block", spy)
+    start = kernelmod._svr_active_set(K, y, 10.0, 0.1, beta0)
+    m, size, joined, K_JF = blocks[-1]  # the last block ended the engine
+    assert m > 0 and size == 4 and joined == 1
+    assert (K_JF[1] == 1.0).any()  # an RBF row equal to a free row's
     assert np.abs(start).max() <= 10.0
     assert abs(start.sum()) <= 1e-8 * 10.0
     assert svr_dual_value(K, y, 0.1, start) >= svr_dual_value(K, y, 0.1, beta0)

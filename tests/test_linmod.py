@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
-from conftest import lasso_alpha_max
+from conftest import lasso_alpha_max, seed1_cv_folds
 
-from mpgworkbench.experiments import FIXED, _SEED_KFOLD, cross_validate
+from mpgworkbench import linmod
+from mpgworkbench.experiments import (FIXED, _SEED_KFOLD, ExperimentConfig,
+                                      _regression_table, cross_validate)
 from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net,
                                  fit_elastic_net_grid, fit_lasso, fit_logistic,
                                  fit_ols, fit_ridge, linear_predict,
@@ -140,6 +142,17 @@ def test_lasso_nonconvergence_carries_iterate(rng):
     with pytest.raises(ConvergenceError) as exc:
         fit_lasso(X, y, alpha=1e-6, max_sweeps=1)
     assert exc.value.last_iterate is not None
+
+
+def test_logistic_nonconvergence_carries_iterate(rng):
+    """As the CD fits do, logistic regression carries its last iterate
+    as (coefficients, intercept), which the CLI prints."""
+    X = rng.normal(size=(50, 3))
+    labels = (X[:, 0] + 0.5 * rng.normal(size=50) > 0).astype(int)
+    with pytest.raises(ConvergenceError) as exc:
+        fit_logistic(X, labels, C=1.0, max_iter=1)
+    coefficients, intercept = exc.value.last_iterate
+    assert coefficients.shape == (3,) and isinstance(intercept, float)
 
 
 def test_lasso_zero_set_grows_along_path(rng):
@@ -464,20 +477,6 @@ def scalar_coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps
     return fit
 
 
-def seed1_cv_folds(protocol):
-    """The standardized (Xtr, ytr) of the seed-1 protocol's 10 CV folds,
-    as cross_validate hands them to every path."""
-    captured = []
-
-    def capture(folds):
-        captured.extend((Xs, ys) for Xs, ys, _ in folds)
-        return [[] for _ in folds]
-
-    cross_validate({"capture": capture}, protocol.Xtr_raw, protocol.ytr_raw,
-                   10, derive_seeds(1, 5)[_SEED_KFOLD])
-    return captured
-
-
 def assert_fit_bits_equal(fit, ref):
     """(beta, intercept) pairs equal bit for bit, signs of zero included."""
     assert fit[0].tobytes() == ref[0].tobytes()
@@ -514,6 +513,38 @@ def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol):
     with pytest.raises(ConvergenceError) as ref:
         scalar_coordinate_descent(*folds[0], 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
     assert_fit_bits_equal(exc.value.last_iterate, ref.value.last_iterate)
+
+
+@pytest.mark.parametrize("row, l1_ratio", [(-1, 1.0), (4, 0.5)])
+def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
+                                                   l1_ratio):
+    """The Lasso and Elastic Net paths fit the training split as one more
+    lane group of the CV descent.  Their final models are its lanes at
+    the selected alpha, bitwise equal to single fits, and a stuck lane of
+    that group names the training split, not an eleventh fold."""
+    regressor = _regression_table(ExperimentConfig(), protocol)[row]
+
+    def cv():
+        cross_validate({regressor.name: regressor.path}, protocol.Xtr_raw,
+                       protocol.ytr_raw, 10, derive_seeds(1, 5)[_SEED_KFOLD])
+
+    cv()
+    for alpha in FIXED["alpha_grid"]:
+        m = regressor.fit(protocol.Xtr, protocol.ytr, alpha)
+        ref = fit_elastic_net(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
+        assert_fit_bits_equal((m.coefficients, m.intercept),
+                              (ref.coefficients, ref.intercept))
+    descent = linmod._coordinate_descent
+
+    def stuck_final(*args):
+        beta, stuck = descent(*args)
+        stuck[-1] = True  # the training split's lane at the largest alpha
+        return beta, stuck
+
+    monkeypatch.setattr(linmod, "_coordinate_descent", stuck_final)
+    with pytest.raises(ConvergenceError,
+                       match=r"at alpha=10\.0 on the training split$"):
+        cv()
 
 
 def test_cd_cv_fold_scores_are_pinned(regression_suite):
