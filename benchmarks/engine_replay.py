@@ -154,8 +154,7 @@ def counts(engine, calls, source: str) -> dict:
             start = engine(K, y, C, epsilon, beta0)
             start[np.abs(start) <= 1e-12 * C] = 0.0  # as solve_svr_dual does
             n = y.size
-            kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon,
-                           kernelmod.KKT_TOL, kernelmod.MAX_ITER, start)
+            kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), epsilon, start)
     finally:
         sys.settrace(None)
     return total

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,14 +22,9 @@ from . import __version__
 from .ingest import (DataError, Dataset, load_dataset, reference_data_path,
                      require_varying)
 from .kernelmod import (KernelSpec, fit_svc_smo, fit_svr, gamma_scale,
-                        kernel_matrix, solve_svr_dual, svm_decision,
-                        svm_predict_class)
-# fit_lasso and fit_elastic_net are unused here, but perfbench/layers.py
-# names experiments.fit_lasso and experiments.fit_elastic_net as the CD
-# fits whose time and count it reports
-from .linmod import (fit_elastic_net, fit_elastic_net_grid,  # noqa: F401
-                     fit_lasso, fit_logistic, fit_ols, fit_ridge,
-                     linear_predict, logistic_scores)
+                        kernel_matrix, solve_svr_dual, svm_decision)
+from .linmod import (fit_elastic_net, fit_lasso, fit_logistic, fit_ols,
+                     fit_ridge, linear_predict, logistic_scores)
 from .metrics import (classification_report, confusion_matrix,
                       dataset_correlations, histogram, regression_metrics,
                       roc_curve)
@@ -120,11 +116,12 @@ def _standardized(X, y, train, test, split: str):
 
 
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
-    dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
+    dataset = load_dataset(config.resolved_data_path())
     seeds = derive_seeds(config.seed, 5)
     split = train_test_split(len(dataset.y), config.split_ratio, seeds[_SEED_SPLIT])
     Xtr, ytr, Xte, yte = _standardized(dataset.X, dataset.y, split.train,
                                        split.test, "training split")
+    labels = (dataset.y >= config.threshold_mpg).astype(int)  # 1: high efficiency
     return ProtocolData(
         dataset=dataset,
         train_idx=split.train,
@@ -135,8 +132,8 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
         yte=yte,
         Xtr_raw=dataset.X[split.train],
         ytr_raw=dataset.y[split.train],
-        labels_tr=dataset.label[split.train],
-        labels_te=dataset.label[split.test],
+        labels_tr=labels[split.train],
+        labels_te=labels[split.test],
     )
 
 
@@ -220,23 +217,24 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
             preds.append(K_test @ beta + b)
         return preds
 
-    finals = {}  # l1 ratio -> the training split's models, in alpha order
+    finals = {}  # CD fit -> the training split's models, in alpha order
+    enet = partial(fit_elastic_net, l1_ratio=l1_ratio)
 
-    def cd_path(ratio):
+    def cd_path(fit):
         # every fold and the training split at every alpha: lanes of one
         # descent, so the selected alpha's final model is already fitted
         def path(folds):
             k = len(folds)
-            *fits, finals[ratio] = fit_elastic_net_grid(
+            *fits, finals[fit] = fit(
                 [f[:2] for f in folds] + [(proto.Xtr, proto.ytr)],
-                FIXED["alpha_grid"], ratio,
+                FIXED["alpha_grid"],
                 names=[f"fold {i} of {k}" for i in range(1, k + 1)]
                 + ["the training split"])
             return [[linear_predict(m, f[2]) for m in ms] for ms, f in zip(fits, folds)]
         return path
 
-    def cd_final(ratio):  # (X, y) is the training split, fitted by cd_path
-        return lambda X, y, a: finals[ratio][FIXED["alpha_grid"].index(a)]
+    def cd_final(fit):  # (X, y) is the training split, fitted by cd_path
+        return lambda X, y, a: finals[fit][FIXED["alpha_grid"].index(a)]
 
     return (
         _Regressor("SVM Regression", FIXED["svr_c_grid"],
@@ -259,17 +257,17 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
                    lambda X, y, _: fit_ols(X, y), linear_predict, d,
                    lambda _: {}, True),
         _Regressor("Elastic Net Regression", FIXED["alpha_grid"],
-                   cd_final(l1_ratio), linear_predict, d,
+                   cd_final(enet), linear_predict, d,
                    lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True,
-                   cd_path(l1_ratio)),
+                   cd_path(enet)),
         _Regressor("Polynomial Regression", None,
                    lambda X, y, _: fit_ols(polynomial_features(X, deg), y),
                    lambda m, X: linear_predict(m, polynomial_features(X, deg)),
                    polynomial_feature_count(d, deg),
                    lambda _: {"degree": deg}, False),
         _Regressor("Lasso Regression", FIXED["alpha_grid"],
-                   cd_final(1.0), linear_predict, d,
-                   lambda a: {"alpha": a}, True, cd_path(1.0)),
+                   cd_final(fit_lasso), linear_predict, d,
+                   lambda a: {"alpha": a}, True, cd_path(fit_lasso)),
     )
 
 
@@ -326,7 +324,7 @@ class _Family(NamedTuple):
     summary: str  # name in the class-wise summaries
     fit: Callable  # (X, labels, C) -> model
     scores: Callable  # (model, X) -> decision scores
-    predict_class: Callable  # (model, X) -> labels
+    cut: float  # a score at or above it classifies as class 1
 
 
 def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None = None) -> dict:
@@ -343,20 +341,21 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     families = {
         "linear": _Family("SVM (Linear Kernel, C={})", "SVM with Linear Kernel",
                           lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=linear),
-                          svm_decision, svm_predict_class),
+                          svm_decision, 0.0),
         "rbf": _Family("SVM (RBF Kernel, C={})", "SVM with RBF Kernel",
                        lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=rbf),
-                       svm_decision, svm_predict_class),
+                       svm_decision, 0.0),
         "logistic": _Family("Logistic Regression (C={})", "Logistic Regression",
                             lambda X, t, C: fit_logistic(X, t, C=C), logistic_scores,
-                            lambda m, X: (logistic_scores(m, X) >= 0.5).astype(int)),
+                            0.5),
     }
-    models, by_key = {}, {}  # (family, C) -> model, row
+    scores, by_key = {}, {}  # (family, C) -> test scores, row
     for family, f in families.items():
         for C in c_desc:
-            models[family, C] = m = f.fit(proto.Xtr, proto.labels_tr, C)
+            scores[family, C] = s = f.scores(f.fit(proto.Xtr, proto.labels_tr, C),
+                                              proto.Xte)
             by_key[family, C] = _classifier_row(
-                f.row_name.format(C), C, proto.labels_te, f.predict_class(m, proto.Xte))
+                f.row_name.format(C), C, proto.labels_te, (s >= f.cut).astype(int))
     tree = fit_cart(proto.Xtr, proto.labels_tr, "classify")
     rows = [*by_key.values(), _classifier_row(
         "Decision Tree", "Default", proto.labels_te,
@@ -367,7 +366,7 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     reported = {"svm_linear_initial": ("linear", c_max),
                 "svm_linear_optimized": ("linear", c_one),
                 "svm_rbf": ("rbf", c_one), "logistic": ("logistic", c_one)}
-    roc_data = {key: roc_curve(families[f].scores(models[f, C], proto.Xte), proto.labels_te)
+    roc_data = {key: roc_curve(scores[f, C], proto.labels_te)
                 for key, (f, C) in reported.items()}
 
     # class-wise summaries from the best C per family (ties -> smaller C)
@@ -389,7 +388,8 @@ def run_eda(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:
     """Correlation matrix, per-feature distributions, pairwise data of
     ``dataset``, or of the config's data file when it is None."""
     if dataset is None:
-        dataset = load_dataset(config.resolved_data_path(), config.threshold_mpg)
+        dataset = load_dataset(config.resolved_data_path())
+    high = int((dataset.y >= config.threshold_mpg).sum())
     columns = {"mpg": dataset.y}
     for j, name in enumerate(dataset.column_names):
         columns[name] = dataset.X[:, j]
@@ -399,8 +399,8 @@ def run_eda(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:
                           for name, col in columns.items()},
         "pairwise": {name: col.tolist() for name, col in columns.items()},
         "class_counts": {
-            "high_efficiency": int(dataset.label.sum()),
-            "low_efficiency": int((1 - dataset.label).sum()),
+            "high_efficiency": high,
+            "low_efficiency": dataset.y.size - high,
         },
     }
 

@@ -29,9 +29,6 @@ FEATURE_NAMES = (
 #: SHA-256 of the packaged reference data file.
 DATA_SHA256 = "f228bbee9ef0fdca49ce08ff1b9ce2bf979251b66a23e4f702bc0a09634686f9"
 
-#: Default threshold (mpg) separating high- from low-efficiency vehicles.
-DEFAULT_THRESHOLD_MPG = 25.0
-
 
 class ParseError(ValueError):
     """Raised when the data file does not match the expected layout."""
@@ -66,11 +63,10 @@ class RawTable:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Fully numeric feature table with continuous target and binary label."""
+    """Fully numeric feature table with continuous target."""
 
     X: np.ndarray  # (n, 7) float
     y: np.ndarray  # (n,) float, mpg
-    label: np.ndarray  # (n,) int, 1 iff y >= threshold
     column_names: tuple[str, ...]
     sha256: str | None = None  # of the file's bytes, when loaded from one
 
@@ -180,13 +176,8 @@ def impute_horsepower_median(table: RawTable) -> RawTable:
     return RawTable(rows=rows)
 
 
-def build_dataset(table: RawTable, threshold_mpg: float = DEFAULT_THRESHOLD_MPG) -> Dataset:
-    """Assemble the numeric dataset and attach the binary efficiency label.
-
-    label[i] = 1 iff mpg >= threshold (boundary inclusive).
-    """
-    if threshold_mpg <= 0:
-        raise DataError(f"threshold_mpg must be positive, got {threshold_mpg}")
+def build_dataset(table: RawTable) -> Dataset:
+    """Assemble the numeric dataset: features X and target mpg y."""
     for i, r in enumerate(table.rows):
         if r.horsepower is None:
             raise DataError(f"row {i}: residual missing horsepower; impute first")
@@ -199,8 +190,7 @@ def build_dataset(table: RawTable, threshold_mpg: float = DEFAULT_THRESHOLD_MPG)
         dtype=float,
     )
     y = np.array([r.mpg for r in table.rows], dtype=float)
-    label = (y >= threshold_mpg).astype(int)
-    return Dataset(X=X, y=y, label=label, column_names=FEATURE_NAMES)
+    return Dataset(X=X, y=y, column_names=FEATURE_NAMES)
 
 
 def require_varying(X: np.ndarray, y: np.ndarray, where: str) -> None:
@@ -212,12 +202,11 @@ def require_varying(X: np.ndarray, y: np.ndarray, where: str) -> None:
             raise DataError(f"{names[constant[0]]!r} is constant in {where}")
 
 
-def load_dataset(path: str, threshold_mpg: float = DEFAULT_THRESHOLD_MPG) -> Dataset:
+def load_dataset(path: str) -> Dataset:
     """Parse, impute and assemble in one step from one read of a file;
     the Dataset carries the SHA-256 of the bytes it was parsed from.  A
     feature or mpg constant in the whole file is a DataError."""
     text, sha256 = read_data_file(path)
-    dataset = build_dataset(impute_horsepower_median(parse_auto_mpg(text)),
-                            threshold_mpg)
+    dataset = build_dataset(impute_horsepower_median(parse_auto_mpg(text)))
     require_varying(dataset.X, dataset.y, "the data file")
     return replace(dataset, sha256=sha256)

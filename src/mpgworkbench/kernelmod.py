@@ -119,7 +119,7 @@ def _kkt_violations(beta, E, lo, hi, epsilon, bnd):
         default=np.maximum(0.0, epsilon - E))
 
 
-def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
+def _smo(K, y, lo, hi, epsilon, beta0):
     """The SMO loop of both tasks: maximize the beta-form dual in the
     box [lo, hi] from beta0 (feasible, or None for 0); returns (beta, b).
     Each step pairs the maximal violator with the partner of largest
@@ -127,8 +127,9 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
     subproblem exactly: the best of its per-quadrant stationary points
     and its breakpoints at the sign kinks.  The dual never decreases; a
     pair that makes no progress raises SmoError at once, and so does a
-    result that fails the KKT audit at 2 * tol."""
+    result that fails the KKT audit at 2 * KKT_TOL or hits MAX_ITER."""
     n = y.size
+    C = float(max(hi.max(), -lo.min()))  # both tasks' boxes reach C
     beta = np.zeros(n) if beta0 is None else beta0
     g = np.zeros(n) if beta0 is None else K @ beta  # K @ beta, kept current
     iterations = 0
@@ -167,13 +168,13 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
         np.add(yg, off_down, out=down)
         i1 = int(up.argmax())
         up_max, down_min = float(up[i1]), float(down[down.argmin()])
-        if up_max - down_min <= 2.0 * tol:
+        if up_max - down_min <= 2.0 * KKT_TOL:
             audit = failure("SMO solution failed its KKT audit", down_min)
-            if audit.max_violation > 2.0 * tol:
+            if audit.max_violation > 2.0 * KKT_TOL:
                 raise audit
             return beta, (up_max + down_min) / 2.0
-        if iterations >= max_iter:
-            raise failure(f"SMO solver hit the iteration cap of {max_iter}",
+        if iterations >= MAX_ITER:
+            raise failure(f"SMO solver hit the iteration cap of {MAX_ITER}",
                           down_min)
         if curv is None:
             # floored pair curvature K_ii + K_jj - 2 K_ij of the partner
@@ -234,8 +235,8 @@ def _smo(K, y, lo, hi, C, epsilon, tol, max_iter, beta0):
         iterations += 1
 
 
-def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float, kernel: KernelSpec,
-                tol: float = KKT_TOL, max_iter: int = MAX_ITER) -> SvmModel:
+def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float,
+                kernel: KernelSpec) -> SvmModel:
     """Soft-margin SVC: the shared dual with eps = 0, targets +/-1 and
     the box [0, C] for class 1, [-C, 0] for class 0.  labels are {0, 1};
     the dual coefficients are alpha_i y_i."""
@@ -245,14 +246,12 @@ def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float, kernel: KernelSpec,
         raise ValueError("both classes must be present")
     pos = labels == 1
     beta, b = _smo(kernel_matrix(kernel, X, X), np.where(pos, 1.0, -1.0),
-                   np.where(pos, 0.0, -C), np.where(pos, C, 0.0), C, 0.0,
-                   tol, max_iter, None)
+                   np.where(pos, 0.0, -C), np.where(pos, C, 0.0), 0.0, None)
     sv, dual = _extract_support(X, beta)
     return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 
 
 def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-                   tol: float = KKT_TOL, max_iter: int = MAX_ITER,
                    beta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Epsilon-insensitive SVR dual on a precomputed Gram matrix: the
     shared dual with the box [-C, C]; returns (beta, bias).
@@ -281,8 +280,7 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
         if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
             raise SmoError("the active-set start left the box with sum 0")
-    return _smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon, tol,
-                max_iter, beta0)
+    return _smo(K, y, np.full(n, -C), np.full(n, C), epsilon, beta0)
 
 
 def _add_block(inv, m, K_JF, K_JJ, floor):
@@ -457,12 +455,11 @@ def _svr_active_set(K, y, C, epsilon, beta0):
 
 
 def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-            kernel: KernelSpec, tol: float = KKT_TOL,
-            max_iter: int = MAX_ITER) -> SvmModel:
+            kernel: KernelSpec) -> SvmModel:
     """Epsilon-insensitive SVR; see solve_svr_dual for the method."""
     X = np.asarray(X, dtype=float)
     K = kernel_matrix(kernel, X, X)
-    beta, b = solve_svr_dual(K, y, C, epsilon, tol=tol, max_iter=max_iter)
+    beta, b = solve_svr_dual(K, y, C, epsilon)
     sv, dual = _extract_support(X, beta)
     return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 
@@ -475,8 +472,3 @@ def svm_decision(m: SvmModel, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], m.bias)
     K = kernel_matrix(m.kernel, X, m.support_vectors)
     return K @ m.dual_coefs + m.bias
-
-
-def svm_predict_class(m: SvmModel, X: np.ndarray) -> np.ndarray:
-    """Class labels {0, 1}; a score of exactly 0 maps to class 1."""
-    return (svm_decision(m, X) >= 0.0).astype(int)

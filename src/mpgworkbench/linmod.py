@@ -21,6 +21,12 @@ import numpy as np
 
 from .numcore import NumericalError, least_squares, solve_spd
 
+# fixed points of the iterative fits, read when each fit runs
+CD_TOL = 1e-7  # a CD lane freezes after a sweep that moves no coefficient by this
+CD_MAX_SWEEPS = 10_000
+NEWTON_TOL = 1e-8  # logistic Newton stops at this largest |gradient| entry
+NEWTON_MAX_ITER = 100
+
 
 class ConvergenceError(NumericalError):
     """Iterative fit failed to converge; carries the last iterate as
@@ -79,7 +85,7 @@ def _centered_moments(X, y):
     return x_mean, y_mean, Xc.T @ Xc / n, Xc.T @ (y - y_mean) / n
 
 
-def _coordinate_descent(G, c, l1, l2, tol: float, max_sweeps: int):
+def _coordinate_descent(G, c, l1, l2):
     """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
     + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
     Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
@@ -87,8 +93,8 @@ def _coordinate_descent(G, c, l1, l2, tol: float, max_sweeps: int):
     per changed coefficient.  L fits run as lanes in lock-step, lane i
     with its own G[i] (p x p), c[i], l1[i] and l2[i], each doing one fit's
     arithmetic; a lane freezes after its first sweep that changes no
-    coefficient by tol or more.  Returns the (L, p) coefficients and the
-    mask of lanes still moving after max_sweeps sweeps."""
+    coefficient by CD_TOL or more.  Returns the (L, p) coefficients and
+    the mask of lanes still moving after CD_MAX_SWEEPS sweeps."""
     n_lanes, p = c.shape
     G = np.ascontiguousarray(G.transpose(1, 2, 0))  # G[j]: row j per lane
     r = c.T.copy()  # (p, L), like beta
@@ -99,7 +105,7 @@ def _coordinate_descent(G, c, l1, l2, tol: float, max_sweeps: int):
     # a constant column (G_jj = 0) at l2 = 0 divides by 0 only in the
     # branches np.where discards: it always lands in the zero branch
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_sweeps):
+        for _ in range(CD_MAX_SWEEPS):
             if not moving.any():
                 break
             change = np.zeros(n_lanes)
@@ -115,25 +121,17 @@ def _coordinate_descent(G, c, l1, l2, tol: float, max_sweeps: int):
                 np.subtract(r, d * Gj, out=r, where=moved)
                 np.copyto(old, new, where=moved)
                 np.maximum(change, np.abs(d), out=change, where=moved)
-            moving &= change >= tol
+            moving &= change >= CD_TOL
     return beta.T.copy(), moving
 
 
-def fit_lasso(X: np.ndarray, y: np.ndarray, alpha: float,
-              tol: float = 1e-7, max_sweeps: int = 10000) -> LinearModel:
-    """Lasso: the elastic net at l1_ratio = 1 (l1 = alpha, l2 = 0)."""
-    return fit_elastic_net(X, y, alpha, 1.0, tol, max_sweeps)
+def fit_lasso(folds: list, alphas, *, names=None) -> list[list[LinearModel]]:
+    """Lassos: the elastic nets at l1_ratio = 1 (l1 = alpha, l2 = 0)."""
+    return fit_elastic_net(folds, alphas, 1.0, names=names)
 
 
-def fit_elastic_net(X: np.ndarray, y: np.ndarray, alpha: float, l1_ratio: float,
-                    tol: float = 1e-7, max_sweeps: int = 10000) -> LinearModel:
-    """Elastic net via coordinate descent (combined shrink-and-threshold)."""
-    return fit_elastic_net_grid([(X, y)], [alpha], l1_ratio, tol, max_sweeps)[0][0]
-
-
-def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
-                         tol: float = 1e-7, max_sweeps: int = 10000, *,
-                         names=None) -> list[list[LinearModel]]:
+def fit_elastic_net(folds: list, alphas, l1_ratio: float, *,
+                    names=None) -> list[list[LinearModel]]:
     """Elastic nets on each training set (X, y) of ``folds`` at each of
     ``alphas``, as lanes of one coordinate descent: per fold, the models
     in alpha order.  ConvergenceError names the first stuck fit, and its
@@ -149,8 +147,7 @@ def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
     beta, stuck = _coordinate_descent(
         np.repeat([m[2] for m in moments], n_alphas, axis=0),
         np.repeat([m[3] for m in moments], n_alphas, axis=0),
-        np.tile(alphas * l1_ratio, k), np.tile(alphas * (1.0 - l1_ratio), k),
-        tol, max_sweeps)
+        np.tile(alphas * l1_ratio, k), np.tile(alphas * (1.0 - l1_ratio), k))
     per_fold = beta.reshape(k, n_alphas, -1)
     fits = [[LinearModel(b, float(y_mean - x_mean @ b)) for b in lanes]
             for lanes, (x_mean, y_mean, _, _) in zip(per_fold, moments)]
@@ -159,7 +156,7 @@ def fit_elastic_net_grid(folds: list, alphas, l1_ratio: float,
         m = fits[fold][a]
         name = names[fold] if names else f"fold {fold + 1} of {k}"
         raise ConvergenceError(
-            f"coordinate descent did not converge in {max_sweeps} sweeps "
+            f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps "
             f"at alpha={float(alphas[a])} on {name}",
             last_iterate=(m.coefficients, m.intercept))
     return fits
@@ -191,8 +188,7 @@ def logistic_gradient(w: np.ndarray, X: np.ndarray, s: np.ndarray, C: float) -> 
     return grad
 
 
-def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
-                 tol: float = 1e-8, max_iter: int = 100) -> LinearModel:
+def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float) -> LinearModel:
     """L2-regularized logistic regression by damped Newton iterations."""
     if C <= 0:
         raise ValueError("C must be > 0")
@@ -207,9 +203,9 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
     n, p = X.shape
     w = np.zeros(p + 1)
     obj = logistic_objective(w, X, s, C)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         grad = logistic_gradient(w, X, s, C)
-        if np.abs(grad).max() < tol:
+        if np.abs(grad).max() < NEWTON_TOL:
             break
         z = s * (w[0] + X @ w[1:])
         prob = _sigmoid(-z)
@@ -232,7 +228,7 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float,
             break  # no descent possible; gradient is numerically flat
     else:
         grad = logistic_gradient(w, X, s, C)
-        if np.abs(grad).max() >= tol:
+        if np.abs(grad).max() >= NEWTON_TOL:
             raise ConvergenceError("logistic Newton did not converge",
                                    last_iterate=(w[1:], float(w[0])))
     return LinearModel(coefficients=w[1:], intercept=float(w[0]))

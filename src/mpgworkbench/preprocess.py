@@ -94,7 +94,7 @@ def polynomial_feature_count(d: int, degree: int) -> int:
     return math.comb(d + degree, degree) - 1
 
 
-def polynomial_features(M: np.ndarray, degree: int, max_features: int = 10000) -> np.ndarray:
+def polynomial_features(M: np.ndarray, degree: int) -> np.ndarray:
     """All monomials of total degree 1..degree over the input columns.
 
     Column order: degree 1 columns in input order, then degree 2
@@ -105,14 +105,6 @@ def polynomial_features(M: np.ndarray, degree: int, max_features: int = 10000) -
     if degree < 1:
         raise ValueError("degree must be >= 1")
     d = M.shape[1]
-    n_out = polynomial_feature_count(d, degree)
-    if n_out > max_features:
-        raise ValueError(
-            f"polynomial expansion would produce {n_out} features, "
-            f"above the cap of {max_features}"
-        )
-    if degree == 1:
-        return M.copy()
     cols = []
     for deg in range(1, degree + 1):
         for combo in combinations_with_replacement(range(d), deg):

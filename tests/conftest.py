@@ -6,8 +6,10 @@ Also the oracles that more than one test module uses, imported as
 ``from conftest import ...``.
 """
 
+import contextlib
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,19 @@ from mpgworkbench.experiments import (_SEED_KFOLD, ExperimentConfig,
                                       run_regression_suite)
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
 from mpgworkbench.kernelmod import _kkt_violations
-from mpgworkbench.linmod import _centered_moments
+from mpgworkbench.linmod import _centered_moments, fit_elastic_net, fit_lasso
 from mpgworkbench.rng import derive_seeds
+
+# On a property test's failure hypothesis imports its patch writer, and
+# through it libcst, whose use of mypy_extensions.TypedDict warns with a
+# DeprecationWarning.  Under the ini's error::DeprecationWarning that
+# import would abort the whole pytest run (INTERNALERROR), and no later test
+# would run; imported once here, with that warning ignored, a failure
+# stays one failure.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +107,16 @@ def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
     _, _, _, c = _centered_moments(np.asarray(X, dtype=float),
                                    np.asarray(y, dtype=float))
     return float(max(abs(v) for v in c))
+
+
+def lasso_fit(X, y, alpha):
+    """One lasso fit: the single lane of ``fit_lasso``."""
+    return fit_lasso([(X, y)], [alpha])[0][0]
+
+
+def enet_fit(X, y, alpha, l1_ratio):
+    """One elastic-net fit: the single lane of ``fit_elastic_net``."""
+    return fit_elastic_net([(X, y)], [alpha], l1_ratio)[0][0]
 
 
 def sample_indices(gen, n: int, k: int) -> list[int]:

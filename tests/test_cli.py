@@ -181,7 +181,8 @@ def test_cd_failure_shows_last_iterate(tmp_path, capsys, monkeypatch):
                                "sweeps at alpha=0.0001 on the training split",
                                last_iterate=(np.array([0.5, -2.25, 1.0]), 0.125))
 
-    monkeypatch.setattr(experiments, "fit_elastic_net_grid", failing_cd)
+    for name in ("fit_lasso", "fit_elastic_net"):
+        monkeypatch.setattr(experiments, name, failing_cd)
     out = tmp_path / "out"
     assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpgworkbench.experiments import ExperimentConfig, prepare_protocol
 from mpgworkbench.ingest import (DataError, ParseError, RawRecord, RawTable,
                                  build_dataset, horsepower_median,
                                  impute_horsepower_median, load_dataset,
@@ -145,30 +146,35 @@ def test_all_missing_rejected():
         horsepower_median(table)
 
 
-# --- build_dataset
+# --- build_dataset, and the efficiency label prepare_protocol attaches
 
-def test_threshold_boundary_inclusive():
-    table = RawTable(rows=(make_record(mpg=25.0), make_record(mpg=24.9)))
-    ds = build_dataset(table, 25.0)
-    assert ds.label.tolist() == [1, 0]
+def protocol_labels(proto):
+    """Each row's label, in file order, gathered from the two splits."""
+    labels = np.empty(proto.train_idx.size + proto.test_idx.size, dtype=int)
+    labels[proto.train_idx], labels[proto.test_idx] = proto.labels_tr, proto.labels_te
+    return labels
 
 
-def test_class_counts_match_counting_oracle(raw_table, dataset):
+def test_threshold_boundary_inclusive(tmp_path, raw_table):
+    rows = (replace(raw_table.rows[0], mpg=25.0), replace(raw_table.rows[1], mpg=24.9))
+    path = tmp_path / "cars.data"
+    path.write_text(serialize_raw_table(RawTable(rows=rows + raw_table.rows[2:])),
+                    encoding="utf-8")
+    proto = prepare_protocol(ExperimentConfig(data_path=str(path), threshold_mpg=25.0))
+    assert protocol_labels(proto)[:2].tolist() == [1, 0]
+
+
+def test_class_counts_match_counting_oracle(raw_table, protocol):
     oracle = sum(1 for r in raw_table.rows if r.mpg >= 25.0)
-    assert int(dataset.label.sum()) == oracle
-    assert dataset.label.size == len(raw_table)
+    labels = protocol_labels(protocol)
+    assert int(labels.sum()) == oracle
+    assert labels.size == len(raw_table)
 
 
 def test_residual_missing_rejected():
     table = RawTable(rows=(make_record(horsepower=None),))
     with pytest.raises(DataError, match="impute"):
         build_dataset(table)
-
-
-def test_nonpositive_threshold_rejected():
-    table = RawTable(rows=(make_record(),))
-    with pytest.raises(DataError):
-        build_dataset(table, 0.0)
 
 
 @pytest.mark.parametrize("field, value", [("cylinders", 4), ("acceleration", 12.3),
@@ -182,7 +188,7 @@ def test_load_rejects_a_constant_column(tmp_path, raw_table, field, value):
         load_dataset(str(path))
 
 
-def test_dataset_invariants(dataset):
+def test_dataset_invariants(dataset, protocol):
     assert dataset.X.shape == (398, 7)
     assert np.isfinite(dataset.X).all()
     assert dataset.column_names == FEATURE_NAMES
@@ -192,13 +198,11 @@ def test_dataset_invariants(dataset):
     assert set(np.unique(origin)) <= {1.0, 2.0, 3.0}
     year = dataset.X[:, 5]
     assert year.min() >= 70 and year.max() <= 82
-    np.testing.assert_array_equal(dataset.label, dataset.y >= 25.0)
+    np.testing.assert_array_equal(protocol_labels(protocol), dataset.y >= 25.0)
 
 
-@given(st.lists(st.floats(min_value=0.1, max_value=60.0), min_size=2, max_size=20),
-       st.floats(min_value=5.0, max_value=50.0))
-def test_label_is_pure_function_of_mpg(mpgs, threshold):
-    table = RawTable(rows=tuple(make_record(mpg=m) for m in mpgs))
-    forward = build_dataset(table, threshold).label
-    reversed_ = build_dataset(RawTable(rows=table.rows[::-1]), threshold).label
-    np.testing.assert_array_equal(forward[::-1], reversed_)
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=5.0, max_value=50.0))
+def test_label_is_pure_function_of_mpg(threshold):
+    proto = prepare_protocol(ExperimentConfig(threshold_mpg=threshold))
+    np.testing.assert_array_equal(protocol_labels(proto), proto.dataset.y >= threshold)

@@ -14,7 +14,7 @@ from mpgworkbench import experiments, kernelmod
 from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     fit_svc_smo, fit_svr, gamma_scale,
                                     kernel_matrix, solve_svr_dual,
-                                    svm_decision, svm_predict_class)
+                                    svm_decision)
 from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
 
 LINEAR = KernelSpec("linear")
@@ -115,7 +115,8 @@ def test_svc_two_point_same_solution_for_any_large_c():
 def test_svc_tie_and_sign_rules():
     X, labels = two_point_problem()
     m = fit_svc_smo(X, labels, C=10.0, kernel=LINEAR)
-    preds = svm_predict_class(m, np.array([[0.0], [2.0], [-2.0]]))
+    # the classification grid cuts SVM scores at 0.0
+    preds = (svm_decision(m, np.array([[0.0], [2.0], [-2.0]])) >= 0.0).astype(int)
     assert preds.tolist() == [1, 1, 0]  # score 0 resolves to class 1
 
 
@@ -124,11 +125,12 @@ def test_svc_requires_both_classes():
         fit_svc_smo(np.ones((3, 1)), np.array([1, 1, 1]), C=1.0, kernel=LINEAR)
 
 
-def test_svc_iteration_cap_raises_with_diagnostics(rng):
+def test_svc_iteration_cap_raises_with_diagnostics(rng, monkeypatch):
     X = rng.normal(size=(30, 2))
     labels = (X[:, 0] > 0).astype(int)
+    monkeypatch.setattr(kernelmod, "MAX_ITER", 1)
     with pytest.raises(SmoError) as exc:
-        fit_svc_smo(X, labels, C=1.0, kernel=LINEAR, max_iter=1)
+        fit_svc_smo(X, labels, C=1.0, kernel=LINEAR)
     assert exc.value.dual is not None
     assert exc.value.max_violation is not None
 
@@ -372,8 +374,7 @@ def plain_warm_smo(K, y, C, epsilon, beta0):
     assert abs(beta0.sum()) <= 1e-8 * max(1.0, C)
     assert np.abs(beta0).max() <= C + 1e-12
     n = y.size
-    return kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), C, epsilon,
-                          KKT_TOL, MAX_ITER, beta0)
+    return kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), epsilon, beta0)
 
 
 def svr_problem(rng, n, kind):
@@ -406,33 +407,35 @@ def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
-def test_svr_dual_stall_matches_reference_loop(rng, kind):
+def test_svr_dual_stall_matches_reference_loop(rng, kind, monkeypatch):
     """A tolerance below rounding level stalls the solver.  The reference
     runs its seeded blocked-pair sweep first; no partner it tries makes
     progress, so both stop at the same iterate."""
+    monkeypatch.setattr(kernelmod, "KKT_TOL", 1e-12)
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(10, 30)), kind)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(K, y, 10.0, 0.1, tol=1e-12)
+            solve_svr_dual(K, y, 10.0, 0.1)
         with pytest.raises(SmoError, match="stalled") as ref:
             reference_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
         assert exc.value.max_violation == ref.value.max_violation
 
 
-def test_svr_dual_underflowing_scores_match_reference_loop(rng):
+def test_svr_dual_underflowing_scores_match_reference_loop(rng, monkeypatch):
     """Targets of order 1e-170 square to 0 in the partner score, so no
     score is > 0 and the partner is the first point with a positive gap
     (the others score -inf).  Point 0 has the largest target, so its gap
     is negative and it must not be the partner.  No step gains enough,
     and the stall must match the reference bit for bit, bias included."""
     scale = 1e-170
+    monkeypatch.setattr(kernelmod, "KKT_TOL", 1e-3 * scale)
     for trial in range(3):
         K, y = svr_problem(rng, 20, "rbf")
         y[0] = y.max() + 1.0
         args = (K, scale * y, 1.0, 0.1 * scale)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(*args, tol=1e-3 * scale)
+            solve_svr_dual(*args)
         with pytest.raises(SmoError, match="stalled") as ref:
             reference_svr_dual(*args, tol=1e-3 * scale, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
@@ -451,7 +454,7 @@ def test_svr_warm_start_with_rounding_level_multiplier_converges(rng):
     assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
-def test_svr_scaled_down_problem_converges(rng):
+def test_svr_scaled_down_problem_converges(rng, monkeypatch):
     """y, C, eps and tol scaled by 1e-5 give the same problem in other
     units: the step floors shrink with C, so the solver still converges,
     to a beta / scale that passes the unscaled KKT audit."""
@@ -459,8 +462,8 @@ def test_svr_scaled_down_problem_converges(rng):
     y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * rng.normal(size=40)
     K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
     scale = 1e-5
-    beta, b = solve_svr_dual(K, scale * y, scale * 1.0, scale * 0.1,
-                             tol=scale * KKT_TOL)
+    monkeypatch.setattr(kernelmod, "KKT_TOL", scale * KKT_TOL)
+    beta, b = solve_svr_dual(K, scale * y, scale * 1.0, scale * 0.1)
     beta, b = beta / scale, b / scale
     assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
 
@@ -489,10 +492,11 @@ def test_svr_dual_bits_are_pinned():
     assert b.hex() == "0x1.a01712f66c69ap-3"
 
 
-def test_svr_iteration_cap_raises_with_diagnostics(rng):
+def test_svr_iteration_cap_raises_with_diagnostics(rng, monkeypatch):
     K, y = svr_problem(rng, 30, "rbf")
+    monkeypatch.setattr(kernelmod, "MAX_ITER", 1)
     with pytest.raises(SmoError) as exc:
-        solve_svr_dual(K, y, 10.0, 0.1, max_iter=1)
+        solve_svr_dual(K, y, 10.0, 0.1)
     assert exc.value.dual is not None
     assert np.isfinite(exc.value.max_violation)
     assert exc.value.max_violation > 2.0 * KKT_TOL
@@ -602,7 +606,9 @@ def assert_warm_smo_under_50_steps(protocol, monkeypatch):
         if beta0 is None:
             return solve_svr_dual(K, y, C, epsilon)
         warm.append(C)
-        return solve_svr_dual(K, y, C, epsilon, beta0=beta0, max_iter=50)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernelmod, "MAX_ITER", 50)
+            return solve_svr_dual(K, y, C, epsilon, beta0=beta0)
 
     monkeypatch.setattr(experiments, "solve_svr_dual", capped)
     seed1_svr_cv(protocol)

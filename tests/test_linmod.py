@@ -6,16 +6,15 @@ import json
 
 import numpy as np
 import pytest
-from conftest import lasso_alpha_max, seed1_cv_folds
+from conftest import enet_fit, lasso_alpha_max, lasso_fit, seed1_cv_folds
 
 from mpgworkbench import linmod
 from mpgworkbench.experiments import (FIXED, _SEED_KFOLD, ExperimentConfig,
                                       _regression_table, cross_validate)
 from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net,
-                                 fit_elastic_net_grid, fit_lasso, fit_logistic,
-                                 fit_ols, fit_ridge, linear_predict,
-                                 logistic_gradient, logistic_objective,
-                                 logistic_scores)
+                                 fit_logistic, fit_ols, fit_ridge,
+                                 linear_predict, logistic_gradient,
+                                 logistic_objective, logistic_scores)
 from mpgworkbench.metrics import regression_metrics
 from mpgworkbench.rng import derive_seeds
 
@@ -108,7 +107,7 @@ def test_ols_train_r2_dominates_ridge(rng):
 def test_lasso_soft_threshold_closed_form(rng):
     X = orthonormal_design(rng, 64, 1)
     y = 0.8 * X[:, 0]
-    m = fit_lasso(X, y, alpha=0.3)
+    m = lasso_fit(X, y, alpha=0.3)
     assert m.coefficients[0] == pytest.approx(0.5, abs=1e-6)
 
 
@@ -116,41 +115,43 @@ def test_lasso_alpha_max_zeroes_everything(rng):
     X = rng.normal(size=(40, 5))
     y = rng.normal(size=40)
     a_max = lasso_alpha_max(X, y)
-    m = fit_lasso(X, y, alpha=a_max * 1.000001)
+    m = lasso_fit(X, y, alpha=a_max * 1.000001)
     assert np.all(m.coefficients == 0.0)
     # just below the threshold at least one coefficient activates
-    m2 = fit_lasso(X, y, alpha=a_max * 0.9)
+    m2 = lasso_fit(X, y, alpha=a_max * 0.9)
     assert np.any(m2.coefficients != 0.0)
 
 
 def test_lasso_small_alpha_approaches_ols(rng):
     X = rng.normal(size=(50, 4))
     y = rng.normal(size=50)
-    m = fit_lasso(X, y, alpha=1e-8)
+    m = lasso_fit(X, y, alpha=1e-8)
     ols = fit_ols(X, y)
     np.testing.assert_allclose(m.coefficients, ols.coefficients, atol=1e-4)
 
 
 def test_lasso_invalid_alpha():
     with pytest.raises(ValueError):
-        fit_lasso(np.ones((3, 1)), np.zeros(3), 0.0)
+        lasso_fit(np.ones((3, 1)), np.zeros(3), 0.0)
 
 
-def test_lasso_nonconvergence_carries_iterate(rng):
+def test_lasso_nonconvergence_carries_iterate(rng, monkeypatch):
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
+    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as exc:
-        fit_lasso(X, y, alpha=1e-6, max_sweeps=1)
+        lasso_fit(X, y, alpha=1e-6)
     assert exc.value.last_iterate is not None
 
 
-def test_logistic_nonconvergence_carries_iterate(rng):
+def test_logistic_nonconvergence_carries_iterate(rng, monkeypatch):
     """As the CD fits do, logistic regression carries its last iterate
     as (coefficients, intercept), which the CLI prints."""
     X = rng.normal(size=(50, 3))
     labels = (X[:, 0] + 0.5 * rng.normal(size=50) > 0).astype(int)
+    monkeypatch.setattr(linmod, "NEWTON_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
-        fit_logistic(X, labels, C=1.0, max_iter=1)
+        fit_logistic(X, labels, C=1.0)
     coefficients, intercept = exc.value.last_iterate
     assert coefficients.shape == (3,) and isinstance(intercept, float)
 
@@ -160,7 +161,7 @@ def test_lasso_zero_set_grows_along_path(rng):
     y = X @ rng.normal(size=8) + 0.1 * rng.normal(size=60)
     zero_sets = []
     for alpha in np.logspace(-3, 0, 8):
-        m = fit_lasso(X, y, alpha)
+        m = lasso_fit(X, y, alpha)
         zero_sets.append(frozenset(np.flatnonzero(m.coefficients == 0.0)))
     for small, big in zip(zero_sets, zero_sets[1:]):
         assert small <= big
@@ -171,8 +172,8 @@ def test_lasso_zero_set_grows_along_path(rng):
 def test_enet_l1_ratio_one_equals_lasso(rng):
     X = rng.normal(size=(30, 4))
     y = rng.normal(size=30)
-    a = fit_elastic_net(X, y, 0.2, 1.0)
-    b = fit_lasso(X, y, 0.2)
+    a = enet_fit(X, y, 0.2, 1.0)
+    b = lasso_fit(X, y, 0.2)
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-9)
 
 
@@ -181,7 +182,7 @@ def test_enet_l1_ratio_zero_equals_ridge(rng):
     X = rng.normal(size=(n, 4))
     y = rng.normal(size=n)
     alpha = 0.3
-    a = fit_elastic_net(X, y, alpha, 0.0)
+    a = enet_fit(X, y, alpha, 0.0)
     b = fit_ridge(X, y, n * alpha)
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-6)
 
@@ -191,16 +192,16 @@ def test_enet_orthonormal_closed_form(rng):
     b = 0.9
     y = b * X[:, 0]
     alpha, l1r = 0.4, 0.5
-    m = fit_elastic_net(X, y, alpha, l1r)
+    m = enet_fit(X, y, alpha, l1r)
     expected = (b - alpha * l1r) / (1.0 + alpha * (1.0 - l1r))
     assert m.coefficients[0] == pytest.approx(expected, abs=1e-6)
 
 
 def test_enet_invalid_params():
     with pytest.raises(ValueError):
-        fit_elastic_net(np.ones((3, 1)), np.zeros(3), 0.1, 1.5)
+        enet_fit(np.ones((3, 1)), np.zeros(3), 0.1, 1.5)
     with pytest.raises(ValueError):
-        fit_elastic_net(np.ones((3, 1)), np.zeros(3), -0.1, 0.5)
+        enet_fit(np.ones((3, 1)), np.zeros(3), -0.1, 0.5)
 
 
 # --- logistic
@@ -338,10 +339,10 @@ def cd_problems(rng, protocol):
             (np.column_stack([X, np.full(80, 3.7)]), y)]
 
 
-def fit_cd(X, y, alpha, l1_ratio, **kwargs):
+def fit_cd(X, y, alpha, l1_ratio):
     if l1_ratio == 1.0:
-        return fit_lasso(X, y, alpha, **kwargs)
-    return fit_elastic_net(X, y, alpha, l1_ratio, **kwargs)
+        return lasso_fit(X, y, alpha)
+    return enet_fit(X, y, alpha, l1_ratio)
 
 
 def kkt_violations(X, y, beta, intercept, l1, l2, tol):
@@ -393,15 +394,16 @@ def test_lasso_alpha_max_is_exact(rng, protocol):
     # every coefficient is exactly zero, one float below it one is not
     for X, y in cd_problems(rng, protocol):
         a_max = lasso_alpha_max(X, y)
-        assert np.all(fit_lasso(X, y, a_max).coefficients == 0.0)
-        below = fit_lasso(X, y, float(np.nextafter(a_max, 0.0)))
+        assert np.all(lasso_fit(X, y, a_max).coefficients == 0.0)
+        below = lasso_fit(X, y, float(np.nextafter(a_max, 0.0)))
         assert np.any(below.coefficients != 0.0)
 
 
-def test_cd_nonconvergence_iterate_matches_reference(protocol):
+def test_cd_nonconvergence_iterate_matches_reference(protocol, monkeypatch):
     X, y = protocol.Xtr, protocol.ytr
+    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError) as exc:
-        fit_elastic_net(X, y, 1e-4, 0.5, max_sweeps=1)
+        enet_fit(X, y, 1e-4, 0.5)
     with pytest.raises(ConvergenceError) as ref:
         reference_coordinate_descent(X, y, 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
     beta, intercept = exc.value.last_iterate
@@ -413,7 +415,7 @@ def test_cd_nonconvergence_iterate_matches_reference(protocol):
 def test_cd_constant_column_gets_zero_coefficient(rng):
     X = np.column_stack([rng.normal(size=30), np.full(30, 3.0)])
     y = 2.0 * X[:, 0] + rng.normal(size=30)
-    for m in (fit_lasso(X, y, 0.1), fit_elastic_net(X, y, 0.1, 0.5)):
+    for m in (lasso_fit(X, y, 0.1), enet_fit(X, y, 0.1, 0.5)):
         assert m.coefficients[1] == 0.0
         assert m.coefficients[0] > 1.0
 
@@ -493,7 +495,7 @@ def test_cd_lanes_match_scalar_sweep(rng, protocol, l1_ratio):
     runs += [([(X, y)], grid + (lasso_alpha_max(X, y),))
              for X, y in cd_problems(rng, protocol)]
     for folds, alphas in runs:
-        fits = fit_elastic_net_grid(folds, alphas, l1_ratio)
+        fits = fit_elastic_net(folds, alphas, l1_ratio)
         assert [len(models) for models in fits] == [len(alphas)] * len(folds)
         for (X, y), models in zip(folds, fits):
             for alpha, m in zip(alphas, models):
@@ -503,13 +505,14 @@ def test_cd_lanes_match_scalar_sweep(rng, protocol, l1_ratio):
                         1e-7, 10000))
 
 
-def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol):
+def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol, monkeypatch):
     # alpha 10 zeroes every coefficient in the first sweep, so each
     # fold's first lane converges and the first stuck lane is the second
     folds = seed1_cv_folds(protocol)
+    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError,
                        match=r"1 sweeps at alpha=0\.0001 on fold 1 of 10") as exc:
-        fit_elastic_net_grid(folds, (10.0, 1e-4), 0.5, max_sweeps=1)
+        fit_elastic_net(folds, (10.0, 1e-4), 0.5)
     with pytest.raises(ConvergenceError) as ref:
         scalar_coordinate_descent(*folds[0], 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
     assert_fit_bits_equal(exc.value.last_iterate, ref.value.last_iterate)
@@ -531,7 +534,7 @@ def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
     cv()
     for alpha in FIXED["alpha_grid"]:
         m = regressor.fit(protocol.Xtr, protocol.ytr, alpha)
-        ref = fit_elastic_net(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
+        ref = enet_fit(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
         assert_fit_bits_equal((m.coefficients, m.intercept),
                               (ref.coefficients, ref.intercept))
     descent = linmod._coordinate_descent

@@ -250,11 +250,6 @@ def test_poly_feature_count_d7_degree2():
     assert polynomial_features(np.ones((2, 7)), 2).shape == (2, 35)
 
 
-def test_poly_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        polynomial_features(np.ones((2, 7)), 2, max_features=10)
-
-
 def test_poly_invalid_degree():
     with pytest.raises(ValueError):
         polynomial_features(np.ones((2, 2)), 0)
