@@ -187,6 +187,14 @@ _REPORTS = {"report": lambda config: run_full_report(config),
             "classify": lambda config: {"classification": run_classification_grid(config)}}
 
 
+def _non_finite(v, path="report"):
+    """Path of the first non-finite float in a report, in sorted key order."""
+    if isinstance(v, (dict, list, tuple)):
+        items = sorted(v.items()) if isinstance(v, dict) else enumerate(v)
+        return next(filter(None, (_non_finite(x, f"{path}.{k}") for k, x in items)), None)
+    return path if isinstance(v, float) and not np.isfinite(v) else None
+
+
 def _write_outputs(report: dict, out: str, fmt: str) -> None:
     """Write every output into a temporary directory in the nearest
     existing directory above ``out``, then create ``out`` with its
@@ -273,6 +281,8 @@ def main(argv=None) -> int:
             return _validate_data(args.data_path or reference_data_path())
         report = _REPORTS[args.command](config)
         report.setdefault("config", config.to_dict())
+        if bad := _non_finite(report):  # report.json cannot hold it
+            raise FloatingPointError(f"non-finite value at {bad}")
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         # before ValueError, which LinAlgError subclasses
         viol = getattr(exc, "max_violation", None)

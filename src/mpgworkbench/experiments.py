@@ -42,7 +42,7 @@ _SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
 
 # The paper's fixed model settings, read when each fit runs.  The grids
 # ascend: the CV tie rule keeps the smallest of equally good values, and
-# the SVR CV path warm-starts each C from the optimum at the one before.
+# each CV fold solves the SVR's C grid as one path (solve_svr_dual).
 FIXED = {
     "c_grid": (1.0, 10.0, 100.0),
     "svr_epsilon": 0.1,
@@ -207,15 +207,9 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         return [svr_fold(*fold) for fold in folds]
 
     def svr_fold(Xs, ys, Xq):
-        # the grid ascends, so each optimum warm-starts the solve at the
-        # next, larger C
-        K = kernel_matrix(kern, Xs, Xs)
+        path = solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys, FIXED["svr_c_grid"], eps)
         K_test = kernel_matrix(kern, Xq, Xs)
-        beta, preds = None, []
-        for C in FIXED["svr_c_grid"]:
-            beta, b = solve_svr_dual(K, ys, C, eps, beta0=beta)
-            preds.append(K_test @ beta + b)
-        return preds
+        return [K_test @ beta + b for beta, b in path]
 
     finals = {}  # CD fit -> the training split's models, in alpha order
     enet = partial(fit_elastic_net, l1_ratio=l1_ratio)

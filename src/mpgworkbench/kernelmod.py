@@ -14,8 +14,8 @@ with predictions f(x) = sum_i beta_i k(x_i, x) + b.
   exactly 0 classifies as class 1.
 * KKT tolerance 1e-3 for both tasks; audits use twice that.
 
-A warm SVR solve (beta0, the optimum at a smaller C) runs an active-set
-engine first; the SMO loop finishes and certifies every solve.
+The SVR solves an ascending C path; each later C starts from the last
+optimum through an active-set engine, and the SMO loop certifies every solve.
 """
 
 from __future__ import annotations
@@ -251,15 +251,14 @@ def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float,
     return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 
 
-def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-                   beta0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Epsilon-insensitive SVR dual on a precomputed Gram matrix: the
-    shared dual with the box [-C, C]; returns (beta, bias).
+def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> list:
+    """Epsilon-insensitive SVR dual on a precomputed Gram matrix, the
+    shared dual with the box [-C, C], along the ascending C sequence Cs;
+    returns [(beta, bias), ...], one per C.
 
-    A warm start ``beta0`` is the optimum at a smaller C, as along an
-    ascending C grid.  The active-set engine (_svr_active_set) first
-    moves it close to the optimum at C; _smo then finishes and certifies
-    the solve from there."""
+    The first C is solved cold.  At each later C the active-set engine
+    (_svr_active_set) moves the optimum at the C before close to the one
+    at C; _smo then finishes and certifies the solve from there."""
     y = np.asarray(y, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -268,19 +267,20 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
         raise ValueError("need at least two samples")
     if K.shape != (n, n):
         raise ValueError("Gram matrix shape must match y")
-    if beta0 is not None:
-        beta0 = np.asarray(beta0, dtype=float)
-        if beta0.shape != y.shape:
-            raise ValueError("beta0 shape must match y")
-        if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
-            raise ValueError("beta0 must lie in the box with sum 0")
-        beta0 = _svr_active_set(K, y, C, epsilon, beta0)  # a new array
-        # a rounding-level multiplier would count as signed in the KKT
-        # offsets, yet the step to 0 that fixes it is below the floor
-        beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
-        if abs(beta0.sum()) > 1e-8 * max(1.0, C) or np.abs(beta0).max() > C + 1e-12:
-            raise SmoError("the active-set start left the box with sum 0")
-    return _smo(K, y, np.full(n, -C), np.full(n, C), epsilon, beta0)
+    if not (len(Cs) and 0 < Cs[0] and all(a < b for a, b in zip(Cs, Cs[1:]))):
+        raise ValueError("Cs must be non-empty, positive and strictly ascending")
+    beta, path = None, []
+    for C in Cs:
+        if beta is not None:
+            beta = _svr_active_set(K, y, C, epsilon, beta)  # a new array
+            # a rounding-level multiplier would count as signed in the KKT
+            # offsets, yet the step to 0 that fixes it is below the floor
+            beta[np.abs(beta) <= 1e-12 * C] = 0.0
+            if abs(beta.sum()) > 1e-8 * max(1.0, C) or np.abs(beta).max() > C + 1e-12:
+                raise SmoError("the active-set start left the box with sum 0")
+        path.append(_smo(K, y, np.full(n, -C), np.full(n, C), epsilon, beta))
+        beta = path[-1][0]
+    return path
 
 
 def _add_block(inv, m, K_JF, K_JJ, floor):
@@ -459,7 +459,7 @@ def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     """Epsilon-insensitive SVR; see solve_svr_dual for the method."""
     X = np.asarray(X, dtype=float)
     K = kernel_matrix(kernel, X, X)
-    beta, b = solve_svr_dual(K, y, C, epsilon)
+    (beta, b), = solve_svr_dual(K, y, (C,), epsilon)
     sv, dual = _extract_support(X, beta)
     return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
 

@@ -118,8 +118,9 @@ def pearson_correlation(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.min() == a.max() or b.min() == b.max():
         raise ValueError("constant column: correlation undefined")
-    ac = a - a.mean()
-    bc = b - b.mean()
+    # scaled by exact powers of two first, so that no square overflows
+    a, b = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (a, b))
+    ac, bc = a - a.mean(), b - b.mean()
     return float((ac * bc).sum() / np.sqrt((ac * ac).sum() * (bc * bc).sum()))
 
 

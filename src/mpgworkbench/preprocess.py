@@ -38,7 +38,11 @@ def fit_standardizer(M: np.ndarray) -> Standardizer:
     constant = np.flatnonzero(M.min(axis=0) == M.max(axis=0))
     if constant.size:
         raise ValueError(f"column {constant[0]} is constant; cannot standardize")
-    return Standardizer(means=M.mean(axis=0), stds=M.std(axis=0))
+    # each column scaled by an exact power of two, so that no square
+    # overflows or underflows; on valid data, the same bits
+    e = np.frexp(np.abs(M).max(axis=0))[1]
+    M = np.ldexp(M, -e)
+    return Standardizer(np.ldexp(M.mean(axis=0), e), np.ldexp(M.std(axis=0), e))
 
 
 def apply_standardizer(s: Standardizer, M: np.ndarray) -> np.ndarray:

@@ -235,7 +235,7 @@ def test_criterion_11_smo_kkt_audit_on_random_data(rng):
         # SVR
         target = np.sin(X[:, 0]) + 0.1 * rng.normal(size=n)
         K = kernel_matrix(kern, X, X)
-        beta, b = solve_svr_dual(K, target, C, 0.1)
+        beta, b = solve_svr_dual(K, target, (C,), 0.1)[0]
         E = K @ beta + b - target
         assert svr_kkt_violations(beta, E, C, 0.1).max() <= 2.0 * KKT_TOL
         assert abs(beta.sum()) <= 1e-8

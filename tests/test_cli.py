@@ -16,6 +16,7 @@ from mpgworkbench.ingest import (DATA_SHA256, FEATURE_NAMES, RawTable,
                                  serialize_raw_table)
 from mpgworkbench.kernelmod import SmoError, kernel_matrix, solve_svr_dual
 from mpgworkbench.linmod import ConvergenceError
+from mpgworkbench.metrics import dataset_correlations
 
 
 def run_cli(argv):
@@ -262,11 +263,32 @@ def test_active_set_start_outside_the_box_exits_three(tmp_path, capsys,
     X = np.arange(6.0)[:, None]
     K = kernel_matrix(kernelmod.KernelSpec("linear"), X, X)
     with pytest.raises(SmoError, match="left the box"):
-        solve_svr_dual(K, X[:, 0], 10.0, 0.1, beta0=np.zeros(6))
+        solve_svr_dual(K, X[:, 0], (1.0, 10.0), 0.1)
     out = tmp_path / "out"
     assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
     assert "numerical failure: the active-set start left the box" in (
         capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_non_finite_report_value_exits_three_before_writing(tmp_path, capsys,
+                                                          monkeypatch):
+    """report.json cannot hold a non-finite number: the run fails in the
+    compute phase, names the first such value in the JSON's key order,
+    and writes nothing."""
+    real = experiments.run_eda
+
+    def holed(config):
+        report = real(config)
+        report["pairwise"]["weight"][3] = np.inf  # "pairwise" sorts later
+        report["correlation"]["values"][0][2] = np.nan
+        return report
+
+    monkeypatch.setattr(cli, "run_eda", holed)
+    out = tmp_path / "out"
+    assert run_cli(["eda", "--out", str(out)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite value at report.eda.correlation.values.0.2\n")
     assert not out.exists()
 
 
@@ -288,6 +310,21 @@ def _token(field, token):
         fields = first.split("   ")
         fields[(("mpg",) + FEATURE_NAMES).index(field)] = token
         return "   ".join(fields) + "\n" + rest
+    return make
+
+
+def _scaled(field, factor):
+    """The packaged rows, serialized, with ``field`` multiplied by
+    ``factor`` on every line and written with repr, so that it
+    round-trips."""
+    def make(rows):
+        j = (("mpg",) + FEATURE_NAMES).index(field)
+        lines = serialize_raw_table(RawTable(rows=tuple(rows))).splitlines()
+        for i, r in enumerate(rows):
+            fields = lines[i].split("   ")
+            fields[j] = repr(getattr(r, field) * factor)
+            lines[i] = "   ".join(fields)
+        return "\n".join(lines) + "\n"
     return make
 
 
@@ -342,6 +379,60 @@ def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
             errors.append(err)
     if constant:
         assert errors == [f"data error: {constant!r} is constant in the data file\n"] * 4
+
+
+# --- huge and tiny columns: their squares overflow or underflow, but
+# standardization and Pearson correlation are computed scale-safely
+
+@pytest.mark.parametrize("k", [500, -560])
+def test_column_times_power_of_two_gives_the_packaged_report(
+        tmp_path, reference_text, dataset, regression_suite,
+        classification_grid, k):
+    """weight * 2^k is exact, so the report's regression and
+    classification sections and its correlation block are the packaged
+    file's, bit for bit."""
+    data, out = tmp_path / "cars.data", tmp_path / "out"
+    data.write_text(_scaled("weight", 2.0 ** k)(parse_auto_mpg(reference_text).rows),
+                    encoding="utf-8")
+    assert run_cli(["report", "--data", str(data), "--out", str(out),
+                    "--format", "json"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["regression"] == json.loads(experiments.report_to_json(regression_suite))
+    assert report["classification"] == json.loads(
+        experiments.report_to_json(classification_grid))
+    assert report["eda"]["correlation"] == dataset_correlations(dataset)
+
+
+@pytest.mark.parametrize("field, factor", [
+    ("weight", 1e200), ("weight", 2.0 ** -560), ("displacement", 1e155), ("mpg", 1e200),
+], ids=["weight-1e200", "weight-2^-560", "displacement-1e155", "mpg-1e200"])
+def test_huge_or_tiny_column_keeps_its_correlations(tmp_path, reference_text,
+                                                    dataset, field, factor):
+    """Overflowing squares once read every correlation of such a column
+    as 0.0, and underflowing ones ended eda in a traceback."""
+    data, out = tmp_path / "cars.data", tmp_path / "out"
+    data.write_text(_scaled(field, factor)(parse_auto_mpg(reference_text).rows),
+                    encoding="utf-8")
+    assert run_cli(["eda", "--data", str(data), "--out", str(out),
+                    "--format", "json"]) == EXIT_OK
+    values = json.loads((out / "report.json").read_text())["eda"]["correlation"]["values"]
+    np.testing.assert_allclose(values, dataset_correlations(dataset)["values"],
+                               rtol=1e-12)
+
+
+def test_huge_column_is_not_dropped_by_the_classifiers(tmp_path, reference_text,
+                                                       classification_grid):
+    """weight * 1e200 once standardized to zeros (its std overflowed), so
+    every classifier trained without it; now it scores as the packaged
+    file does."""
+    data, out = tmp_path / "cars.data", tmp_path / "out"
+    data.write_text(_scaled("weight", 1e200)(parse_auto_mpg(reference_text).rows),
+                    encoding="utf-8")
+    assert run_cli(["classify", "--data", str(data), "--out", str(out),
+                    "--format", "json"]) == EXIT_OK
+    table = json.loads((out / "report.json").read_text())["classification"]["table"]
+    assert ([row["accuracy"] for row in table]
+            == [row["accuracy"] for row in classification_grid["table"]])
 
 
 # --- recorded data path (the suite itself is stubbed: only the config

@@ -352,7 +352,7 @@ experiments.cross_validate(
     derive_seeds(config.seed, 5)[experiments._SEED_KFOLD])
 Xs, ys, _ = folds[0]
 K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
-beta0, _ = solve_svr_dual(K, ys, 1.0, 0.1)
+(beta0, _), = solve_svr_dual(K, ys, (1.0,), 0.1)
 start = _svr_active_set(K, ys, 10.0, 0.1, beta0)
 print(hashlib.sha256(start.tobytes()).hexdigest())
 """

@@ -1,9 +1,11 @@
 """Kernel machines: kernel algebra, the analytic two-point SVC problem,
 SVR tube behavior, and post-fit KKT audits on random data."""
 
+import ast
 import hashlib
 import inspect
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -201,7 +203,7 @@ def test_svr_random_kkt_audit(rng):
         kernel = LINEAR if trial % 2 else KernelSpec("rbf", gamma=0.7)
         C = float(rng.choice([0.5, 1.0, 10.0]))
         K = kernel_matrix(kernel, X, X)
-        beta, b = solve_svr_dual(K, y, C, 0.1)
+        beta, b = solve_svr_dual(K, y, (C,), 0.1)[0]
         E = K @ beta + b - y
         assert svr_kkt_violations(beta, E, C, 0.1).max() <= 2.0 * KKT_TOL
         assert abs(beta.sum()) <= 1e-8
@@ -212,9 +214,8 @@ def test_svr_dual_objective_not_decreased_by_warm_start(rng):
     X = rng.normal(size=(20, 2))
     y = X[:, 0] + 0.1 * rng.normal(size=20)
     K = kernel_matrix(LINEAR, X, X)
-    beta1, _ = solve_svr_dual(K, y, 1.0, 0.1)
-    beta10_cold, b_cold = solve_svr_dual(K, y, 10.0, 0.1)
-    beta10_warm, b_warm = solve_svr_dual(K, y, 10.0, 0.1, beta0=beta1)
+    beta10_cold, b_cold = solve_svr_dual(K, y, (10.0,), 0.1)[0]
+    beta10_warm, b_warm = solve_svr_dual(K, y, (1.0, 10.0), 0.1)[1]
 
     def dual_objective(beta):
         return float(y @ beta - 0.1 * np.abs(beta).sum()
@@ -224,14 +225,15 @@ def test_svr_dual_objective_not_decreased_by_warm_start(rng):
         dual_objective(beta10_cold), abs=1e-2)
 
 
-def test_svr_beta0_validation(rng):
+def test_svr_cs_validation(rng):
+    """The C path must be non-empty, positive and strictly ascending."""
     X = rng.normal(size=(5, 1))
     K = kernel_matrix(LINEAR, X, X)
     y = rng.normal(size=5)
-    with pytest.raises(ValueError, match="box"):
-        solve_svr_dual(K, y, 1.0, 0.1, beta0=np.full(5, 2.0))
-    with pytest.raises(ValueError, match="shape"):
-        solve_svr_dual(K, y, 1.0, 0.1, beta0=np.zeros(4))
+    for Cs in [(), (0.0, 1.0), (-1.0,), (np.nan,), (1.0, 1.0), (1.0, 10.0, 5.0)]:
+        with pytest.raises(ValueError, match="Cs must be"):
+            solve_svr_dual(K, y, Cs, 0.1)
+    assert len(solve_svr_dual(K, y, (0.5, 1.0, 10.0), 0.1)) == 3
 
 
 def test_svr_negative_epsilon_rejected():
@@ -365,16 +367,11 @@ def reference_svr_dual(K, y, C, epsilon, tol=KKT_TOL, seed=0,
     return beta, b
 
 
-def plain_warm_smo(K, y, C, epsilon, beta0):
-    """A warm SVR solve by SMO alone, without the active-set engine:
-    zero the rounding-level multipliers of a copy of beta0, check the box
-    and the sum, then the shared loop on [-C, C]."""
-    beta0 = np.asarray(beta0, dtype=float).copy()
-    beta0[np.abs(beta0) <= 1e-12 * C] = 0.0
-    assert abs(beta0.sum()) <= 1e-8 * max(1.0, C)
-    assert np.abs(beta0).max() <= C + 1e-12
-    n = y.size
-    return kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), epsilon, beta0)
+def without_engine(monkeypatch):
+    """Take the active-set engine out of solve_svr_dual's path: each C
+    after the first starts SMO from a copy of the last optimum."""
+    monkeypatch.setattr(kernelmod, "_svr_active_set",
+                        lambda K, y, C, epsilon, beta0: beta0.copy())
 
 
 def svr_problem(rng, n, kind):
@@ -390,20 +387,22 @@ def svr_problem(rng, n, kind):
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
-def test_svr_dual_matches_reference_loop(rng, kind, epsilon):
+def test_svr_dual_matches_reference_loop(rng, kind, epsilon, monkeypatch):
+    """Each C cold, and along the path warm by SMO alone."""
+    without_engine(monkeypatch)
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(20, 60)), kind)
-        warm = None
-        for C in (1.0, 10.0, 100.0):  # ascending grid, as the SVR CV runs it
-            starts = [None] if warm is None else [None, warm]
-            for beta0 in starts:
-                beta, b = (solve_svr_dual(K, y, C, epsilon) if beta0 is None
-                           else plain_warm_smo(K, y, C, epsilon, beta0))
+        Cs = (1.0, 10.0, 100.0)  # ascending grid, as the SVR CV runs it
+        path = solve_svr_dual(K, y, Cs, epsilon)
+        for i, C in enumerate(Cs):
+            solves = [(solve_svr_dual(K, y, (C,), epsilon)[0], None)]
+            if i:
+                solves.append((path[i], path[i - 1][0]))
+            for (beta, b), beta0 in solves:
                 ref_beta, ref_b = reference_svr_dual(K, y, C, epsilon,
                                                      seed=trial, beta0=beta0)
                 assert np.array_equal(beta, ref_beta)
                 assert b == ref_b
-            warm = beta
 
 
 @pytest.mark.parametrize("kind", ["linear", "rbf"])
@@ -415,7 +414,7 @@ def test_svr_dual_stall_matches_reference_loop(rng, kind, monkeypatch):
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(10, 30)), kind)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(K, y, 10.0, 0.1)
+            solve_svr_dual(K, y, (10.0,), 0.1)
         with pytest.raises(SmoError, match="stalled") as ref:
             reference_svr_dual(K, y, 10.0, 0.1, tol=1e-12, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
@@ -433,24 +432,28 @@ def test_svr_dual_underflowing_scores_match_reference_loop(rng, monkeypatch):
     for trial in range(3):
         K, y = svr_problem(rng, 20, "rbf")
         y[0] = y.max() + 1.0
-        args = (K, scale * y, 1.0, 0.1 * scale)
         with pytest.raises(SmoError, match="stalled") as exc:
-            solve_svr_dual(*args)
+            solve_svr_dual(K, scale * y, (1.0,), 0.1 * scale)
         with pytest.raises(SmoError, match="stalled") as ref:
-            reference_svr_dual(*args, tol=1e-3 * scale, seed=trial)
+            reference_svr_dual(K, scale * y, 1.0, 0.1 * scale,
+                               tol=1e-3 * scale, seed=trial)
         assert np.array_equal(exc.value.dual, ref.value.dual)
         assert exc.value.max_violation == ref.value.max_violation
 
 
-def test_svr_warm_start_with_rounding_level_multiplier_converges(rng):
-    """A restart from an optimum whose zero multiplier carries a -3.5e-18
-    rounding residue: counted as negative, the point looks like a KKT
-    violator whose fix is a step far below the step floor."""
+def test_svr_warm_start_with_rounding_level_multiplier_converges(
+        rng, monkeypatch):
+    """A warm start at the C = 1 optimum whose zero multiplier carries a
+    -3.5e-18 rounding residue (the engine patched to hand it over):
+    counted as negative, the point looks like a KKT violator whose fix
+    is a step far below the step floor."""
     K, y = svr_problem(rng, 30, "rbf")
-    beta, _ = solve_svr_dual(K, y, 1.0, 0.1)
+    (beta, _), = solve_svr_dual(K, y, (1.0,), 0.1)
     beta0 = beta.copy()
     beta0[np.flatnonzero(beta == 0.0)[0]] = -3.5e-18
-    beta, b = solve_svr_dual(K, y, 1.0, 0.1, beta0=beta0)
+    monkeypatch.setattr(kernelmod, "_svr_active_set",
+                        lambda K, y, C, epsilon, b: beta0.copy())
+    beta, b = solve_svr_dual(K, y, (0.5, 1.0), 0.1)[1]
     assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
@@ -463,15 +466,16 @@ def test_svr_scaled_down_problem_converges(rng, monkeypatch):
     K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
     scale = 1e-5
     monkeypatch.setattr(kernelmod, "KKT_TOL", scale * KKT_TOL)
-    beta, b = solve_svr_dual(K, scale * y, scale * 1.0, scale * 0.1)
+    (beta, b), = solve_svr_dual(K, scale * y, (scale * 1.0,), scale * 0.1)
     beta, b = beta / scale, b / scale
     assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
-def test_svr_dual_bits_are_pinned():
+def test_svr_dual_bits_are_pinned(monkeypatch):
     """sha256 of beta and the hex bias of a cold solve at C = 10 and its
     warm start at C = 100, recorded from the SVR-only solver that the
-    shared SMO loop replaced; the warm start runs SMO alone.
+    shared SMO loop replaced; with the engine taken out, the warm start
+    runs SMO alone.
     The Gram matrix comes from elementwise products, so no BLAS call
     rounds it.  Its points sit on a line with the second coordinate and
     the targets mirrored about the middle one, so partner scores tie up
@@ -482,11 +486,12 @@ def test_svr_dual_bits_are_pinned():
     gen = np.random.default_rng(2)
     c, y = gen.uniform(-1.0, 1.0, 21)[mirror], gen.uniform(-1.0, 1.0, 21)[mirror]
     K = np.outer(a, a) + np.outer(c, c) + 0.01 * np.eye(41)
-    beta, b = solve_svr_dual(K, y, 10.0, 0.1)
+    without_engine(monkeypatch)
+    (beta, b), warm = solve_svr_dual(K, y, (10.0, 100.0), 0.1)
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "1474deb205620e13da91e47fae964510ab363c1b746d5258f37a15d7bbf2ab5e")
     assert b.hex() == "0x1.f380869b43801p-3"
-    beta, b = plain_warm_smo(K, y, 100.0, 0.1, beta)
+    beta, b = warm
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "f4763b80e0f19160d3de2dd98260d10ffda94d84d99ac0b048f6bc20d6f08ebf")
     assert b.hex() == "0x1.a01712f66c69ap-3"
@@ -496,7 +501,7 @@ def test_svr_iteration_cap_raises_with_diagnostics(rng, monkeypatch):
     K, y = svr_problem(rng, 30, "rbf")
     monkeypatch.setattr(kernelmod, "MAX_ITER", 1)
     with pytest.raises(SmoError) as exc:
-        solve_svr_dual(K, y, 10.0, 0.1)
+        solve_svr_dual(K, y, (10.0,), 0.1)
     assert exc.value.dual is not None
     assert np.isfinite(exc.value.max_violation)
     assert exc.value.max_violation > 2.0 * KKT_TOL
@@ -510,7 +515,7 @@ def test_failed_kkt_audit_raises_with_diagnostics(rng, monkeypatch):
     monkeypatch.setattr(kernelmod, "_kkt_violations",
                         lambda *args: np.array([1.0]))
     with pytest.raises(SmoError, match="KKT audit") as exc:
-        solve_svr_dual(K, y, 10.0, 0.1)
+        solve_svr_dual(K, y, (10.0,), 0.1)
     assert exc.value.max_violation == 1.0
     assert exc.value.iterations > 0
 
@@ -600,17 +605,17 @@ def seed1_svr_cv(protocol):
 
 
 def assert_warm_smo_under_50_steps(protocol, monkeypatch):
-    warm = []
+    smo, warm = kernelmod._smo, []
 
-    def capped(K, y, C, epsilon, beta0=None):
+    def capped(K, y, lo, hi, epsilon, beta0):
         if beta0 is None:
-            return solve_svr_dual(K, y, C, epsilon)
-        warm.append(C)
+            return smo(K, y, lo, hi, epsilon, beta0)
+        warm.append(float(hi[0]))
         with monkeypatch.context() as patch:
             patch.setattr(kernelmod, "MAX_ITER", 50)
-            return solve_svr_dual(K, y, C, epsilon, beta0=beta0)
+            return smo(K, y, lo, hi, epsilon, beta0)
 
-    monkeypatch.setattr(experiments, "solve_svr_dual", capped)
+    monkeypatch.setattr(kernelmod, "_smo", capped)
     seed1_svr_cv(protocol)
     assert warm == [10.0, 100.0] * 10
 
@@ -642,13 +647,7 @@ def test_svr_cv_selects_the_same_c_without_the_engine(protocol, monkeypatch):
     between the best and the next C.  Two solves certified at KKT_TOL
     differ by up to 1.2e-4 here."""
     grid, engine = seed1_svr_cv(protocol)
-
-    def plain(K, y, C, epsilon, beta0=None):
-        if beta0 is None:
-            return solve_svr_dual(K, y, C, epsilon)
-        return plain_warm_smo(K, y, C, epsilon, beta0)
-
-    monkeypatch.setattr(experiments, "solve_svr_dual", plain)
+    without_engine(monkeypatch)
     _, smo = seed1_svr_cv(protocol)
     assert experiments._select(grid, smo)[0] == experiments._select(grid, engine)[0]
     for ours, theirs in zip(engine, smo):
@@ -658,15 +657,16 @@ def test_svr_cv_selects_the_same_c_without_the_engine(protocol, monkeypatch):
 def test_active_set_runs_inside_the_cv_solves(protocol, monkeypatch):
     """The benchmark times the SVR CV as the experiments.solve_svr_dual
     calls, so on the seed-1 protocol's CV every engine call must run
-    inside one: 20 warm solves (C = 10 and C = 100) of 30, none at C = 1."""
+    inside one: one call per fold, each a path over the C grid whose
+    warm solves (C = 10 and C = 100) run the engine, none at C = 1."""
     depth, solves, engine_calls = [0], [], []
     engine = kernelmod._svr_active_set
 
-    def solve(K, y, C, epsilon, beta0=None):
-        solves.append(C)
+    def solve(K, y, Cs, epsilon):
+        solves.append(Cs)
         depth[0] += 1
         try:
-            return solve_svr_dual(K, y, C, epsilon, beta0=beta0)
+            return solve_svr_dual(K, y, Cs, epsilon)
         finally:
             depth[0] -= 1
 
@@ -677,7 +677,7 @@ def test_active_set_runs_inside_the_cv_solves(protocol, monkeypatch):
     monkeypatch.setattr(experiments, "solve_svr_dual", solve)
     monkeypatch.setattr(kernelmod, "_svr_active_set", spy)
     seed1_svr_cv(protocol)
-    assert len(solves) == 30
+    assert solves == [(1.0, 10.0, 100.0)] * 10
     assert engine_calls == [(10.0, 1), (100.0, 1)] * 10
 
 
@@ -690,16 +690,60 @@ def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
     is at least beta0's, and SMO certifies the solve from it."""
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(20, 60)), kind)
-        beta0, _ = solve_svr_dual(K, y, 1.0, epsilon)
-        for C in (10.0, 100.0):
+        path = solve_svr_dual(K, y, (1.0, 10.0, 100.0), epsilon)
+        for C, (beta0, _), (beta, b) in zip((10.0, 100.0), path, path[1:]):
             start = kernelmod._svr_active_set(K, y, C, epsilon, beta0)
             assert np.abs(start).max() <= C
             assert abs(start.sum()) <= 1e-8 * max(1.0, C)
             assert (svr_dual_value(K, y, epsilon, start)
                     >= svr_dual_value(K, y, epsilon, beta0))
-            beta0, b = plain_warm_smo(K, y, C, epsilon, start)
-            E = K @ beta0 + b - y
-            assert svr_kkt_violations(beta0, E, C, epsilon).max() <= 2.0 * KKT_TOL
+            # the path's solve at C, which SMO finished from that start
+            E = K @ beta + b - y
+            assert svr_kkt_violations(beta, E, C, epsilon).max() <= 2.0 * KKT_TOL
+
+
+# numpy names that reach BLAS or LAPACK
+BLAS_NAMES = {"dot", "matmul", "linalg", "tensordot", "inner", "vdot"}
+
+
+def blas_uses(function):
+    """(line, what) of each use in ``function``'s source, nested
+    functions included, of a product that goes through BLAS or LAPACK:
+    ``@``, a numpy name in BLAS_NAMES (``np.dot``, ``.dot(``, ``np.linalg``
+    ...), or einsum's ``optimize``, which hands contractions to BLAS."""
+    lines, first = inspect.getsourcelines(function)
+    uses = []
+    for node in ast.walk(ast.parse(textwrap.dedent("".join(lines)))):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            uses.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            uses.append((node.lineno, node.attr))
+        elif isinstance(node, ast.keyword) and node.arg == "optimize":
+            uses.append((node.lineno, "optimize"))
+    return [(first + line - 1, what) for line, what in uses]
+
+
+@pytest.mark.parametrize("name", ["_svr_active_set", "_add_block",
+                                  "kernel_matrix", "solve_svr_dual"])
+def test_engine_and_gram_matrix_make_no_blas_call(name):
+    """BLAS and LAPACK round differently with the thread count at these
+    sizes, and the SVR solve amplifies that, so the Gram matrix and the
+    engine's updates run in einsum and ufuncs only.  Checked in the
+    source, since the thread-count tests of test_experiments.py pass on
+    a host whose BLAS happens to round the same at one and two threads.
+    (_smo's warm K @ beta, one product per warm solve, is outside the
+    rule.)"""
+    assert blas_uses(getattr(kernelmod, name)) == []
+
+
+def test_blas_uses_sees_each_kind():
+    def products(a, b):
+        c = a @ b
+        c @= np.dot(a, b) + a.dot(b) + np.matmul(a, b)
+        return np.linalg.solve(c, np.einsum("ij,jk->ik", a, b, optimize=True))
+
+    assert sorted(what for _, what in blas_uses(products)) == [
+        "@", "@", "dot", "dot", "linalg", "matmul", "optimize"]
 
 
 def engine_lines_run(*args):
@@ -729,7 +773,7 @@ def test_active_set_block_undo_start_is_feasible_and_no_worse():
     X = gen.normal(size=(30, 3))
     y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * gen.normal(size=30)
     K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
-    beta0, _ = solve_svr_dual(K, y, 1.0, 0.1)
+    (beta0, _), (beta, b) = solve_svr_dual(K, y, (1.0, 10.0), 0.1)
     start, ran = engine_lines_run(K, y, 10.0, 0.1, beta0)
     lines, first = inspect.getsourcelines(kernelmod._svr_active_set)
 
@@ -741,7 +785,7 @@ def test_active_set_block_undo_start_is_feasible_and_no_worse():
     assert np.abs(start).max() <= 10.0
     assert abs(start.sum()) <= 1e-8 * 10.0
     assert svr_dual_value(K, y, 0.1, start) >= svr_dual_value(K, y, 0.1, beta0)
-    beta, b = plain_warm_smo(K, y, 10.0, 0.1, start)
+    # the path's solve at C = 10, which SMO finished from that start
     assert svr_kkt_violations(beta, K @ beta + b - y, 10.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
@@ -752,9 +796,8 @@ def seed1_fold(protocol):
     along the C grid: 35, 83 and 133 rows."""
     Xs, ys = seed1_cv_folds(protocol)[0]
     K = kernel_matrix(KernelSpec("rbf", gamma_scale(protocol.Xtr)), Xs, Xs)
-    beta, free = None, {}
-    for C in experiments.FIXED["svr_c_grid"]:
-        beta, _ = solve_svr_dual(K, ys, C, 0.1, beta0=beta)
+    free, grid = {}, experiments.FIXED["svr_c_grid"]
+    for C, (beta, _) in zip(grid, solve_svr_dual(K, ys, grid, 0.1)):
         free[C] = np.flatnonzero((np.abs(beta) > 1e-8 * C)
                                  & (np.abs(beta) < C - 1e-8 * C))
     return K, free
@@ -852,21 +895,27 @@ def test_active_set_hands_over_at_a_released_duplicate(monkeypatch):
     beta0 = np.zeros(20)
     beta0[:3] = 0.5, -1.0, 0.5
     add_block, blocks = kernelmod._add_block, []
+    engine, starts = kernelmod._svr_active_set, []
 
     def spy(inv, m, K_JF, K_JJ, floor):
         joined = add_block(inv, m, K_JF, K_JJ, floor)
         blocks.append((m, len(K_JJ), joined, K_JF.copy()))
         return joined
 
+    def from_beta0(K, y, C, epsilon, _):  # the engine, run from beta0
+        starts.append(engine(K, y, C, epsilon, beta0))
+        return starts[-1].copy()
+
     monkeypatch.setattr(kernelmod, "_add_block", spy)
-    start = kernelmod._svr_active_set(K, y, 10.0, 0.1, beta0)
+    monkeypatch.setattr(kernelmod, "_svr_active_set", from_beta0)
+    beta, b = solve_svr_dual(K, y, (1.0, 10.0), 0.1)[1]
+    start, = starts
     m, size, joined, K_JF = blocks[-1]  # the last block ended the engine
     assert m > 0 and size == 4 and joined == 1
     assert (K_JF[1] == 1.0).any()  # an RBF row equal to a free row's
     assert np.abs(start).max() <= 10.0
     assert abs(start.sum()) <= 1e-8 * 10.0
     assert svr_dual_value(K, y, 0.1, start) >= svr_dual_value(K, y, 0.1, beta0)
-    beta, b = plain_warm_smo(K, y, 10.0, 0.1, start)
     assert svr_kkt_violations(beta, K @ beta + b - y, 10.0, 0.1).max() <= 2.0 * KKT_TOL
 
 

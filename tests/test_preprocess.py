@@ -1,12 +1,15 @@
 """Standardization, splitting, k-fold partitioning, polynomial expansion,
 and the deterministic generators underneath them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import sample_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpgworkbench.metrics import dataset_correlations
 from mpgworkbench.preprocess import (apply_standardizer, fit_standardizer,
                                      kfold, polynomial_feature_count,
                                      polynomial_features, train_test_split)
@@ -125,6 +128,24 @@ def test_constant_column_error_names_column():
     assert M[:, 1].std() > 0.0  # the mean rounds, so the std is not 0
     with pytest.raises(ValueError, match="column 1"):
         fit_standardizer(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7),
+       st.integers(min_value=-1000, max_value=1000))
+def test_a_column_times_a_power_of_two_keeps_the_bits(dataset, j, k):
+    """Scaling column j of the packaged data (mpg, then the features) by
+    2^k is exact, and so are the mean, the centred squares and the
+    square root of standardization and Pearson correlation, done
+    scale-safely: the standardized matrix and the correlation block keep
+    every bit, though the squares of weight * 2^500 would overflow."""
+    M = np.column_stack([dataset.y, dataset.X])
+    S = M.copy()
+    S[:, j] = np.ldexp(S[:, j], k)
+    assert np.array_equal(apply_standardizer(fit_standardizer(S), S),
+                          apply_standardizer(fit_standardizer(M), M))
+    scaled = dataclasses.replace(dataset, X=S[:, 1:], y=S[:, 0])
+    assert dataset_correlations(scaled) == dataset_correlations(dataset)
 
 
 def test_apply_single_value():
