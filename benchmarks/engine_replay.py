@@ -96,12 +96,14 @@ def engine_at(rev: str) -> tuple:
 
 def line_of(code, source: str, text: str) -> int:
     """Number of the first line of ``code``'s function, in ``source``,
-    that holds ``text``; -1 if none does."""
+    that holds ``text``.  Exits naming the marker if none does: a count
+    read from no line would be 0 whatever the engine does."""
     lines = source.splitlines()
-    for number in range(code.co_firstlineno, len(lines) + 1):
+    last = max(line for *_, line in code.co_lines() if line is not None)
+    for number in range(code.co_firstlineno, last + 1):
         if text in lines[number - 1]:
             return number
-    return -1
+    sys.exit(f"engine_replay: no line of {code.co_name} holds {text!r}")
 
 
 def counts(engine, calls, source: str) -> dict:
@@ -110,6 +112,7 @@ def counts(engine, calls, source: str) -> dict:
     SMO steps that finish each warm solve from its start."""
     code, smo = engine.__code__, kernelmod._smo.__code__
     nested = {c.co_name: c for c in code.co_consts if isinstance(c, types.CodeType)}
+    add, remove = nested["add"], nested["remove"]
     body = line_of(code, source, "for _ in range(") + 1
     pricing = line_of(code, source, "np.argsort(viol)")
     step = line_of(smo, Path(kernelmod.__file__).read_text(), "iterations += 1")
@@ -140,11 +143,11 @@ def counts(engine, calls, source: str) -> dict:
             return engine_lines
         if frame.f_code is smo:
             return smo_lines
-        if frame.f_code is nested.get("add"):
+        if frame.f_code is add:
             m_at_call[id(frame)] = frame.f_locals["m"]
             frame.f_trace_lines = False
             return add_return
-        if frame.f_code is nested.get("remove"):
+        if frame.f_code is remove:
             total["removes"] += 1
         return None
 
@@ -190,6 +193,8 @@ def main(argv=None) -> int:
     label = "regress-2x" if args.regress_2x else f"seed {args.seed}"
     print(f"{label}: {len(calls)} engine calls; tree against {args.rev}")
 
+    # counted first, so that a missing marker line ends the run at once
+    traced = {k: counts(engines[k], calls, sources[k]) for k in engines}
     seconds = {name: [] for name in engines}
     outs = {}
     for r in range(args.rounds):
@@ -215,7 +220,7 @@ def main(argv=None) -> int:
         "max_abs_output_difference": max(
             float(np.abs(a - b).max()) for a, b in zip(outs["tree"], outs[args.rev])),
         "output_sha256_prefix": {k: digest(v) for k, v in outs.items()},
-        "counts": {k: counts(engines[k], calls, sources[k]) for k in engines},
+        "counts": traced,
     }
     for name, c in summary["counts"].items():
         print(f"{name}: " + ", ".join(f"{k} {v}" for k, v in c.items()))

@@ -99,9 +99,9 @@ def gamma_scale(X: np.ndarray) -> float:
     return 1.0 / (X.shape[1] * var)
 
 
-def _extract_support(X, dual, eps=1e-12):
-    keep = np.abs(dual) > eps
-    return X[keep].copy(), dual[keep].copy()
+def _svm_model(X, beta, b, kernel):  # support vectors: |beta| > 1e-12
+    keep = np.abs(beta) > 1e-12
+    return SvmModel(X[keep], beta[keep], b, kernel)
 
 
 def _kkt_violations(beta, E, lo, hi, epsilon, bnd):
@@ -247,8 +247,7 @@ def fit_svc_smo(X: np.ndarray, labels: np.ndarray, C: float,
     pos = labels == 1
     beta, b = _smo(kernel_matrix(kernel, X, X), np.where(pos, 1.0, -1.0),
                    np.where(pos, 0.0, -C), np.where(pos, C, 0.0), 0.0, None)
-    sv, dual = _extract_support(X, beta)
-    return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
+    return _svm_model(X, beta, b, kernel)
 
 
 def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> list:
@@ -283,17 +282,17 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> l
     return path
 
 
-def _add_block(inv, m, K_JF, K_JJ, floor):
-    """Borders inv[:m + 1, :m + 1], the inverse of [[0, 1'], [1, K_FF]],
-    with the k rows J in one rank-k update, given K_JF (k x m) and K_JJ.
-    Returns how many rows joined: those before the first pivot at or
-    below floor.  Pivot i is the Schur complement that a one-at-a-time
-    add of J[i] would test."""
-    V = np.ones((len(K_JJ), m + 1))
+def _add_block(inv, K_JF, K_JJ, floor):
+    """Borders inv, the inverse of [[0, 1'], [1, K_FF]], with the k rows
+    J in one rank-k update, given K_JF (k x m) and K_JJ.  Returns the
+    bordered inverse and k, how many rows joined: those before the first
+    pivot at or below floor.  Pivot i is the Schur complement that a
+    one-at-a-time add of J[i] would test."""
+    V = np.ones((len(K_JJ), len(inv)))
     V[:, 1:] = K_JF
     # W = inv V' as k rows; S = K_JJ - V W', the Schur complement of the
     # block, whose inverse is grown one pivot at a time (bordering)
-    W = np.einsum("ij,kj->ki", inv[:m + 1, :m + 1], V)
+    W = np.einsum("ij,kj->ki", inv, V)
     S_inv = []  # rows, in Python floats: k is at most 8
     for i, row in enumerate((K_JJ - np.einsum("ki,li->kl", V, W)).tolist()):
         u = [sum(map(operator.mul, r, row)) for r in S_inv]
@@ -305,13 +304,12 @@ def _add_block(inv, m, K_JF, K_JJ, floor):
                  for r, ui, wi in zip(S_inv, u, w)]
         S_inv.append([-b for b in w] + [1.0 / pivot])
     k = len(S_inv)
-    if k:
+    if k:  # filled in, not built by np.block, whose overhead costs the engine ~5%
         T = np.einsum("kl,li->ki", S_inv, W[:k])
-        inv[:m + 1, :m + 1] += np.einsum("ki,kj->ij", W[:k], T)
-        inv[m + 1:m + 1 + k, :m + 1] = -T
-        inv[:m + 1, m + 1:m + 1 + k] = -T.T
-        inv[m + 1:m + 1 + k, m + 1:m + 1 + k] = S_inv
-    return k
+        inv, old = np.empty((len(inv) + k,) * 2), inv
+        np.add(old, np.einsum("ki,kj->ij", W[:k], T), out=inv[:-k, :-k])
+        inv[-k:, :-k], inv[:-k, -k:], inv[-k:, -k:] = -T, -T.T, S_inv
+    return inv, k
 
 
 def _svr_active_set(K, y, C, epsilon, beta0):
@@ -342,7 +340,7 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     # -2 at -C, -1 negative free, 0 zero, 1 positive free, 2 at C
     side = np.select([beta >= C - 1e-10 * C, beta > 1e-12 * C,
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
-    inv = np.empty((n + 1, n + 1))  # the inverse, in its leading m+1 block
+    inv = None  # the (m+1)^2 bordered inverse, seeded by the first add
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
     # of K in KF[:m], its y, eps * side and C * side in FA[:, :m] and its
     # side > 0 in pos[:m]; rhs and the ratio test's t are filled in place
@@ -366,22 +364,23 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         m += k
 
     def add(J):  # F += J, one block update; False if a pivot is singular
+        nonlocal inv
         if m == 0:  # the first point seeds the inverse
-            inv[:2, :2] = [[-K[J[0], J[0]], 1.0], [1.0, 0.0]]
+            inv = np.array([[-K[J[0], J[0]], 1.0], [1.0, 0.0]])
             admit(J[:1])
             J = J[1:]
-        k = _add_block(inv, m, KF[:m, J].T, K[np.ix_(J, J)], floor)
+        inv, k = _add_block(inv, KF[:m, J].T, K[np.ix_(J, J)], floor)
         admit(J[:k])
         return k == J.size
 
     def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it
-        nonlocal m
-        inv[[p + 1, m], :m + 1] = inv[[m, p + 1], :m + 1]
-        inv[:m + 1, [p + 1, m]] = inv[:m + 1, [m, p + 1]]
+        nonlocal inv, m
+        inv[[p + 1, m]] = inv[[m, p + 1]]
+        inv[:, [p + 1, m]] = inv[:, [m, p + 1]]
         fidx[p], KF[p], pos[p] = fidx[m - 1], KF[m - 1], pos[m - 1]
         FA[:, p] = FA[:, m - 1]
         c = inv[:m, m]
-        inv[:m, :m] -= np.multiply.outer(c, c / inv[m, m])
+        inv = inv[:m, :m] - np.multiply.outer(c, c / inv[m, m])
         m -= 1
 
     def fix(i):  # i is fixed at side[i]: price it again
@@ -398,7 +397,7 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         rhs[0] = -beta.sum()
         np.subtract(FA[0, :m], g[F], out=rhs[1:m + 1])
         rhs[1:m + 1] -= FA[1, :m]
-        x = np.einsum("ij,j->i", inv[:m + 1, :m + 1], rhs[:m + 1])  # [bias, step]
+        x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
         d = x[1:]
         m0 = m  # the block sits in the last len(pending) rows
         for p in range(m - 1, m - 1 - len(pending), -1):
@@ -460,15 +459,10 @@ def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
     X = np.asarray(X, dtype=float)
     K = kernel_matrix(kernel, X, X)
     (beta, b), = solve_svr_dual(K, y, (C,), epsilon)
-    sv, dual = _extract_support(X, beta)
-    return SvmModel(support_vectors=sv, dual_coefs=dual, bias=b, kernel=kernel)
+    return _svm_model(X, beta, b, kernel)
 
 
 def svm_decision(m: SvmModel, X: np.ndarray) -> np.ndarray:
     """Raw decision values (classification label = sign, with score 0
     resolving to class 1; regression prediction is the value itself)."""
-    X = np.asarray(X, dtype=float)
-    if m.support_vectors.shape[0] == 0:
-        return np.full(X.shape[0], m.bias)
-    K = kernel_matrix(m.kernel, X, m.support_vectors)
-    return K @ m.dual_coefs + m.bias
+    return kernel_matrix(m.kernel, X, m.support_vectors) @ m.dual_coefs + m.bias

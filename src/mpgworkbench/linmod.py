@@ -203,10 +203,13 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float) -> LinearModel:
     n, p = X.shape
     w = np.zeros(p + 1)
     obj = logistic_objective(w, X, s, C)
-    for _ in range(NEWTON_MAX_ITER):
+    for it in range(NEWTON_MAX_ITER + 1):
         grad = logistic_gradient(w, X, s, C)
         if np.abs(grad).max() < NEWTON_TOL:
             break
+        if it == NEWTON_MAX_ITER:
+            raise ConvergenceError("logistic Newton did not converge",
+                                   last_iterate=(w[1:], float(w[0])))
         z = s * (w[0] + X @ w[1:])
         prob = _sigmoid(-z)
         weights = prob * (1.0 - prob)  # sigma(z)(1 - sigma(z)) is sign-symmetric
@@ -226,11 +229,6 @@ def fit_logistic(X: np.ndarray, labels: np.ndarray, C: float) -> LinearModel:
             t /= 2.0
         else:
             break  # no descent possible; gradient is numerically flat
-    else:
-        grad = logistic_gradient(w, X, s, C)
-        if np.abs(grad).max() >= NEWTON_TOL:
-            raise ConvergenceError("logistic Newton did not converge",
-                                   last_iterate=(w[1:], float(w[0])))
     return LinearModel(coefficients=w[1:], intercept=float(w[0]))
 
 

@@ -84,14 +84,7 @@ def kfold(n: int, k: int, seed: int) -> tuple[np.ndarray, ...]:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     order = list(range(n))
     Xoshiro256StarStar(seed).shuffle(order)
-    base, extra = divmod(n, k)
-    folds = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append(np.array(order[start:start + size]))
-        start += size
-    return tuple(folds)
+    return tuple(np.array_split(np.array(order), k))
 
 
 def polynomial_feature_count(d: int, degree: int) -> int:
@@ -109,11 +102,7 @@ def polynomial_features(M: np.ndarray, degree: int) -> np.ndarray:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     d = M.shape[1]
-    cols = []
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(d), deg):
-            col = M[:, combo[0]].copy()
-            for j in combo[1:]:
-                col = col * M[:, j]
-            cols.append(col)
-    return np.column_stack(cols)
+    return np.column_stack([
+        np.prod(M[:, combo], axis=1)
+        for deg in range(1, degree + 1)
+        for combo in combinations_with_replacement(range(d), deg)])

@@ -293,7 +293,7 @@ def test_non_finite_report_value_exits_three_before_writing(tmp_path, capsys,
 
 
 # --- adversarial data files: each cause has one exit code, whatever the
-# command; a run that fails exits 2 and leaves no --out
+# command; a run that fails exits 2 (3 if numerical) and leaves no --out
 
 COMMANDS = ("eda", "regress", "classify", "report")
 
@@ -349,6 +349,10 @@ ADVERSARIAL = {
     # a held-out fold of only 20.0 mpg: R^2 is undefined there
     "two-mpg-values": (lambda rows: [dataclasses.replace(r, mpg=30.0 if i % 7 == 0 else 20.0)
                                      for i, r in enumerate(rows[:60])], (0, 2, 0, 2), None),
+    # 398 rows, 40 distinct: the polynomial model's 36 columns fail the
+    # least-squares rank test, a numerical failure; eda and classify fit
+    # no polynomial model
+    "first-40-rows-repeated": (lambda rows: (rows[:40] * 10)[:398], (0, 3, 0, 3), None),
     "one-class": (lambda rows: [dataclasses.replace(r, mpg=24.0) if r.mpg >= 25 else r
                                 for r in rows], (0, 0, 2, 2), None),
     # float() parses these; int("inf") overflows, and NaN passes min == max
@@ -374,7 +378,8 @@ def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
         if code == EXIT_OK:
             assert (out / "report.json").exists()
         else:
-            assert err.startswith("data error: ")
+            assert err.startswith("data error: " if code == EXIT_DATA
+                                  else "numerical failure: X is rank deficient")
             assert not out.exists()
             errors.append(err)
     if constant:

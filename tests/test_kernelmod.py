@@ -65,6 +65,8 @@ def test_kernel_spec_validation():
         KernelSpec("rbf")  # gamma required
     with pytest.raises(ValueError):
         KernelSpec("rbf", gamma=-1.0)
+    with pytest.raises(ValueError):
+        KernelSpec("rbf", gamma=0.0)
 
 
 def test_kernel_matrix_matches_elementwise(rng):
@@ -234,6 +236,11 @@ def test_svr_cs_validation(rng):
         with pytest.raises(ValueError, match="Cs must be"):
             solve_svr_dual(K, y, Cs, 0.1)
     assert len(solve_svr_dual(K, y, (0.5, 1.0, 10.0), 0.1)) == 3
+    # two samples are enough: y'beta - 0.1 |beta|_1 - |beta|^2 / 2 peaks
+    # at beta = (0.9, -0.9), with both points on the tube's edge
+    (beta, b), = solve_svr_dual(np.eye(2), [1.0, -1.0], (1.0,), 0.1)
+    np.testing.assert_allclose(beta, [0.9, -0.9], atol=1e-12)
+    assert b == pytest.approx(0.0, abs=1e-12)
 
 
 def test_svr_negative_epsilon_rejected():
@@ -826,14 +833,13 @@ def block_and_rank_one_inverses(K, rows, k):
     floor = 1e-10 * float(np.diag(K).max())
     m = len(rows) - k
     F, J = rows[:m], rows[m:]
-    inv = np.empty((K.shape[0] + 1, K.shape[0] + 1))
-    inv[:m + 1, :m + 1], admitted = rank_one_bordered_inverse(K, F, floor)
+    inv, admitted = rank_one_bordered_inverse(K, F, floor)
     assert admitted == m
-    assert kernelmod._add_block(inv, m, K[np.ix_(J, F)], K[np.ix_(J, J)],
-                                floor) == k
+    inv, joined = kernelmod._add_block(inv, K[np.ix_(J, F)], K[np.ix_(J, J)], floor)
+    assert joined == k
     ref, admitted = rank_one_bordered_inverse(K, rows, floor)
     assert admitted == m + k
-    return inv[:m + k + 1, :m + k + 1], ref
+    return inv, ref
 
 
 @pytest.mark.parametrize("C", [1.0, 10.0])
@@ -873,13 +879,11 @@ def test_block_add_stops_at_a_duplicate_of_a_free_row(seed1_fold):
     F = free[10.0]
     J = np.array([np.setdiff1d(np.arange(K.shape[0]), F)[0], F[5], *free[1.0][-2:]])
     floor = 1e-10 * float(np.diag(K).max())
-    inv = np.empty((K.shape[0] + 1, K.shape[0] + 1))
-    m = F.size
-    inv[:m + 1, :m + 1], _ = rank_one_bordered_inverse(K, F, floor)
-    assert kernelmod._add_block(inv, m, K[np.ix_(J, F)], K[np.ix_(J, J)],
-                                floor) == 1
+    inv, _ = rank_one_bordered_inverse(K, F, floor)
+    inv, joined = kernelmod._add_block(inv, K[np.ix_(J, F)], K[np.ix_(J, J)], floor)
+    assert joined == 1
     ref, _ = rank_one_bordered_inverse(K, np.append(F, J[0]), floor)
-    assert np.abs(inv[:m + 2, :m + 2] - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.abs(inv - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_active_set_hands_over_at_a_released_duplicate(monkeypatch):
@@ -897,10 +901,10 @@ def test_active_set_hands_over_at_a_released_duplicate(monkeypatch):
     add_block, blocks = kernelmod._add_block, []
     engine, starts = kernelmod._svr_active_set, []
 
-    def spy(inv, m, K_JF, K_JJ, floor):
-        joined = add_block(inv, m, K_JF, K_JJ, floor)
-        blocks.append((m, len(K_JJ), joined, K_JF.copy()))
-        return joined
+    def spy(inv, K_JF, K_JJ, floor):
+        bordered, joined = add_block(inv, K_JF, K_JJ, floor)
+        blocks.append((inv.shape[0] - 1, len(K_JJ), joined, K_JF.copy()))
+        return bordered, joined
 
     def from_beta0(K, y, C, epsilon, _):  # the engine, run from beta0
         starts.append(engine(K, y, C, epsilon, beta0))

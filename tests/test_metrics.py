@@ -26,6 +26,8 @@ def test_hand_computed_example():
     assert m["mae"] == pytest.approx(2.0 / 3.0)
     assert m["mse"] == pytest.approx(2.0 / 3.0)
     assert m["r2"] == pytest.approx(0.0)
+    # two samples are enough
+    assert regression_metrics([1, 2], [1.5, 1.5], p=0)["r2"] == 0.0
 
 
 def test_adjusted_r2_published_example():
