@@ -43,7 +43,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from mpgworkbench import experiments, kernelmod  # noqa: E402
-from mpgworkbench.rng import derive_seeds  # noqa: E402
 
 
 def regress_2x_path(work_dir: str) -> str:
@@ -73,7 +72,7 @@ def record(config: experiments.ExperimentConfig) -> list:
     try:
         experiments.cross_validate(
             {svr.name: svr.path}, proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
-            derive_seeds(config.seed, 5)[experiments._SEED_KFOLD])
+            proto.kfold_seed)
     finally:
         kernelmod._svr_active_set = engine
     return calls

@@ -102,6 +102,8 @@ class ProtocolData:
     ytr_raw: np.ndarray
     labels_tr: np.ndarray
     labels_te: np.ndarray
+    kfold_seed: int  # the CV fold layout's seed
+    forest_seed: int
 
 
 def _standardized(X, y, train, test, split: str):
@@ -134,6 +136,7 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
         ytr_raw=dataset.y[split.train],
         labels_tr=labels[split.train],
         labels_te=labels[split.test],
+        kfold_seed=seeds[_SEED_KFOLD], forest_seed=seeds[_SEED_FOREST],
     )
 
 
@@ -239,7 +242,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         _Regressor("Random Forest Regressor", None,
                    lambda X, y, _: fit_random_forest(
                        X, y, n_trees=FIXED["forest_trees"],
-                       seed=derive_seeds(config.seed, 5)[_SEED_FOREST]),
+                       seed=proto.forest_seed),
                    forest_predict, d,
                    lambda _: {"n_trees": FIXED["forest_trees"],
                               "max_features": forest_max_features(d)},
@@ -265,7 +268,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
     )
 
 
-def diagnostics(model, Xte: np.ndarray, yte: np.ndarray, bins: int = 20) -> dict:
+def diagnostics(model, Xte: np.ndarray, yte: np.ndarray, bins: int) -> dict:
     """Figure data for the linear-model diagnostic plots: observed vs
     predicted pairs, residual-vs-predicted pairs, residual histogram."""
     y_pred = linear_predict(model, Xte)
@@ -287,8 +290,7 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
         {r.name: r.path or (lambda folds, r=r: [
             [r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid]
             for Xs, ys, Xq in folds]) for r in table if r.grid},
-        proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
-        derive_seeds(config.seed, 5)[_SEED_KFOLD])
+        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
     models, rows = {}, []
     for r in table:
         value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)
@@ -350,10 +352,11 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
                                               proto.Xte)
             by_key[family, C] = _classifier_row(
                 f.row_name.format(C), C, proto.labels_te, (s >= f.cut).astype(int))
-    tree = fit_cart(proto.Xtr, proto.labels_tr, "classify")
+    # a leaf's mean is its class-1 share; a tied leaf goes to class 0
+    tree = fit_cart(proto.Xtr, proto.labels_tr)
     rows = [*by_key.values(), _classifier_row(
         "Decision Tree", "Default", proto.labels_te,
-        tree_predict(tree, proto.Xte).astype(int))]
+        (tree_predict(tree, proto.Xte) > 0.5).astype(int))]
 
     # ROC series for the four reported configurations
     c_max, c_one = max(FIXED["c_grid"]), min(FIXED["c_grid"])

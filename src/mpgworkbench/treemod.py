@@ -1,12 +1,12 @@
-"""CART decision trees (classification and regression) and bootstrap-
-aggregated regression forests, both grown to pure leaves.
+"""CART decision trees and bootstrap-aggregated regression forests, both
+grown to pure leaves by variance reduction (on 0/1 labels the Gini 2p(1-p)
+is twice the variance, and a leaf's mean is its class-1 share).
 
 Split search is exact and deterministic: candidate thresholds are the
 midpoints between consecutive sorted unique feature values, and a value
-equal to the threshold goes LEFT.  Classification splits maximize Gini
-impurity decrease; regression splits maximize variance reduction.  Ties
-between equally good splits resolve to the lower feature index, then the
-lower threshold.
+equal to the threshold goes LEFT.  Within a feature the first minimum of
+the rounded child impurity wins (of two exactly tied thresholds, not
+always the lower); a later feature must beat it by more than 1e-15.
 
 A forest's trees live in one array of NODE records, which the grower
 appends to once per lock-step round and prediction walks level by level
@@ -71,15 +71,10 @@ def _row_sums(V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return V.sum(axis=1, where=np.arange(V.shape[1]) < sizes[:, None])
 
 
-def _node_stats(V: np.ndarray, sizes: np.ndarray, task: str):
-    """(prediction, impurity) of each node i with targets V[i, :sizes[i]]:
-    its mean and variance, or its majority class (a tie goes to 0) and
-    binary Gini, bitwise as computed for that node alone."""
-    total = _row_sums(V, sizes)
-    if task == "classify":
-        p0, p1 = (sizes - total) / sizes, total / sizes
-        return (total > sizes - total).astype(float), 1.0 - (p0 * p0 + p1 * p1)
-    mean = total / sizes
+def _node_stats(V: np.ndarray, sizes: np.ndarray):
+    """(mean, variance) of each node i with targets V[i, :sizes[i]],
+    bitwise as computed for that node alone."""
+    mean = _row_sums(V, sizes) / sizes
     return mean, _row_sums((V - mean[:, None]) ** 2, sizes) / sizes
 
 
@@ -100,7 +95,7 @@ def _chunks(sizes: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
-def _best_splits(X, F, R, size, V, task):
+def _best_splits(X, F, R, size, V):
     """Best (child impurity, feature, threshold) of each node i of a
     padded batch, which holds the rows R[i, :size[i]] with targets V[i]
     and draws the candidate features F[i]; the child impurity is inf
@@ -132,23 +127,15 @@ def _best_splits(X, F, R, size, V, task):
     csum = ts.cumsum(axis=2)
     tot = total(csum, ts)
     csum = csum[..., :-1]
-    if task == "classify":
-        p_l = csum / n_left
-        p_r = (tot - csum) / n_right
-        g_l = 2.0 * p_l * (1.0 - p_l)  # binary Gini
-        g_r = 2.0 * p_r * (1.0 - p_r)
-        child = (n_left * g_l + n_right * g_r) / n
-    else:
-        sq = ts * ts
-        csq = sq.cumsum(axis=2)
-        sqtot = total(csq, sq)
-        csq = csq[..., :-1]
-        sse_l = csq - csum * csum / n_left
-        sse_r = (sqtot - csq) - (tot - csum) ** 2 / n_right
-        child = (sse_l + sse_r) / n  # weighted variance
-    child = np.where(valid, child, np.inf)
-    # argmin takes each feature's lowest threshold among equal minima;
-    # across features, ties keep the earlier feature
+    sq = ts * ts
+    csq = sq.cumsum(axis=2)
+    sqtot = total(csq, sq)
+    csq = csq[..., :-1]
+    sse_l = csq - csum * csum / n_left
+    sse_r = (sqtot - csq) - (tot - csum) ** 2 / n_right
+    child = np.where(valid, (sse_l + sse_r) / n, np.inf)  # weighted variance
+    # argmin takes each feature's first minimum of the rounded child
+    # impurity; across features, a later one must win by more than 1e-15
     at = child.argmin(axis=2)[..., None]
     per_feature = child[mi, ki, at][..., 0]
     thresholds = ((xs[mi, ki, at] + xs[mi, ki, at + 1]) / 2.0)[..., 0]
@@ -162,7 +149,7 @@ def _best_splits(X, F, R, size, V, task):
     return best, feature, threshold
 
 
-def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
+def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray,
           max_features: int, rng: XoshiroLanes | None) -> ForestModel:
     """Grow one tree on the rows boots[t] of each lane t, in lock-step.
 
@@ -182,7 +169,7 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
         nodes[field] for field in NODE.names)  # views that write to nodes
     n_samples[:n_lanes] = n
     prediction[:n_lanes], impurity[:n_lanes] = _node_stats(
-        target[boots], n_samples[:n_lanes], task)
+        target[boots], n_samples[:n_lanes])
     count = n_lanes
     # each lane's depth-first stack of (node, offset of the node's rows)
     stack = np.zeros((n_lanes, n, 2), dtype=np.intp)
@@ -204,8 +191,7 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
             real = np.arange(size[0]) < size[:, None]
             at = np.where(real, offset[chunk][:, None] + np.arange(size[0]), n)
             R = rows[lane, at]
-            best, f, thr = _best_splits(X, feats[chunk], R, size, target[R],
-                                        task)
+            best, f, thr = _best_splits(X, feats[chunk], R, size, target[R])
             # accepted splits must strictly decrease impurity
             split = np.flatnonzero(
                 np.isfinite(best) & ~(impurity[node[chunk]] - best <= 1e-15))
@@ -230,7 +216,7 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
         lane_c = np.tile(live[c], 2)
         at = np.minimum(at_c[:, None] + np.arange(sizes_c.max(initial=1)), n)
         prediction[child], impurity[child] = _node_stats(
-            target[rows[lane_c[:, None], at]], sizes_c, task)
+            target[rows[lane_c[:, None], at]], sizes_c)
         # push the right child, then the left one, so each lane pops its
         # nodes in preorder
         entries = np.stack([child, at_c], axis=1)
@@ -242,20 +228,15 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray, task: str,
     return ForestModel(nodes[:count].copy(), n_lanes)
 
 
-def fit_cart(X: np.ndarray, target: np.ndarray, task: str) -> TreeNode:
+def fit_cart(X: np.ndarray, target: np.ndarray) -> TreeNode:
     """Greedy recursive partitioning over every feature; stops on zero
-    impurity or when no split decreases it.  Classification labels are 0
-    and 1."""
-    if task not in ("classify", "regress"):
-        raise ValueError(f"unknown task {task!r}")
+    variance or when no split decreases it."""
     X = np.asarray(X, dtype=float)
     target = np.asarray(target, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("empty input")
-    if task == "classify" and not np.isin(target, (0.0, 1.0)).all():
-        raise ValueError("classification labels must be 0 or 1")
-    return _grow(X, target, np.arange(X.shape[0])[None, :], task,
-                 X.shape[1], None).trees[0]
+    return _grow(X, target, np.arange(X.shape[0])[None, :], X.shape[1],
+                 None).trees[0]
 
 
 def _leaf_values(nodes: np.ndarray, roots: np.ndarray,
@@ -286,8 +267,8 @@ def forest_max_features(d: int) -> int:
     return math.ceil(d / 3)
 
 
-def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
-                      seed: int = 0) -> ForestModel:
+def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
+                      seed: int) -> ForestModel:
     """Bagged regression trees, grown side by side; each tree gets its own
     splitmix64-derived seeds for the bootstrap draw and for per-split
     feature subsampling."""
@@ -304,7 +285,7 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int = 100,
     boots = np.empty((n_trees, n), dtype=np.intp)
     for i in range(n):
         boots[:, i] = draws.randbelow(n, lanes)
-    return _grow(X, y, boots, "regress", forest_max_features(d),
+    return _grow(X, y, boots, forest_max_features(d),
                  XoshiroLanes(tree_seeds[1::2]))
 
 

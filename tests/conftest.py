@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpgworkbench.experiments import (_SEED_KFOLD, ExperimentConfig,
-                                      cross_validate, prepare_protocol,
+from mpgworkbench.experiments import (ExperimentConfig, cross_validate,
+                                      prepare_protocol,
                                       run_classification_grid,
                                       run_regression_suite)
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
 from mpgworkbench.kernelmod import _kkt_violations
 from mpgworkbench.linmod import _centered_moments, fit_elastic_net, fit_lasso
-from mpgworkbench.rng import derive_seeds
 
 # On a property test's failure hypothesis imports its patch writer, and
 # through it libcst, whose use of mypy_extensions.TypedDict warns with a
@@ -96,7 +95,7 @@ def seed1_cv_folds(protocol):
         return [[] for _ in folds]
 
     cross_validate({"capture": capture}, protocol.Xtr_raw, protocol.ytr_raw,
-                   10, derive_seeds(1, 5)[_SEED_KFOLD])
+                   10, protocol.kfold_seed)
     return captured
 
 

@@ -320,9 +320,9 @@ def test_criterion_17_cart_zero_training_error(rng):
         X = rng.normal(size=(n, int(rng.integers(1, 4))))  # rows unique a.s.
         if trial % 2:
             y = rng.normal(size=n)
-            tree = fit_cart(X, y, "regress")
+            tree = fit_cart(X, y)
             np.testing.assert_allclose(tree_predict(tree, X), y, atol=1e-12)
         else:
             labels = rng.integers(0, 2, n).astype(float)
-            tree = fit_cart(X, labels, "classify")
+            tree = fit_cart(X, labels)
             np.testing.assert_array_equal(tree_predict(tree, X), labels)

@@ -235,6 +235,20 @@ def test_class_summaries_shape(classification_grid):
             assert 0.0 <= row[key] <= 1.0
 
 
+def test_majority_leaf_tie_resolves_to_lower_class(protocol, monkeypatch):
+    """A leaf's mean is its class-1 share; at a tie (0.5) the Decision
+    Tree row predicts class 0."""
+    X = np.ones((4, 1))  # unsplittable: constant feature
+    tree = experiments.fit_cart(X, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert tree.is_leaf and tree.prediction == 0.5
+    monkeypatch.setattr(experiments, "tree_predict",
+                        lambda tree, X: np.full(len(X), 0.5))
+    row = run_classification_grid(ExperimentConfig(), protocol)["table"][-1]
+    assert row == experiments._classifier_row(
+        "Decision Tree", "Default", protocol.labels_te,
+        np.zeros_like(protocol.labels_te))
+
+
 @pytest.mark.parametrize("threshold, split, present", [
     (45.0, "training", 0),  # no training car reaches 45 mpg
     (10.0, "test", 1),  # every test car reaches 10 mpg
@@ -342,14 +356,12 @@ import hashlib
 from mpgworkbench import experiments
 from mpgworkbench.kernelmod import (KernelSpec, _svr_active_set, gamma_scale,
                                     kernel_matrix, solve_svr_dual)
-from mpgworkbench.rng import derive_seeds
 config = experiments.ExperimentConfig(seed=1)
 proto = experiments.prepare_protocol(config)
 folds = []
 experiments.cross_validate(
     {"capture": lambda fs: folds.extend(fs) or [[] for _ in fs]},
-    proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
-    derive_seeds(config.seed, 5)[experiments._SEED_KFOLD])
+    proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
 Xs, ys, _ = folds[0]
 K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
 (beta0, _), = solve_svr_dual(K, ys, (1.0,), 0.1)

@@ -17,7 +17,7 @@ from mpgworkbench.kernelmod import (KKT_TOL, MAX_ITER, KernelSpec, SmoError,
                                     fit_svc_smo, fit_svr, gamma_scale,
                                     kernel_matrix, solve_svr_dual,
                                     svm_decision)
-from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
+from mpgworkbench.rng import Xoshiro256StarStar
 
 LINEAR = KernelSpec("linear")
 
@@ -607,8 +607,7 @@ def seed1_svr_cv(protocol):
     svr = experiments._regression_table(config, protocol)[0]
     return svr.grid, experiments.cross_validate(
         {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw,
-        config.cv_folds, derive_seeds(config.seed, 5)[experiments._SEED_KFOLD]
-    )[svr.name]
+        config.cv_folds, protocol.kfold_seed)[svr.name]
 
 
 def assert_warm_smo_under_50_steps(protocol, monkeypatch):

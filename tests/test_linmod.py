@@ -9,14 +9,13 @@ import pytest
 from conftest import enet_fit, lasso_alpha_max, lasso_fit, seed1_cv_folds
 
 from mpgworkbench import linmod
-from mpgworkbench.experiments import (FIXED, _SEED_KFOLD, ExperimentConfig,
+from mpgworkbench.experiments import (FIXED, ExperimentConfig,
                                       _regression_table, cross_validate)
 from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net,
                                  fit_logistic, fit_ols, fit_ridge,
                                  linear_predict, logistic_gradient,
                                  logistic_objective, logistic_scores)
 from mpgworkbench.metrics import regression_metrics
-from mpgworkbench.rng import derive_seeds
 
 
 def orthonormal_design(rng, n, p):
@@ -529,7 +528,7 @@ def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
 
     def cv():
         cross_validate({regressor.name: regressor.path}, protocol.Xtr_raw,
-                       protocol.ytr_raw, 10, derive_seeds(1, 5)[_SEED_KFOLD])
+                       protocol.ytr_raw, 10, protocol.kfold_seed)
 
     cv()
     for alpha in FIXED["alpha_grid"]:

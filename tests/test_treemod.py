@@ -4,6 +4,7 @@ determinism, and ensemble properties."""
 import hashlib
 import importlib.util
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ def walk(node):
 # --- impurity
 
 def gini_impurity(labels: np.ndarray) -> float:
-    """Gini impurity of a label set: the oracle of the grower's
-    classification split search."""
+    """Gini impurity of a label set: the reference grower's
+    classification criterion."""
     counts = np.bincount(labels.astype(int))
     p = counts / labels.size
     return float(1.0 - (p * p).sum())
@@ -46,7 +47,7 @@ def test_gini_pure():
 
 def test_separable_pair_single_split():
     X = np.array([[0.0], [1.0]])
-    tree = fit_cart(X, np.array([0, 1]), "classify")
+    tree = fit_cart(X, np.array([0, 1]))
     assert not tree.is_leaf
     assert tree.threshold == pytest.approx(0.5)  # midpoint
     np.testing.assert_array_equal(tree_predict(tree, X), [0.0, 1.0])
@@ -54,14 +55,14 @@ def test_separable_pair_single_split():
 
 def test_boundary_value_goes_left():
     X = np.array([[0.0], [1.0]])
-    tree = fit_cart(X, np.array([0.0, 1.0]), "regress")
+    tree = fit_cart(X, np.array([0.0, 1.0]))
     at_threshold = np.array([[tree.threshold]])
     assert tree_predict(tree, at_threshold)[0] == tree.left.prediction
 
 
 def test_leaf_only_tree_constant_prediction(rng):
     X = rng.normal(size=(5, 2))
-    tree = fit_cart(X, np.full(5, 3.0), "regress")
+    tree = fit_cart(X, np.full(5, 3.0))
     assert tree.is_leaf and tree.left is None and tree.right is None
     X[0] = [np.inf, -np.inf]
     np.testing.assert_array_equal(tree_predict(tree, X), np.full(5, 3.0))
@@ -70,17 +71,17 @@ def test_leaf_only_tree_constant_prediction(rng):
 def test_zero_training_error_without_conflicts(rng):
     X = rng.normal(size=(40, 3))
     y = rng.normal(size=40)
-    tree = fit_cart(X, y, "regress")
+    tree = fit_cart(X, y)
     np.testing.assert_allclose(tree_predict(tree, X), y, atol=1e-12)
     labels = rng.integers(0, 2, 40).astype(float)
-    ctree = fit_cart(X, labels, "classify")
+    ctree = fit_cart(X, labels)
     np.testing.assert_array_equal(tree_predict(ctree, X), labels)
 
 
 def test_accepted_splits_strictly_decrease_impurity(rng):
     X = rng.normal(size=(60, 4))
     y = rng.normal(size=60)
-    tree = fit_cart(X, y, "regress")
+    tree = fit_cart(X, y)
     for node in walk(tree):
         if not node.is_leaf:
             children = (node.left.impurity * node.left.n_samples
@@ -88,19 +89,9 @@ def test_accepted_splits_strictly_decrease_impurity(rng):
             assert node.impurity * node.n_samples > children
 
 
-def test_majority_leaf_tie_resolves_to_lower_class():
-    X = np.ones((4, 1))  # unsplittable: constant feature
-    tree = fit_cart(X, np.array([0.0, 0.0, 1.0, 1.0]), "classify")
-    assert tree.is_leaf and tree.prediction == 0.0
-
-
 def test_cart_input_validation():
     with pytest.raises(ValueError):
-        fit_cart(np.empty((0, 2)), np.empty(0), "regress")
-    with pytest.raises(ValueError):
-        fit_cart(np.ones((2, 1)), np.zeros(2), "cluster")
-    with pytest.raises(ValueError):  # the Gini split search is binary
-        fit_cart(np.arange(3.0)[:, None], np.array([0.0, 1.0, 2.0]), "classify")
+        fit_cart(np.empty((0, 2)), np.empty(0))
 
 
 # --- forest
@@ -136,11 +127,11 @@ def test_forest_param_validation(rng):
     X = rng.normal(size=(10, 2))
     y = rng.normal(size=10)
     with pytest.raises(ValueError):
-        fit_random_forest(X, y, n_trees=0)
+        fit_random_forest(X, y, n_trees=0, seed=0)
     with pytest.raises(ValueError):
-        fit_random_forest(X[:1], y[:1])
+        fit_random_forest(X[:1], y[:1], n_trees=100, seed=0)
     with pytest.raises(ValueError):  # no feature to draw
-        fit_random_forest(X[:, :0], y)
+        fit_random_forest(X[:, :0], y, n_trees=100, seed=0)
 
 
 # --- the grower against a reference copy of its node loop
@@ -148,7 +139,8 @@ def test_forest_param_validation(rng):
 # The tree grower as it was before its node statistics and split search
 # were trimmed: t.var()/t.mean() per node, every column of the node's rows
 # gathered, np.take_along_axis and a per-feature argmin loop.  Kept
-# verbatim as the oracle fit_cart must match bit for bit.
+# verbatim as the oracle fit_cart must match: bit for bit on its regress
+# task, and split for split on its Gini classify task.
 
 @dataclass
 class TreeNode:
@@ -302,14 +294,64 @@ def oracle_inputs(rng, task):
     return X, target
 
 
+def structure(node, predict):
+    """A fitted tree's splits and leaf sizes as nested tuples of exact
+    values, with predict(leaf) at each leaf."""
+    if node.is_leaf:
+        return (node.n_samples, predict(node))
+    return (node.feature, node.threshold.hex(), node.n_samples,
+            structure(node.left, predict), structure(node.right, predict))
+
+
+def matches_gini_tree(tree, X, labels):
+    """Whether a variance tree on 0/1 labels has the Gini reference
+    tree's splits, with a leaf mean above 0.5 where its majority is 1."""
+    ref = reference_fit_cart(X, labels, "classify")
+    return (structure(tree, lambda leaf: float(leaf.prediction > 0.5))
+            == structure(ref, lambda leaf: leaf.prediction))
+
+
 # every tree grows to leaf size 1; test_forest_matches_reference_grower
-# covers the per-split feature draws
+# covers the per-split feature draws.  On 0/1 labels the variance tree
+# is the Gini tree: 2p(1 - p) is twice the variance
 @pytest.mark.parametrize("task", ["regress", "classify"])
 def test_cart_matches_reference_grower(rng, task):
     for _ in range(3):
         X, target = oracle_inputs(rng, task)
-        assert dump(fit_cart(X, target, task)) == dump(
-            reference_fit_cart(X, target, task))
+        tree = fit_cart(X, target)
+        if task == "classify":
+            assert matches_gini_tree(tree, X, target)
+        else:
+            assert dump(tree) == dump(reference_fit_cart(X, target, task))
+
+
+def exact_weighted_gini(labels, go_left):
+    """Weighted child Gini impurity of a split, in exact arithmetic."""
+    total = Fraction(0)
+    for side in (labels[go_left], labels[~go_left]):
+        p = Fraction(int(side.sum()), side.size)
+        total += side.size * 2 * p * (1 - p)
+    return total / labels.size
+
+
+def test_exact_gini_tie_may_round_to_either_split():
+    """At this input two root splits on feature 0 tie in exact
+    arithmetic, and the Gini and variance formulas round them apart: the
+    variance tree takes the lower threshold, the Gini tree the higher."""
+    gen = np.random.default_rng(5)
+    for _ in range(3):
+        X, labels = oracle_inputs(gen, "classify")
+    tree, ref = fit_cart(X, labels), reference_fit_cart(X, labels, "classify")
+    splits = [(t.feature, t.threshold) for t in (tree, ref)]
+    assert splits[0] != splits[1]
+    for f, thr in splits:
+        assert exact_weighted_gini(labels, X[:, f] <= thr) == Fraction(19, 60)
+
+
+def test_protocol_tree_is_the_gini_tree(protocol):
+    """The report's Decision Tree, node for node."""
+    tree = fit_cart(protocol.Xtr, protocol.labels_tr)
+    assert matches_gini_tree(tree, protocol.Xtr, protocol.labels_tr)
 
 
 def test_cart_matches_reference_grower_on_signed_zeros():
@@ -317,7 +359,7 @@ def test_cart_matches_reference_grower_on_signed_zeros():
     mean is +0.0, and a sum that starts from the first entry gives -0.0."""
     X = np.arange(12.0)[:, None]
     target = np.array([-0.0] * 3 + [2.0, 5.0] + [-0.0] * 7)
-    assert dump(fit_cart(X, target, "regress")) == dump(
+    assert dump(fit_cart(X, target)) == dump(
         reference_fit_cart(X, target, "regress"))
 
 
@@ -331,7 +373,7 @@ def test_cart_matches_reference_grower_on_one_column(seed):
     X = gen.integers(0, 6, size=(n, 1)).astype(float)
     target = np.round(gen.normal(size=n) * 10 ** gen.uniform(-2, 3),
                       int(gen.integers(0, 4)))
-    assert dump(fit_cart(X, target, "regress")) == dump(
+    assert dump(fit_cart(X, target)) == dump(
         reference_fit_cart(X, target, "regress"))
 
 
@@ -366,10 +408,9 @@ def test_forest_matches_reference_grower(rng, task):
 def test_protocol_forest_bits_are_pinned(protocol):
     """sha256 of the seed-1 protocol forest, recorded from the recursive
     grower that one grower for all trees replaced."""
-    seed = derive_seeds(1, 5)[experiments._SEED_FOREST]
     forest = fit_random_forest(protocol.Xtr, protocol.ytr,
                                n_trees=experiments.FIXED["forest_trees"],
-                               seed=seed)
+                               seed=protocol.forest_seed)
     digest = hashlib.sha256(repr([dump(t) for t in forest.trees]).encode())
     assert digest.hexdigest() == (
         "708e0e4bf67d127cd61863e6945f66de4dde54d210014622446f991c5c6c4721")
@@ -407,7 +448,7 @@ def tie_rows(tree, X):
 @pytest.mark.parametrize("task", ["regress", "classify"])
 def test_cart_walk_matches_node_view_walk(rng, task):
     X, target = oracle_inputs(rng, task)
-    tree = fit_cart(X, target, task)
+    tree = fit_cart(X, target)
     Q = np.concatenate([X, tie_rows(tree, X), rng.normal(size=(30, 5))])
     assert tree_predict(tree, Q).tobytes() == walk_predict(tree, Q).tobytes()
 
@@ -430,7 +471,7 @@ def test_node_view_reads_python_numbers(rng):
     """repr of a numpy scalar differs from a Python number's, and dump's
     repr is what the forest pin hashes."""
     X, target = oracle_inputs(rng, "regress")
-    for node in walk(fit_cart(X, target, "regress")):
+    for node in walk(fit_cart(X, target)):
         fields = (node.feature, node.n_samples, node.threshold,
                   node.prediction, node.impurity)
         assert [type(v) for v in fields] == [int, int, float, float, float]
@@ -443,10 +484,9 @@ def test_benchmark_tree_shape_on_the_protocol_forest(protocol):
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    seed = derive_seeds(1, 5)[experiments._SEED_FOREST]
     forest = fit_random_forest(protocol.Xtr, protocol.ytr,
                                n_trees=experiments.FIXED["forest_trees"],
-                               seed=seed)
+                               seed=protocol.forest_seed)
     shapes = [layers._tree_shape(tree) for tree in forest.trees]
     assert sum(n for n, _ in shapes) == 30962
     assert max(depth for _, depth in shapes) == 19
