@@ -9,8 +9,11 @@ per engine the counts of one report: loop iterations, points added,
 removes, pricings (one released block each, the last excepted) and the
 SMO steps that finish the warm solves from the engine's starts.
 
-    python benchmarks/engine_replay.py --rev HEAD --seed 1 --rounds 10
-    python benchmarks/engine_replay.py --rev HEAD --regress-2x --rounds 10
+    python benchmarks/engine_replay.py --rev HEAD --seed 1
+    python benchmarks/engine_replay.py --rev HEAD --regress-2x
+
+Rounds default to 30: on a shared 2-core machine, 10 rounds could not
+tell a ~5% engine change from the noise.
 
 Run it from the repository root.  BLAS runs on one thread.  The last
 line printed is a JSON summary.
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="protocol seed")
     parser.add_argument("--regress-2x", action="store_true",
                         help="the regress-2x file of data seed 1 (protocol seed 1)")
-    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--rounds", type=int, default=30)
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as work:

@@ -325,10 +325,9 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     released at once, as a primal-dual active-set method changes several
     statuses per iteration (Hintermueller, Ito & Kunisch 2002); the block
     joins F by one k-row Schur-complement update (_add_block), as the
-    start's free set does 8 rows at a time.  After the next solve, each
-    released multiplier that would move outward is fixed again and
-    skipped until a step is taken; while others of the block stay free,
-    the system is solved again before the next release.  Updates run in einsum and
+    start's free set does 8 rows at a time.  A released multiplier that
+    the next solve moves outward sits at its wall, so the ratio test
+    fixes it again by a zero-length step.  Updates run in einsum and
     ufuncs only: BLAS and LAPACK round differently with the thread count
     at these sizes.  A singular pivot, an empty F or 4n iterations hand
     over early.  Returns the iterate, clipped to the box with its sum
@@ -350,7 +349,7 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
-    # ups and downs hold them per point, -inf at free and skipped points
+    # ups and downs hold them per point, -inf at free points
     up_rate = np.array([epsilon, epsilon, -epsilon, -epsilon, -np.inf])
     down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
     ups, downs = up_rate[side + 2], down_rate[side + 2]
@@ -383,10 +382,6 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         inv = inv[:m, :m] - np.multiply.outer(c, c / inv[m, m])
         m -= 1
 
-    def fix(i):  # i is fixed at side[i]: price it again
-        ups[i], downs[i] = up_rate[side[i] + 2], down_rate[side[i] + 2]
-
-    pending, skip = {}, []  # the last block: j -> (its side before, inward)
     start = np.flatnonzero(np.abs(side) == 1)
     built = all(add(start[i:i + 8]) for i in range(0, start.size, 8))
     for _ in range(4 * n if built else 0):
@@ -399,45 +394,30 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         rhs[1:m + 1] -= FA[1, :m]
         x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
         d = x[1:]
-        m0 = m  # the block sits in the last len(pending) rows
-        for p in range(m - 1, m - 1 - len(pending), -1):
-            j = int(fidx[p])
-            if not d[p] * pending[j][1] > 0:
-                side[j] = pending.pop(j)[0]
-                remove(p)
-                skip.append(j)
-        if m < m0 and pending:
+        # the wall each free multiplier moves toward: 0 or its bound
+        wall = np.where((d > 0) == pos[:m], FA[2, :m], 0.0)
+        tm = t[:m]
+        tm.fill(np.inf)
+        np.divide(wall - bF, d, out=tm, where=d != 0)
+        k = int(tm.argmin())
+        new = bF + min(1.0, max(tm[k], 0.0)) * d
+        if tm[k] < 1.0:
+            new[k] = wall[k]
+        g += np.einsum("ij,i->j", KF[:m], new - bF)
+        beta[F] = new
+        if tm[k] < 1.0:  # F[k] is fixed at its wall: price it again
+            i = F[k]
+            side[i] = 2 * side[i] if wall[k] else 0
+            ups[i], downs[i] = up_rate[side[i] + 2], down_rate[side[i] + 2]
+            remove(k)
             continue
-        if m == m0:
-            pending.clear()
-            for i in skip:
-                fix(i)
-            skip = []
-            # the wall each free multiplier moves toward: 0 or its bound
-            wall = np.where((d > 0) == pos[:m], FA[2, :m], 0.0)
-            tm = t[:m]
-            tm.fill(np.inf)
-            np.divide(wall - bF, d, out=tm, where=d != 0)
-            k = int(tm.argmin())
-            new = bF + min(1.0, max(tm[k], 0.0)) * d
-            if tm[k] < 1.0:
-                new[k] = wall[k]
-            g += np.einsum("ij,i->j", KF[:m], new - bF)
-            beta[F] = new
-            if tm[k] < 1.0:
-                side[F[k]] = 2 * side[F[k]] if wall[k] else 0
-                fix(F[k])
-                remove(k)
-                continue
-            b = x[0]
-        E = g + b - y
+        E = g + x[0] - y
         up, down = ups - E, downs + E
         viol = np.maximum(up, down)
         top = np.argsort(viol)[:-RELEASE_BLOCK - 1:-1]  # largest first
         top = top[viol[top] > KKT_TOL / 2]
         # the block moves inward: up (to = 1) or down (to = -1)
         to = np.where(up[top] >= down[top], 1, -1)
-        pending.update(zip(top.tolist(), zip(side[top].tolist(), to.tolist())))
         side[top] = np.where(side[top] == 0, to, np.sign(side[top]))
         if not (top.size and add(top)):
             break

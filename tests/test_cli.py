@@ -1,12 +1,19 @@
 """Command-line interface: exit codes, output files, config handling."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpgworkbench import cli, experiments, kernelmod
 from mpgworkbench.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
@@ -315,15 +322,17 @@ def _token(field, token):
 
 def _scaled(field, factor):
     """The packaged rows, serialized, with ``field`` multiplied by
-    ``factor`` on every line and written with repr, so that it
-    round-trips."""
+    ``factor`` on every line (a missing horsepower stays "?") and written
+    with repr, so that it round-trips."""
     def make(rows):
         j = (("mpg",) + FEATURE_NAMES).index(field)
         lines = serialize_raw_table(RawTable(rows=tuple(rows))).splitlines()
         for i, r in enumerate(rows):
-            fields = lines[i].split("   ")
-            fields[j] = repr(getattr(r, field) * factor)
-            lines[i] = "   ".join(fields)
+            numbers, name = lines[i].split("\t")
+            fields = numbers.split("   ")
+            if getattr(r, field) is not None:
+                fields[j] = repr(getattr(r, field) * factor)
+            lines[i] = "   ".join(fields) + "\t" + name
         return "\n".join(lines) + "\n"
     return make
 
@@ -438,6 +447,92 @@ def test_huge_column_is_not_dropped_by_the_classifiers(tmp_path, reference_text,
     table = json.loads((out / "report.json").read_text())["classification"]["table"]
     assert ([row["accuracy"] for row in table]
             == [row["accuracy"] for row in classification_grid["table"]])
+
+
+@dataclasses.dataclass
+class PackagedOutputs:
+    """Each command's outputs on the packaged text, written to ``data``;
+    the scaled files overwrite that file, so every report records the
+    same data path."""
+    data: Path
+    outputs: dict = dataclasses.field(repr=False)
+
+
+@pytest.fixture(scope="module")
+def packaged_outputs(tmp_path_factory, reference_text):
+    data = tmp_path_factory.mktemp("scaled") / "cars.data"
+    data.write_text(reference_text, encoding="utf-8")
+    outputs = {}
+    for command in COMMANDS:
+        out = data.parent / command
+        assert run_cli([command, "--data", str(data), "--out", str(out)]) == EXIT_OK
+        outputs[command] = _outputs(out)
+    return PackagedOutputs(data, outputs)
+
+
+def _outputs(out):
+    """Each output file of ``out``: report.json parsed, the others as
+    rows of comma-separated cells."""
+    return {p.name: json.loads(p.read_text(encoding="utf-8")) if p.suffix == ".json"
+            else [line.split(",") for line in p.read_text(encoding="utf-8").splitlines()]
+            for p in out.iterdir()}
+
+
+def _times_power_of_two(outputs, field, k, sha):
+    """The packaged file's outputs as they must read on a file with
+    ``field`` times 2^k, whose sha256 is ``sha``: the column's histogram
+    edges and pairwise values are exactly 2^k times the packaged ones,
+    written by the CSV writer's own format, and nothing else moves but
+    the data checksum."""
+    expected = json.loads(json.dumps(outputs))  # a deep copy
+    report = expected["report.json"]
+    if "provenance" in report:
+        report["provenance"]["data_sha256"] = sha
+        expected["report.md"] = [[cell.replace(DATA_SHA256, sha) for cell in row]
+                                 for row in expected["report.md"]]
+    if "eda" in report:
+        edges = [math.ldexp(e, k) for e in report["eda"]["distributions"][field]["edges"]]
+        values = [math.ldexp(v, k) for v in report["eda"]["pairwise"][field]]
+        report["eda"]["distributions"][field]["edges"] = edges
+        report["eda"]["pairwise"][field] = values
+        bins = [row for row in expected["distributions.csv"] if row[0] == field]
+        for row, left, right in zip(bins, edges[:-1], edges[1:], strict=True):
+            row[1:3] = cli._fmt(left), cli._fmt(right)
+        header, *rows = expected["pairwise.csv"]
+        for row, value in zip(rows, values, strict=True):
+            row[header.index(field)] = cli._fmt(value)
+    return expected
+
+
+@pytest.mark.slow
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(FEATURE_NAMES), st.integers(min_value=-1000, max_value=1000))
+def test_every_command_scales_with_a_column_times_a_power_of_two(
+        packaged_outputs, reference_text, field, k):
+    """A feature column times 2^k, written with repr: every command gives
+    the packaged file's outputs, but for that column's histogram edges
+    and pairwise values, exactly 2^k times the packaged ones.  The
+    histograms, the pairwise block and the writers lie beyond the
+    statistics' property test.  An integer field holds odd values, so
+    at k < 0 the file is a data error that every command names."""
+    data, outputs = packaged_outputs.data, packaged_outputs.outputs
+    text = _scaled(field, 2.0 ** k)(parse_auto_mpg(reference_text).rows)
+    data.write_text(text, encoding="utf-8")
+    sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    integer = field in ("cylinders", "model_year", "origin")
+    with tempfile.TemporaryDirectory() as work:
+        for command in COMMANDS:
+            out, err = Path(work) / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli([command, "--data", str(data), "--out", str(out)])
+            if integer and k < 0:
+                assert code == EXIT_DATA, command
+                assert f"field {field!r} is not an integer" in err.getvalue()
+                assert not out.exists()
+            else:
+                assert code == EXIT_OK, (command, err.getvalue())
+                assert _outputs(out) == _times_power_of_two(
+                    outputs[command], field, k, sha), command
 
 
 # --- recorded data path (the suite itself is stubbed: only the config
