@@ -84,7 +84,12 @@ def read_data_file(path: str) -> tuple[str, str]:
 
 
 def _parse_number(token: str, line_no: int, field: str, want_int: bool):
+    """An ASCII decimal token; an integer field takes an optional sign and
+    ASCII digits only.  float() alone would also read non-ASCII digits
+    and "_" separators, and int(float(token)) any integral float."""
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError
         value = float(token)
     except ValueError:
         raise ParseError(
@@ -93,9 +98,9 @@ def _parse_number(token: str, line_no: int, field: str, want_int: bool):
     if not math.isfinite(value):
         raise ParseError(f"line {line_no}: field '{field}' is not finite: {token!r}")
     if want_int:
-        if value != int(value):
+        if not token.lstrip("+-").isdigit():
             raise ParseError(f"line {line_no}: field '{field}' is not an integer: {token!r}")
-        return int(value)
+        return int(token)
     return value
 
 

@@ -13,13 +13,19 @@ import numpy as np
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """Advance a splitmix64 state, returning (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, (z ^ (z >> 31)) & MASK64
+def _wrap(x):
+    """x modulo 2**64: ints grow past 64 bits, while numpy uint64 arrays
+    wrap by themselves and pass through unmasked."""
+    return x & MASK64 if type(x) is int else x
+
+
+def splitmix64_next(state):
+    """Advance a splitmix64 state, returning (new_state, output); the
+    state is an int, or a numpy uint64 array of states."""
+    state = _wrap(state + 0x9E3779B97F4A7C15)
+    z = _wrap((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9)
+    z = _wrap((z ^ (z >> 27)) * 0x94D049BB133111EB)
+    return state, z ^ (z >> 31)
 
 
 def derive_seeds(master: int, n: int) -> list[int]:
@@ -30,12 +36,6 @@ def derive_seeds(master: int, n: int) -> list[int]:
         state, out = splitmix64_next(state)
         seeds.append(out)
     return seeds
-
-
-def _wrap(x):
-    """x modulo 2**64: ints grow past 64 bits, while numpy uint64 lanes
-    wrap by themselves and pass through unmasked."""
-    return x & MASK64 if type(x) is int else x
 
 
 def _rotl(x, k: int):
@@ -100,23 +100,37 @@ class XoshiroLanes:
 
     def randbelow(self, n: int, lanes: np.ndarray) -> np.ndarray:
         """Unbiased draws from {0, ..., n-1} by rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        limit = 2**64 - 2**64 % n  # (2**64 // n) * n; 2**64 when n | 2**64
-        out = self.next_u64(lanes)
-        if limit < 2**64:
-            redo = np.flatnonzero(out >= np.uint64(limit))
-            while redo.size:
-                out[redo] = self.next_u64(lanes[redo])
-                redo = redo[out[redo] >= np.uint64(limit)]
-        return out % np.uint64(n)
+        return _below(n, lambda sel: self.next_u64(lanes[sel]), len(lanes))
 
-    def sample_indices(self, n: int, k: int, lanes: np.ndarray) -> np.ndarray:
-        """k distinct indices from range(n) per lane, via partial
-        Fisher-Yates; one row per lane."""
-        pool = np.tile(np.arange(n), (len(lanes), 1))
-        rows = np.arange(len(lanes))
-        for i in range(k):
-            j = i + self.randbelow(n - i, lanes).astype(np.intp)
-            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
-        return pool[:, :k]
+
+def _below(n: int, draw, size: int) -> np.ndarray:
+    """Unbiased draws from {0, ..., n-1} for ``size`` streams, rejected as
+    ``Xoshiro256StarStar.randbelow`` rejects; ``draw(sel)`` advances the
+    streams ``sel`` and returns their uint64 outputs."""
+    if n <= 0:
+        raise ValueError("randbelow requires n >= 1")
+    top = np.uint64(2**64 - 2**64 % n - 1)  # largest accepted; fits in uint64
+    out = draw(np.arange(size))
+    redo = np.flatnonzero(out > top)
+    while redo.size:
+        out[redo] = draw(redo)
+        redo = redo[out[redo] > top]
+    return out % np.uint64(n)
+
+
+def keyed_sample(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """k distinct indices from range(n) for each uint64 key, one row per
+    key: a partial Fisher-Yates on the splitmix64 stream whose state
+    starts at the key, so a draw depends on its key alone."""
+    state = keys.copy()
+    pool = np.tile(np.arange(n), (keys.size, 1))
+    rows = np.arange(keys.size)
+
+    def draw(sel):
+        state[sel], out = splitmix64_next(state[sel])
+        return out
+
+    for i in range(k):
+        j = i + _below(n - i, draw, keys.size).astype(np.intp)
+        pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+    return pool[:, :k]

@@ -8,9 +8,9 @@ equal to the threshold goes LEFT.  Within a feature the first minimum of
 the rounded child impurity wins (of two exactly tied thresholds, not
 always the lower); a later feature must beat it by more than 1e-15.
 
-A forest's trees live in one array of NODE records, which the grower
-appends to once per lock-step round and prediction walks level by level
-for every tree and row at once; TreeNode is a read-only view of one node.
+A forest's trees live in one array of NODE records: the grower appends
+one depth of every tree per round, and prediction walks them level by
+level for every row at once; TreeNode is a read-only view of one node.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import XoshiroLanes, derive_seeds
+from .rng import (XoshiroLanes, derive_seeds, keyed_sample,
+                  splitmix64_next)
 
 
 # one record per node, in creation order; a leaf's feature, threshold,
@@ -150,81 +151,69 @@ def _best_splits(X, F, R, size, V):
 
 
 def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray,
-          max_features: int, rng: XoshiroLanes | None) -> ForestModel:
-    """Grow one tree on the rows boots[t] of each lane t, in lock-step.
-
-    Each round splits the top node of every tree's depth-first stack, so
-    each tree draws its ``max_features`` candidates per split from its
-    lane of ``rng`` in the same preorder as one recursive grower would
-    (``rng`` is None when every feature is a candidate).  A node stops on
-    zero impurity or when no split decreases it.  Its rows are a segment
-    of its lane's row of ``rows``, in bootstrap order; a split partitions
-    the segment stably, left rows first."""
+          max_features: int, keys: np.ndarray) -> ForestModel:
+    """Grow one tree on the rows boots[t] of each lane t, one depth per
+    round: each round splits every live node of every tree.  A node draws
+    its ``max_features`` candidates (nothing when they are all d) with
+    ``keyed_sample`` from its own uint64 key: lane t's root has keys[t],
+    and a child the splitmix64 output of its parent's key ^ 1 (left) or
+    ^ 2 (right), so no draw depends on the order nodes grow in.  A node
+    stops on zero impurity or when no split decreases it.  Its rows are a
+    segment of its lane's row of ``rows``, in bootstrap order; a split
+    partitions the segment stably, left rows first."""
     n_lanes, n = boots.shape
     d = X.shape[1]
-    rows = np.zeros((n_lanes, n + 1), dtype=np.intp)  # padding uses column n
-    rows[:, :n] = boots
+    rows = np.pad(boots, ((0, 0), (0, 1)))  # padding uses column n
     nodes = np.full(n_lanes * (2 * n - 1), -1, NODE)  # 2n - 1 nodes at most
     feature, threshold, left, right, prediction, n_samples, impurity = (
         nodes[field] for field in NODE.names)  # views that write to nodes
-    n_samples[:n_lanes] = n
-    prediction[:n_lanes], impurity[:n_lanes] = _node_stats(
-        target[boots], n_samples[:n_lanes])
-    count = n_lanes
-    # each lane's depth-first stack of (node, offset of the node's rows)
-    stack = np.zeros((n_lanes, n, 2), dtype=np.intp)
-    stack[:, 0, 0] = np.arange(n_lanes)
-    # a pure node (a one-row node always is) is a leaf and draws nothing
-    depth = (impurity[:n_lanes] > 0.0).astype(np.intp)
-    while (live := np.flatnonzero(depth)).size:
-        depth[live] -= 1
-        node, offset = stack[live, depth[live]].T
-        if rng is None:
-            feats = np.broadcast_to(np.arange(d), (live.size, d))
+    count = 0
+    # this round's new nodes, as (lane, offset of their rows, size, key)
+    lane, offset = np.arange(n_lanes), np.zeros(n_lanes, dtype=np.intp)
+    sizes, key = np.full(n_lanes, n), keys
+    while lane.size:
+        node = count + np.arange(lane.size)
+        count += lane.size
+        n_samples[node] = sizes
+        if max_features == d:
+            feats = np.broadcast_to(np.arange(d), (lane.size, d))
         else:
-            feats = np.sort(rng.sample_indices(d, max_features, live), axis=1)
-        sizes = n_samples[node]
+            feats = np.sort(keyed_sample(key, d, max_features), axis=1)
         found = []
         for chunk in _chunks(sizes):
-            lane = live[chunk][:, None]
             size = sizes[chunk]
             real = np.arange(size[0]) < size[:, None]
             at = np.where(real, offset[chunk][:, None] + np.arange(size[0]), n)
-            R = rows[lane, at]
-            best, f, thr = _best_splits(X, feats[chunk], R, size, target[R])
+            R = rows[lane[chunk][:, None], at]
+            prediction[node[chunk]], impurity[node[chunk]] = _node_stats(
+                target[R], size)
+            # a pure node (a one-row node always is) is a leaf
+            live = np.flatnonzero(impurity[node[chunk]] > 0.0)
+            if not live.size:
+                continue
+            best, f, thr = _best_splits(X, feats[chunk[live]], R[live],
+                                        size[live], target[R[live]])
             # accepted splits must strictly decrease impurity
-            split = np.flatnonzero(
-                np.isfinite(best) & ~(impurity[node[chunk]] - best <= 1e-15))
+            ok = np.isfinite(best) & ~(impurity[node[chunk[live]]] - best <= 1e-15)
+            split, f, thr = live[ok], f[ok], thr[ok]
             # partition the split nodes' rows stably, left rows first and
             # padding last, and write them back
-            R, real = R[split], real[split]
-            f, thr = f[split], thr[split]
-            goes_right = ~(X[R, f[:, None]] <= thr[:, None])
-            side = np.where(real, goes_right, 2)
-            rows[lane[split], at[split]] = R[np.arange(split.size)[:, None],
-                                             side.argsort(axis=1, kind="stable")]
+            R, at = R[split], at[split]
+            side = np.where(real[split], ~(X[R, f[:, None]] <= thr[:, None]), 2)
+            rows[lane[chunk[split]][:, None], at] = R[
+                np.arange(split.size)[:, None], side.argsort(axis=1, kind="stable")]
             found.append((chunk[split], f, thr, (side == 0).sum(axis=1)))
+        if not found:
+            break
         c, f, thr, n_left = map(np.concatenate, zip(*found))
-        # the left children, then the right children
+        # the next round's nodes: the left children, then the right ones
         parent, k = node[c], c.size
-        child = count + np.arange(2 * k)
-        count += 2 * k
         feature[parent], threshold[parent] = f, thr
-        left[parent], right[parent] = child[:k], child[k:]
-        sizes_c = n_samples[child] = np.concatenate([n_left, sizes[c] - n_left])
-        at_c = np.concatenate([offset[c], offset[c] + n_left])
-        lane_c = np.tile(live[c], 2)
-        at = np.minimum(at_c[:, None] + np.arange(sizes_c.max(initial=1)), n)
-        prediction[child], impurity[child] = _node_stats(
-            target[rows[lane_c[:, None], at]], sizes_c)
-        # push the right child, then the left one, so each lane pops its
-        # nodes in preorder
-        entries = np.stack([child, at_c], axis=1)
-        for half in (slice(k, None), slice(None, k)):
-            push = impurity[child[half]] > 0.0
-            lane = lane_c[half][push]
-            stack[lane, depth[lane]] = entries[half][push]
-            depth[lane] += 1
+        left[parent], right[parent] = count + np.arange(k), count + k + np.arange(k)
+        lane = np.tile(lane[c], 2)
+        sizes = np.concatenate([n_left, sizes[c] - n_left])
+        offset = np.concatenate([offset[c], offset[c] + n_left])
+        key = splitmix64_next(np.concatenate([key[c] ^ 1, key[c] ^ 2]))[1]
     return ForestModel(nodes[:count].copy(), n_lanes)
 
 
@@ -236,7 +225,7 @@ def fit_cart(X: np.ndarray, target: np.ndarray) -> TreeNode:
     if X.shape[0] == 0:
         raise ValueError("empty input")
     return _grow(X, target, np.arange(X.shape[0])[None, :], X.shape[1],
-                 None).trees[0]
+                 np.zeros(1, dtype=np.uint64)).trees[0]
 
 
 def _leaf_values(nodes: np.ndarray, roots: np.ndarray,
@@ -269,9 +258,9 @@ def forest_max_features(d: int) -> int:
 
 def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
                       seed: int) -> ForestModel:
-    """Bagged regression trees, grown side by side; each tree gets its own
-    splitmix64-derived seeds for the bootstrap draw and for per-split
-    feature subsampling."""
+    """Bagged regression trees, grown side by side by depth: tree t draws
+    its bootstrap by xoshiro256** from derive_seeds(seed)[2t], and its
+    root's feature key is derive_seeds(seed)[2t + 1]."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -280,13 +269,10 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     tree_seeds = derive_seeds(seed, 2 * n_trees)
-    lanes = np.arange(n_trees)
-    draws = XoshiroLanes(tree_seeds[0::2])
-    boots = np.empty((n_trees, n), dtype=np.intp)
-    for i in range(n):
-        boots[:, i] = draws.randbelow(n, lanes)
-    return _grow(X, y, boots, forest_max_features(d),
-                 XoshiroLanes(tree_seeds[1::2]))
+    draws, lanes = XoshiroLanes(tree_seeds[0::2]), np.arange(n_trees)
+    boots = np.stack([draws.randbelow(n, lanes) for _ in range(n)], axis=1)
+    return _grow(X, y, boots.astype(np.intp), forest_max_features(d),
+                 np.array(tree_seeds[1::2], dtype=np.uint64))
 
 
 def forest_predict(m: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from mpgworkbench.experiments import (ExperimentConfig, cross_validate,
 from mpgworkbench.ingest import load_dataset, parse_auto_mpg, reference_data_path
 from mpgworkbench.kernelmod import _kkt_violations
 from mpgworkbench.linmod import _centered_moments, fit_elastic_net, fit_lasso
+from mpgworkbench.rng import splitmix64_next
 
 # On a property test's failure hypothesis imports its patch writer, and
 # through it libcst, whose use of mypy_extensions.TypedDict warns with a
@@ -118,15 +119,18 @@ def enet_fit(X, y, alpha, l1_ratio):
     return fit_elastic_net([(X, y)], [alpha], l1_ratio)[0][0]
 
 
-def sample_indices(gen, n: int, k: int) -> list[int]:
-    """k distinct indices from range(n) drawn by the scalar generator
-    ``gen``, via partial Fisher-Yates: the oracle of
-    ``XoshiroLanes.sample_indices``."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    pool = list(range(n))
+def keyed_draw(key: int, n: int, k: int) -> list[int]:
+    """k distinct indices from range(n) drawn by partial Fisher-Yates from
+    the scalar splitmix64 stream whose state starts at ``key``, each draw
+    rejected as ``Xoshiro256StarStar.randbelow`` rejects: the oracle of
+    ``rng.keyed_sample``."""
+    pool, state = list(range(n)), key
     for i in range(k):
-        j = i + gen.randbelow(n - i)
+        limit = (2**64 // (n - i)) * (n - i)
+        state, u = splitmix64_next(state)
+        while u >= limit:
+            state, u = splitmix64_next(state)
+        j = i + u % (n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
 

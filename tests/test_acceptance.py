@@ -109,26 +109,26 @@ def test_criterion_03_report_runs_are_byte_identical(seed_reports):
 # more: test_reports_do_not_depend_on_blas_threads guards that).  A change
 # that moves a report on purpose re-records this table.
 SEED_REPORT_SHA256 = {
-    21: "8e00158bd12b35309de444cca3e33eea417a4855612e841130c0f13bee11dd1d",
-    22: "841bb5b43c21386f008bf9ccb8cde2f37d00fa01b15fdc5688877662d879b581",
-    23: "beacd4daf6efc17df3a2336e407f78a13415b677ac2b2ed16716df94e2f9925a",
-    24: "e1c12169f9918381472835b758480e066e9d2d4ce094dd889ccfa978f0f9f826",
-    25: "ab0af68edce809e7a02c695c544f93ac7be00c72ea5011201e9062614dc6c829",
-    26: "3f9c123430a7f0110bea8f6d34947c854c7fd5ee029d678de32ad98cd241639d",
-    27: "56e95d7b0e1aa216fe487bf84a23d2aa6554176492deef8c07726488be27e59d",
-    28: "71386290798e46b71bc095b910b3db1d6eb885f955b2d02598814d04cb84e8d2",
-    29: "2fcb6311451fe251c4eebb6fcc0fdf4354c2dc97d60b3c41b69d266675132420",
-    30: "732fe7e73f5cbcbf7962d96d4ef173cf368160c5565939a8b4ba545890c1eeb2",
-    31: "cb5d35da743bf14e2e23cb4bd3afb3d344cea47b8d9ca04b548839a8076e647d",
-    32: "8a7359d9eb7d261aa56d36f979eb7fdfc50b5a712d28f0cc06eb6fee328ed4a6",
-    33: "804e60a668348f6f5a698239e3d295c8576b3c50591319c4ea0c292e3915e633",
-    34: "96fbdff8f528019c2ae4b18943e9a15e0aa8fbbd3636855aac774fa0122fdf03",
-    35: "db2d2b012b441e99f5727bef73e2adac43167df93d644ee0a1179390af6520b6",
-    36: "5ef9eab93df38fc7d6a704014c53fa377330af52c3b52f5e58e1a7b39fdc99b7",
-    37: "9e98ab9d4cbb4b83c311e1380bd9e4513a7f0a3f433bb82940f509061820ab64",
-    38: "25368e5fd6079f34fb060a95217ab0779176ecd99e820510634ce247217191c8",
-    39: "676a2aaf4e5626964805851f7ebde58fdd9c698e986d42aafffe7f5d451db622",
-    40: "52708fa23532d3a10adc279921e67cb9169a39f31ed36b82c5292048aeee36df",
+    21: "655562dab1e67f100763dbe7cea943ab16cf0877e573acc97716f72ca3faf99c",
+    22: "f0cc84e7a7409cd3a474d9ad2cd9d44e4f08ffa075b523a746f8c374e456bd9c",
+    23: "4c1fbe66f49c7636c2a7a2f61445065ec8e52a27a08cf9f625935c9c4aee0d5b",
+    24: "e32f72c54fc83e9374fd5b3cc6ff0d05d49a3fd2f7a27c1c2ac80982470d0c61",
+    25: "2cd85dde2f4eab077f2cf4ee7a8f0ffe6009006e349320d096670bdfe22b28de",
+    26: "f9376ad8d0416bcfc75ff1655572e44675e546f9c19ce14a6f1602d265dec471",
+    27: "6d6484b25128357a93308a9f99a7fb6ed5c0104fce58c5ef554e37fbbdf58c86",
+    28: "4f3c542d7b06c5c757ff8b08247a08fcccdcb716ca9ac4586d854b086bf8625d",
+    29: "1610b0458c7b6696bdd39fb0e799ba89d6d3ad3c8ac012a9b94ab8c0f533b8d6",
+    30: "94dc5e1748c3a7f7cc58d486ee1af6b4e9ce6580b6189471078ff184ece08b61",
+    31: "1a823ddd9ee60bbdb1f28b267e01e74a6e81ea70a2b1ad3f4a0c0f77844fdbc7",
+    32: "45126780be0bf2d6a146d430a330023c91ea2cec1cac49381ef4d549522cc43c",
+    33: "c226c0d046bac21487ec14d5252f108c0b0782a174c94afbf58f9d1d713ecc54",
+    34: "30a5c1e63779f31ba41123484c0a356c5da88f440f4f80be86061f2ea6e94777",
+    35: "5f81fda309ebad38eb9fed4e197b12ed5b6a04f55beb5c63eab48d5dae76b2c2",
+    36: "5c573d15b7034dbcca9381a41cb460a7c065fac8f687c76b8d8b6817371ade36",
+    37: "1206d6140dfe95b0e3667304aa668089ff646b6ae2541c3a02ac182a132cfd40",
+    38: "c0bbc8f88727d652102360621ddc556f0597b630f294f03d7c640bbf48c72bd0",
+    39: "721a7d10aa3d1532d8dd03b49053ddae548006686123334a39100ef262721800",
+    40: "b21b55418ee32763e3c32d17f148608ad97addf97f873d0372816219348976b6",
 }
 
 
@@ -145,7 +145,7 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
     report = run_regression_suite(ExperimentConfig(
         seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
-        "1e94b5f11a45bc2b3d6a50f170abca6e563af07b479321a994446fa50c23cf8f")
+        "09198c5ac1ec96e34880b0db9089dfc2841412dcfb2374adf5c653b9cc34acb8")
 
 
 # --- statistical bands (median over 20 seeds)

@@ -314,16 +314,18 @@ def _token(field, token):
     replaced by a token that no RawRecord holds."""
     def make(rows):
         first, rest = serialize_raw_table(RawTable(rows=tuple(rows))).split("\n", 1)
-        fields = first.split("   ")
+        numbers, name = first.split("\t")
+        fields = numbers.split("   ")
         fields[(("mpg",) + FEATURE_NAMES).index(field)] = token
-        return "   ".join(fields) + "\n" + rest
+        return "   ".join(fields) + "\t" + name + "\n" + rest
     return make
 
 
 def _scaled(field, factor):
     """The packaged rows, serialized, with ``field`` multiplied by
     ``factor`` on every line (a missing horsepower stays "?") and written
-    with repr, so that it round-trips."""
+    with repr, so that it round-trips; an integral value of an integer
+    field is written as an integer."""
     def make(rows):
         j = (("mpg",) + FEATURE_NAMES).index(field)
         lines = serialize_raw_table(RawTable(rows=tuple(rows))).splitlines()
@@ -331,7 +333,10 @@ def _scaled(field, factor):
             numbers, name = lines[i].split("\t")
             fields = numbers.split("   ")
             if getattr(r, field) is not None:
-                fields[j] = repr(getattr(r, field) * factor)
+                value = getattr(r, field) * factor
+                # an integer field holds integer tokens only
+                integral = isinstance(getattr(r, field), int) and value.is_integer()
+                fields[j] = str(int(value)) if integral else repr(value)
             lines[i] = "   ".join(fields) + "\t" + name
         return "\n".join(lines) + "\n"
     return make
@@ -393,6 +398,30 @@ def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
             errors.append(err)
     if constant:
         assert errors == [f"data error: {constant!r} is constant in the data file\n"] * 4
+
+
+# float() reads every one of these tokens as a number
+@pytest.mark.parametrize("field, token, problem", [
+    ("model_year", "１８", "is not numeric"),  # full-width digits
+    ("model_year", "١٨", "is not numeric"),  # Arabic-Indic digits
+    ("model_year", "1_8", "is not numeric"),
+    ("weight", "3_504.0", "is not numeric"),
+    ("origin", "1e300", "is not an integer"),
+    ("cylinders", "8.0", "is not an integer"),
+])
+def test_token_outside_the_ascii_grammar_exits_two(tmp_path, capsys, reference_text,
+                                                   field, token, problem):
+    """Numeric tokens are ASCII, with no "_", and an integer field holds
+    an integer token; every command names the line and the field."""
+    data = tmp_path / "cars.data"
+    data.write_text(_token(field, token)(parse_auto_mpg(reference_text).rows),
+                    encoding="utf-8")
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert run_cli([command, "--data", str(data), "--out", str(out)]) == EXIT_DATA
+        assert (f"line 1: field {field!r} {problem}: {token!r}"
+                in capsys.readouterr().err), command
+        assert not out.exists()
 
 
 # --- huge and tiny columns: their squares overflow or underflow, but
@@ -718,7 +747,7 @@ def test_rendered_csv_and_markdown_bits_are_pinned(tmp_path, eda, regression_sui
         if path.name != "report.json":
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert digest.hexdigest() == (
-        "6773353a8dad044da47d4e276bd635837c899aff2e4a376d323310a23461de94")
+        "6241dff5a2e9fe7f91a9efa00f9eb2c6bdc1f647a58e05824c9f83f7c5fafca8")
 
 
 @pytest.mark.parametrize("command", ["eda", "regress", "classify", "report"])

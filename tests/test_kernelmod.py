@@ -913,7 +913,7 @@ def test_regression_suite_bits_are_pinned(regression_suite):
     row reports the selected C and the final cold fit."""
     text = experiments.report_to_json(regression_suite)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "fd596b3267666689330fe470f2cd2cf89e4a1f8c9c613447ffe7022813881de6")
+        "7ea6af92c8d450d255c27f6ef543176e8a9fdadfec5c5b1dba169dccb92dd704")
 
 
 def test_classification_grid_bits_are_pinned(classification_grid):

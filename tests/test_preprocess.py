@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import sample_indices
+from conftest import keyed_draw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +13,8 @@ from mpgworkbench.metrics import dataset_correlations
 from mpgworkbench.preprocess import (apply_standardizer, fit_standardizer,
                                      kfold, polynomial_feature_count,
                                      polynomial_features, train_test_split)
-from mpgworkbench.rng import (Xoshiro256StarStar, XoshiroLanes, derive_seeds,
-                              splitmix64_next)
+from mpgworkbench.rng import (MASK64, Xoshiro256StarStar, XoshiroLanes,
+                              derive_seeds, keyed_sample, splitmix64_next)
 
 
 # --- generators (bit-exact public reference vectors)
@@ -75,8 +75,8 @@ def test_lanes_advance_only_the_lanes_drawn():
     gen = XoshiroLanes(seeds)
     scalar = [Xoshiro256StarStar(s) for s in seeds]
     for lanes in ([0, 3], [5], [1, 2, 3, 4], [3]):
-        picks = gen.sample_indices(7, 3, np.array(lanes))
-        assert picks.tolist() == [sample_indices(scalar[t], 7, 3) for t in lanes]
+        picks = gen.randbelow(7, np.array(lanes))
+        assert picks.tolist() == [scalar[t].randbelow(7) for t in lanes]
     assert gen.next_u64(np.arange(6)).tolist() == [g.next_u64() for g in scalar]
     with pytest.raises(ValueError):
         gen.randbelow(0, np.arange(6))
@@ -89,12 +89,42 @@ def test_shuffle_is_a_permutation(seed, n):
     assert sorted(items) == list(range(n))
 
 
-def test_sample_indices_distinct_and_in_range():
-    got = XoshiroLanes([3]).sample_indices(10, 4, np.array([0]))[0].tolist()
-    assert len(got) == 4 == len(set(got))
-    assert all(0 <= i < 10 for i in got)
-    with pytest.raises(ValueError):
-        XoshiroLanes([3]).sample_indices(3, 4, np.array([0]))
+def splitmix64_key_of(output: int) -> int:
+    """The key whose splitmix64 stream starts with ``output``: the
+    finalizer inverted step by step, then one Weyl step back."""
+    def unshift(y, k):  # inverse of x ^ (x >> k)
+        x = y
+        for _ in range(64 // k):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(output, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & MASK64
+
+
+# (2**64 // 7) * 7 = 2**64 - 2, so a draw from range(7) rejects the top two
+REJECTED_KEYS = [splitmix64_key_of(2**64 - 1), splitmix64_key_of(2**64 - 2)]
+
+
+def test_keyed_sample_matches_scalar_draws():
+    """The vectorized draw is the scalar one, key by key: n = 4 and 8 are
+    powers of two, whose bound 2**64 rejects nothing."""
+    keys = derive_seeds(13, 400) + REJECTED_KEYS
+    for n, k in ((7, 3), (4, 2), (8, 3), (3, 1), (5, 5)):
+        got = keyed_sample(np.array(keys, dtype=np.uint64), n, k)
+        assert got.tolist() == [keyed_draw(key, n, k) for key in keys]
+        assert all(len(set(row)) == k for row in got.tolist())
+
+
+@pytest.mark.parametrize("key", REJECTED_KEYS)
+def test_keyed_sample_rejects_as_randbelow_does(key):
+    """The key's first output is rejected from range(7), so the key draws
+    what the state one step along its stream draws."""
+    state, first = splitmix64_next(key)
+    assert first >= 2**64 - 2
+    drawn = keyed_sample(np.array([key, state], dtype=np.uint64), 7, 3)
+    assert drawn[0].tolist() == drawn[1].tolist() == keyed_draw(key, 7, 3)
 
 
 # --- standardizer

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import sample_indices
+from conftest import keyed_draw
 
 from mpgworkbench import experiments
-from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds
+from mpgworkbench.rng import Xoshiro256StarStar, derive_seeds, splitmix64_next
 from mpgworkbench.treemod import (fit_cart, fit_random_forest,
                                   forest_max_features, forest_predict,
                                   tree_predict)
@@ -223,9 +223,12 @@ def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
                        max_depth: int | None = None,
                        min_samples_leaf: int = 1,
                        max_features: int | None = None,
-                       seed: int = 0) -> TreeNode:
+                       key: int = 0) -> TreeNode:
     """Greedy recursive partitioning; stops on max_depth,
-    min_samples_leaf, zero impurity, or no impurity-decreasing split."""
+    min_samples_leaf, zero impurity, or no impurity-decreasing split.
+    The root draws its max_features candidates from ``key``, and a
+    child from the splitmix64 output of its parent's key ^ 1 (left) or
+    ^ 2 (right)."""
     if task not in ("classify", "regress"):
         raise ValueError(f"unknown task {task!r}")
     X = np.asarray(X, dtype=float)
@@ -239,9 +242,8 @@ def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         max_features = d
     if not 1 <= max_features <= d:
         raise ValueError("max_features out of range")
-    rng = Xoshiro256StarStar(seed)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int, key: int) -> TreeNode:
         tn = target[idx]
         impurity = reference_node_impurity(tn, task)
         leaf = TreeNode(prediction=reference_leaf_prediction(tn, task),
@@ -251,7 +253,7 @@ def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         if max_depth is not None and depth >= max_depth:
             return leaf
         if max_features < d:
-            feats = np.array(sorted(sample_indices(rng, d, max_features)))
+            feats = np.array(sorted(keyed_draw(key, d, max_features)))
         else:
             feats = np.arange(d)
         found = reference_best_split(X[idx], tn, task, feats,
@@ -264,11 +266,12 @@ def reference_fit_cart(X: np.ndarray, target: np.ndarray, task: str,
         go_left = X[idx, f] <= thr
         node = TreeNode(feature=f, threshold=thr,
                         n_samples=idx.size, impurity=impurity)
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
+        node.left = grow(idx[go_left], depth + 1, splitmix64_next(key ^ 1)[1])
+        node.right = grow(idx[~go_left], depth + 1,
+                          splitmix64_next(key ^ 2)[1])
         return node
 
-    return grow(np.arange(X.shape[0]), 0)
+    return grow(np.arange(X.shape[0]), 0, key)
 
 
 def dump(node):
@@ -380,7 +383,8 @@ def test_cart_matches_reference_grower_on_one_column(seed):
 def reference_fit_random_forest(X, y, n_trees, seed):
     """The forest's trees as the reference grower makes them, one at a
     time: each bootstrap drawn by a scalar generator, then a recursive
-    tree on it with the forest's features per split."""
+    tree on it whose root draws its features from the tree's feature
+    seed, and each child from its own key."""
     n, d = X.shape
     tree_seeds = derive_seeds(seed, 2 * n_trees)
     trees = []
@@ -389,12 +393,13 @@ def reference_fit_random_forest(X, y, n_trees, seed):
         idx = np.array([draws.randbelow(n) for _ in range(n)])
         trees.append(reference_fit_cart(
             X[idx], y[idx], "regress", max_features=forest_max_features(d),
-            seed=tree_seeds[2 * t + 1]))
+            key=tree_seeds[2 * t + 1]))
     return trees
 
 
-# d = 5, 4, 3 draw 2, 2 and 1 features per split: randbelow(4) is a
-# power-of-two bound, and one candidate column takes numpy's pairwise sum
+# d = 5, 4, 3 draw 2, 2 and 1 features per split: a draw from range(4)
+# has a power-of-two bound, and one candidate column takes numpy's
+# pairwise sum
 @pytest.mark.parametrize("task", ["regress"])
 def test_forest_matches_reference_grower(rng, task):
     X, target = oracle_inputs(rng, task)
@@ -406,14 +411,14 @@ def test_forest_matches_reference_grower(rng, task):
 
 
 def test_protocol_forest_bits_are_pinned(protocol):
-    """sha256 of the seed-1 protocol forest, recorded from the recursive
-    grower that one grower for all trees replaced."""
+    """sha256 of the seed-1 protocol forest, recorded when its trees
+    first grew level by level with feature draws keyed by node."""
     forest = fit_random_forest(protocol.Xtr, protocol.ytr,
                                n_trees=experiments.FIXED["forest_trees"],
                                seed=protocol.forest_seed)
     digest = hashlib.sha256(repr([dump(t) for t in forest.trees]).encode())
     assert digest.hexdigest() == (
-        "708e0e4bf67d127cd61863e6945f66de4dde54d210014622446f991c5c6c4721")
+        "37f22ebaaa292ec06bea62d83f39daf53d7194c9bfa5f58f6af8d1627df23a97")
 
 
 # --- the batched walk against a row-at-a-time walk of the node view
@@ -488,5 +493,5 @@ def test_benchmark_tree_shape_on_the_protocol_forest(protocol):
                                n_trees=experiments.FIXED["forest_trees"],
                                seed=protocol.forest_seed)
     shapes = [layers._tree_shape(tree) for tree in forest.trees]
-    assert sum(n for n, _ in shapes) == 30962
+    assert sum(n for n, _ in shapes) == 30672
     assert max(depth for _, depth in shapes) == 19
