@@ -1,13 +1,14 @@
-"""Replay one report's SVR active-set engine calls through two engines.
+"""Replay one report's SVR C paths through two versions of kernelmod.
 
-Records the 20 warm-start engine calls (C = 10 and C = 100 on each of
-the 10 CV folds) of one regression report's SVR CV, then replays them,
-interleaved, through the working tree's ``kernelmod._svr_active_set``
-and the one at a git revision (read with ``git show``).  Prints, per
-round, each engine's seconds for the 20 calls and their ratio; then
-per engine the counts of one report: loop iterations, points added,
+Takes the Gram matrix and targets of each of the 10 CV folds of one
+regression report's SVR CV once, then solves each fold's C path
+(``solve_svr_dual`` over the SVR's C grid), interleaved, with the working
+tree's kernelmod and with the one at a git revision (read with ``git
+show``); each side runs its own path, engine and SMO loop.  Prints, per
+round, each side's seconds for the 10 paths and their ratio; then per
+side the counts of one report: engine loop iterations, points added,
 removes, pricings (one released block each, the last excepted) and the
-SMO steps that finish the warm solves from the engine's starts.
+SMO steps of the warm solves, those that finish from the engine's start.
 
     python benchmarks/engine_replay.py --rev HEAD --seed 1
     python benchmarks/engine_replay.py --rev HEAD --regress-2x
@@ -61,30 +62,20 @@ def regress_2x_path(work_dir: str) -> str:
     return json.loads(out.getvalue())["data_path"]
 
 
-def record(config: experiments.ExperimentConfig) -> list:
-    """(K, y, C, epsilon, beta0) of every engine call of the report's SVR CV."""
+def fold_problems(config: experiments.ExperimentConfig) -> list:
+    """(K, y) of each CV fold of the report's SVR CV, as its path gets them."""
     proto = experiments.prepare_protocol(config)
-    svr = experiments._regression_table(config, proto)[0]
-    calls, engine = [], kernelmod._svr_active_set
-
-    def recorder(K, y, C, epsilon, beta0):
-        calls.append((K, y.copy(), C, epsilon, beta0.copy()))
-        return engine(K, y, C, epsilon, beta0)
-
-    kernelmod._svr_active_set = recorder
-    try:
-        experiments.cross_validate(
-            {svr.name: svr.path}, proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
-            proto.kfold_seed)
-    finally:
-        kernelmod._svr_active_set = engine
-    return calls
+    kern = kernelmod.KernelSpec("rbf", kernelmod.gamma_scale(proto.Xtr))
+    folds = []
+    experiments.cross_validate(
+        {"capture": lambda fs: folds.extend(fs) or [[] for _ in fs]},
+        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
+    return [(kernelmod.kernel_matrix(kern, Xs, Xs), ys) for Xs, ys, _ in folds]
 
 
-def engine_at(rev: str) -> tuple:
-    """``_svr_active_set`` of kernelmod.py at git revision ``rev``, and
-    that file's source; its relative imports resolve against the working
-    tree's package."""
+def kernelmod_at(rev: str):
+    """kernelmod.py at git revision ``rev``, as a module, and its source;
+    its relative imports resolve against the working tree's package."""
     source = subprocess.run(
         ["git", "show", f"{rev}:src/mpgworkbench/kernelmod.py"], cwd=ROOT,
         check=True, capture_output=True, text=True).stdout
@@ -93,7 +84,7 @@ def engine_at(rev: str) -> tuple:
     module.__package__ = "mpgworkbench"
     sys.modules[name] = module
     exec(compile(source, f"{rev}:kernelmod.py", "exec"), module.__dict__)
-    return module._svr_active_set, source
+    return module, source
 
 
 def line_of(code, source: str, text: str) -> int:
@@ -108,16 +99,16 @@ def line_of(code, source: str, text: str) -> int:
     sys.exit(f"engine_replay: no line of {code.co_name} holds {text!r}")
 
 
-def counts(engine, calls, source: str) -> dict:
-    """Loop iterations, points added, removes and pricings of ``engine``
-    (whose module source is ``source``) over ``calls``, traced, and the
-    SMO steps that finish each warm solve from its start."""
-    code, smo = engine.__code__, kernelmod._smo.__code__
+def counts(module, source: str, problems: list) -> dict:
+    """Loop iterations, points added, removes and pricings of ``module``'s
+    engine (``source`` is the module's), traced over the C paths of
+    ``problems``, and the steps of its SMO loop in warm solves."""
+    code, smo = module._svr_active_set.__code__, module._smo.__code__
     nested = {c.co_name: c for c in code.co_consts if isinstance(c, types.CodeType)}
     add, remove = nested["add"], nested["remove"]
     body = line_of(code, source, "for _ in range(") + 1
     pricing = line_of(code, source, "np.argsort(viol)")
-    step = line_of(smo, Path(kernelmod.__file__).read_text(), "iterations += 1")
+    step = line_of(smo, source, "iterations += 1")
     total = dict.fromkeys(("iterations", "added", "removes", "pricings",
                            "warm_smo_steps"), 0)
     m_at_call = {}
@@ -143,8 +134,8 @@ def counts(engine, calls, source: str) -> dict:
     def tracer(frame, event, arg):
         if frame.f_code is code:
             return engine_lines
-        if frame.f_code is smo:
-            return smo_lines
+        if frame.f_code is smo:  # warm: a start was handed in
+            return smo_lines if frame.f_locals["beta0"] is not None else None
         if frame.f_code is add:
             m_at_call[id(frame)] = frame.f_locals["m"]
             frame.f_trace_lines = False
@@ -155,20 +146,23 @@ def counts(engine, calls, source: str) -> dict:
 
     sys.settrace(tracer)
     try:
-        for K, y, C, epsilon, beta0 in calls:
-            start = engine(K, y, C, epsilon, beta0)
-            start[np.abs(start) <= 1e-12 * C] = 0.0  # as solve_svr_dual does
-            n = y.size
-            kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), epsilon, start)
+        solve_paths(module, problems)
     finally:
         sys.settrace(None)
     return total
 
 
-def run_engine(engine, calls) -> tuple[float, list]:
+def solve_paths(module, problems: list) -> list:
+    """Each problem's C path, solved by ``module``'s solve_svr_dual."""
+    grid, eps = experiments.FIXED["svr_c_grid"], experiments.FIXED["svr_epsilon"]
+    return [module.solve_svr_dual(K, y, grid, eps) for K, y in problems]
+
+
+def run_paths(module, problems: list) -> tuple[float, list]:
     t0 = time.perf_counter()
-    outs = [engine(K, y, C, epsilon, beta0) for K, y, C, epsilon, beta0 in calls]
-    return time.perf_counter() - t0, outs
+    paths = solve_paths(module, problems)
+    seconds = time.perf_counter() - t0
+    return seconds, [np.append(beta, b) for path in paths for beta, b in path]
 
 
 def digest(outs) -> str:
@@ -178,7 +172,7 @@ def digest(outs) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD",
-                        help="git revision of the engine to compare against")
+                        help="git revision of kernelmod to compare against")
     parser.add_argument("--seed", type=int, default=1, help="protocol seed")
     parser.add_argument("--regress-2x", action="store_true",
                         help="the regress-2x file of data seed 1 (protocol seed 1)")
@@ -188,21 +182,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         config = (experiments.ExperimentConfig(seed=1, data_path=regress_2x_path(work))
                   if args.regress_2x else experiments.ExperimentConfig(seed=args.seed))
-        calls = record(config)
-    engines, sources = {"tree": kernelmod._svr_active_set}, {
-        "tree": Path(kernelmod.__file__).read_text()}
-    engines[args.rev], sources[args.rev] = engine_at(args.rev)
+        problems = fold_problems(config)
+    modules, sources = {"tree": kernelmod}, {"tree": Path(kernelmod.__file__).read_text()}
+    modules[args.rev], sources[args.rev] = kernelmod_at(args.rev)
     label = "regress-2x" if args.regress_2x else f"seed {args.seed}"
-    print(f"{label}: {len(calls)} engine calls; tree against {args.rev}")
+    print(f"{label}: {len(problems)} C paths; tree against {args.rev}")
 
     # counted first, so that a missing marker line ends the run at once
-    traced = {k: counts(engines[k], calls, sources[k]) for k in engines}
-    seconds = {name: [] for name in engines}
+    traced = {k: counts(modules[k], sources[k], problems) for k in modules}
+    seconds = {name: [] for name in modules}
     outs = {}
     for r in range(args.rounds):
-        order = list(engines) if r % 2 == 0 else list(engines)[::-1]
+        order = list(modules) if r % 2 == 0 else list(modules)[::-1]
         for name in order:
-            s, outs[name] = run_engine(engines[name], calls)
+            s, outs[name] = run_paths(modules[name], problems)
             seconds[name].append(s)
         ratio = seconds["tree"][-1] / seconds[args.rev][-1]
         print(f"round {r + 1}: tree {seconds['tree'][-1]:.4f} s, "

@@ -84,9 +84,10 @@ def read_data_file(path: str) -> tuple[str, str]:
 
 
 def _parse_number(token: str, line_no: int, field: str, want_int: bool):
-    """An ASCII decimal token; an integer field takes an optional sign and
-    ASCII digits only.  float() alone would also read non-ASCII digits
-    and "_" separators, and int(float(token)) any integral float."""
+    """An ASCII decimal token of a positive value; an integer field takes
+    an optional sign and ASCII digits only.  float() alone would also
+    read non-ASCII digits and "_" separators, and int(float(token)) any
+    integral float."""
     try:
         if not token.isascii() or "_" in token:
             raise ValueError
@@ -97,6 +98,8 @@ def _parse_number(token: str, line_no: int, field: str, want_int: bool):
         ) from None
     if not math.isfinite(value):
         raise ParseError(f"line {line_no}: field '{field}' is not finite: {token!r}")
+    if value <= 0:
+        raise ParseError(f"line {line_no}: field '{field}' is not positive: {token!r}")
     if want_int:
         if not token.lstrip("+-").isdigit():
             raise ParseError(f"line {line_no}: field '{field}' is not an integer: {token!r}")

@@ -14,8 +14,9 @@ with predictions f(x) = sum_i beta_i k(x_i, x) + b.
   exactly 0 classifies as class 1.
 * KKT tolerance 1e-3 for both tasks; audits use twice that.
 
-The SVR solves an ascending C path; each later C starts from the last
-optimum through an active-set engine, and the SMO loop certifies every solve.
+The SVR solves an ascending C path: each later C stretches the last
+optimum to its box, an active-set engine finishes from there, and the
+SMO loop certifies every solve.
 """
 
 from __future__ import annotations
@@ -255,9 +256,10 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> l
     shared dual with the box [-C, C], along the ascending C sequence Cs;
     returns [(beta, bias), ...], one per C.
 
-    The first C is solved cold.  At each later C the active-set engine
-    (_svr_active_set) moves the optimum at the C before close to the one
-    at C; _smo then finishes and certifies the solve from there."""
+    The first C is solved cold.  At each later C the optimum at the C
+    before is stretched to the new box by C / max|beta|, as along the
+    solution path in C, and the active-set engine (_svr_active_set)
+    finishes from that feasible start; _smo then certifies the solve."""
     y = np.asarray(y, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -271,7 +273,8 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> l
     beta, path = None, []
     for C in Cs:
         if beta is not None:
-            beta = _svr_active_set(K, y, C, epsilon, beta)  # a new array
+            start = C / np.abs(beta).max() * beta if beta.any() else beta
+            beta = _svr_active_set(K, y, C, epsilon, start)  # a new array
             # a rounding-level multiplier would count as signed in the KKT
             # offsets, yet the step to 0 that fixes it is below the floor
             beta[np.abs(beta) <= 1e-12 * C] = 0.0
@@ -313,14 +316,13 @@ def _add_block(inv, K_JF, K_JJ, floor):
 
 
 def _svr_active_set(K, y, C, epsilon, beta0):
-    """A start for _smo in the box [-C, C] from beta0 (in a box, sum 0),
-    by a primal active-set method on the dual (Scheinberg 2006).
+    """Finishes the dual in the box [-C, C] from beta0, a feasible start
+    (in the box, sum 0), by a primal active-set method (Scheinberg 2006).
 
-    beta0 is first stretched to the new box, as along the solution path
-    in C.  Each iteration solves the equality-constrained QP on the free
-    set F, through the bordered system [[0, 1'], [1, K_FF]], and steps
-    toward its solution until a free multiplier reaches 0 or a bound and
-    is fixed there.  After a full step up to RELEASE_BLOCK fixed
+    Each iteration solves the equality-constrained QP on the free set F,
+    through the bordered system [[0, 1'], [1, K_FF]], and steps toward
+    its solution until a free multiplier reaches 0 or a bound and is
+    fixed there.  After a full step up to RELEASE_BLOCK fixed
     multipliers, the largest KKT violators above KKT_TOL / 2, are
     released at once, as a primal-dual active-set method changes several
     statuses per iteration (Hintermueller, Ito & Kunisch 2002); the block
@@ -333,51 +335,39 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     over early.  Returns the iterate, clipped to the box with its sum
     re-centred to 0, or a copy of beta0 if that has the higher dual."""
     n = y.size
-    stretch = C / np.abs(beta0).max() if beta0.any() else 1.0
-    beta = stretch * beta0
+    beta = beta0.copy()
     g = np.einsum("ij,j->i", K, beta)  # K @ beta, kept current
     # -2 at -C, -1 negative free, 0 zero, 1 positive free, 2 at C
     side = np.select([beta >= C - 1e-10 * C, beta > 1e-12 * C,
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
     inv = None  # the (m+1)^2 bordered inverse, seeded by the first add
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
-    # of K in KF[:m], its y, eps * side and C * side in FA[:, :m] and its
-    # side > 0 in pos[:m]; rhs and the ratio test's t are filled in place
-    fidx, KF, FA, pos = (np.empty(n, dtype=np.intp), np.empty((n, n)),
-                         np.empty((3, n)), np.empty(n, dtype=bool))
+    # of K in KF[:m]; rhs and the ratio test's t are filled in place
+    fidx, KF = np.empty(n, dtype=np.intp), np.empty((n, n))
     rhs, t, m = np.empty(n + 1), np.empty(n), 0
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
-    # ups and downs hold them per point, -inf at free points
-    up_rate = np.array([epsilon, epsilon, -epsilon, -epsilon, -np.inf])
-    down_rate = np.array([-np.inf, -epsilon, -epsilon, epsilon, epsilon])
-    ups, downs = up_rate[side + 2], down_rate[side + 2]
-
-    def admit(J):  # the rows J, just bordered onto the inverse, join F
-        nonlocal m
-        k = J.size
-        fidx[m:m + k], KF[m:m + k], pos[m:m + k] = J, K[J], side[J] > 0
-        FA[:, m:m + k] = y[J], epsilon * side[J], C * side[J]
-        ups[J] = downs[J] = -np.inf
-        m += k
+    # -inf at the free sides +/-1, since side is +/-1 exactly in F
+    up_rate = np.array([epsilon, -np.inf, -epsilon, -np.inf, -np.inf])
+    down_rate = np.array([-np.inf, -np.inf, -epsilon, -np.inf, epsilon])
 
     def add(J):  # F += J, one block update; False if a pivot is singular
-        nonlocal inv
+        nonlocal inv, m
         if m == 0:  # the first point seeds the inverse
             inv = np.array([[-K[J[0], J[0]], 1.0], [1.0, 0.0]])
-            admit(J[:1])
+            fidx[0], KF[0], m = J[0], K[J[0]], 1
             J = J[1:]
         inv, k = _add_block(inv, KF[:m, J].T, K[np.ix_(J, J)], floor)
-        admit(J[:k])
+        fidx[m:m + k], KF[m:m + k] = J[:k], K[J[:k]]
+        m += k
         return k == J.size
 
     def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it
         nonlocal inv, m
         inv[[p + 1, m]] = inv[[m, p + 1]]
         inv[:, [p + 1, m]] = inv[:, [m, p + 1]]
-        fidx[p], KF[p], pos[p] = fidx[m - 1], KF[m - 1], pos[m - 1]
-        FA[:, p] = FA[:, m - 1]
+        fidx[p], KF[p] = fidx[m - 1], KF[m - 1]
         c = inv[:m, m]
         inv = inv[:m, :m] - np.multiply.outer(c, c / inv[m, m])
         m -= 1
@@ -388,14 +378,14 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         if m == 0:
             break
         F = fidx[:m]
-        bF = beta[F]
+        bF, sF = beta[F], side[F]
         rhs[0] = -beta.sum()
-        np.subtract(FA[0, :m], g[F], out=rhs[1:m + 1])
-        rhs[1:m + 1] -= FA[1, :m]
+        np.subtract(y[F], g[F], out=rhs[1:m + 1])
+        rhs[1:m + 1] -= epsilon * sF
         x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
         d = x[1:]
         # the wall each free multiplier moves toward: 0 or its bound
-        wall = np.where((d > 0) == pos[:m], FA[2, :m], 0.0)
+        wall = np.where((d > 0) == (sF > 0), C * sF, 0.0)
         tm = t[:m]
         tm.fill(np.inf)
         np.divide(wall - bF, d, out=tm, where=d != 0)
@@ -406,13 +396,11 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         g += np.einsum("ij,i->j", KF[:m], new - bF)
         beta[F] = new
         if tm[k] < 1.0:  # F[k] is fixed at its wall: price it again
-            i = F[k]
-            side[i] = 2 * side[i] if wall[k] else 0
-            ups[i], downs[i] = up_rate[side[i] + 2], down_rate[side[i] + 2]
+            side[F[k]] = 2 * sF[k] if wall[k] else 0
             remove(k)
             continue
         E = g + x[0] - y
-        up, down = ups - E, downs + E
+        up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
         viol = np.maximum(up, down)
         top = np.argsort(viol)[:-RELEASE_BLOCK - 1:-1]  # largest first
         top = top[viol[top] > KKT_TOL / 2]

@@ -408,11 +408,16 @@ def test_adversarial_file_exit_codes(tmp_path, capsys, reference_text, name):
     ("weight", "3_504.0", "is not numeric"),
     ("origin", "1e300", "is not an integer"),
     ("cylinders", "8.0", "is not an integer"),
+    ("mpg", "-18.0", "is not positive"),
+    ("cylinders", "-1", "is not positive"),
+    ("displacement", "0.0", "is not positive"),
+    ("weight", "-0.0", "is not positive"),
 ])
 def test_token_outside_the_ascii_grammar_exits_two(tmp_path, capsys, reference_text,
                                                    field, token, problem):
-    """Numeric tokens are ASCII, with no "_", and an integer field holds
-    an integer token; every command names the line and the field."""
+    """Numeric tokens are ASCII, with no "_", and positive, and an
+    integer field holds an integer token; every command names the line
+    and the field."""
     data = tmp_path / "cars.data"
     data.write_text(_token(field, token)(parse_auto_mpg(reference_text).rows),
                     encoding="utf-8")

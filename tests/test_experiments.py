@@ -365,7 +365,7 @@ experiments.cross_validate(
 Xs, ys, _ = folds[0]
 K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
 (beta0, _), = solve_svr_dual(K, ys, (1.0,), 0.1)
-start = _svr_active_set(K, ys, 10.0, 0.1, beta0)
+start = _svr_active_set(K, ys, 10.0, 0.1, 10.0 / abs(beta0).max() * beta0)
 print(hashlib.sha256(start.tobytes()).hexdigest())
 """
 

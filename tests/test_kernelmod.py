@@ -375,7 +375,8 @@ def reference_svr_dual(K, y, C, epsilon, tol=KKT_TOL, seed=0,
 
 def without_engine(monkeypatch):
     """Take the active-set engine out of solve_svr_dual's path: each C
-    after the first starts SMO from a copy of the last optimum."""
+    after the first starts SMO from the last optimum, stretched to its
+    box."""
     monkeypatch.setattr(kernelmod, "_svr_active_set",
                         lambda K, y, C, epsilon, beta0: beta0.copy())
 
@@ -402,8 +403,9 @@ def test_svr_dual_matches_reference_loop(rng, kind, epsilon, monkeypatch):
         path = solve_svr_dual(K, y, Cs, epsilon)
         for i, C in enumerate(Cs):
             solves = [(solve_svr_dual(K, y, (C,), epsilon)[0], None)]
-            if i:
-                solves.append((path[i], path[i - 1][0]))
+            if i:  # warm from the last optimum, stretched to the box
+                last = path[i - 1][0]
+                solves.append((path[i], C / np.abs(last).max() * last))
             for (beta, b), beta0 in solves:
                 ref_beta, ref_b = reference_svr_dual(K, y, C, epsilon,
                                                      seed=trial, beta0=beta0)
@@ -477,11 +479,11 @@ def test_svr_scaled_down_problem_converges(rng, monkeypatch):
     assert svr_kkt_violations(beta, K @ beta + b - y, 1.0, 0.1).max() <= 2.0 * KKT_TOL
 
 
-def test_svr_dual_bits_are_pinned(monkeypatch):
+def test_svr_dual_bits_are_pinned():
     """sha256 of beta and the hex bias of a cold solve at C = 10 and its
     warm start at C = 100, recorded from the SVR-only solver that the
-    shared SMO loop replaced; with the engine taken out, the warm start
-    runs SMO alone.
+    shared SMO loop replaced; the warm start runs SMO alone from a copy
+    of the C = 10 optimum.
     The Gram matrix comes from elementwise products, so no BLAS call
     rounds it.  Its points sit on a line with the second coordinate and
     the targets mirrored about the middle one, so partner scores tie up
@@ -492,12 +494,12 @@ def test_svr_dual_bits_are_pinned(monkeypatch):
     gen = np.random.default_rng(2)
     c, y = gen.uniform(-1.0, 1.0, 21)[mirror], gen.uniform(-1.0, 1.0, 21)[mirror]
     K = np.outer(a, a) + np.outer(c, c) + 0.01 * np.eye(41)
-    without_engine(monkeypatch)
-    (beta, b), warm = solve_svr_dual(K, y, (10.0, 100.0), 0.1)
+    (beta, b), = solve_svr_dual(K, y, (10.0,), 0.1)
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "1474deb205620e13da91e47fae964510ab363c1b746d5258f37a15d7bbf2ab5e")
     assert b.hex() == "0x1.f380869b43801p-3"
-    beta, b = warm
+    beta, b = kernelmod._smo(K, y, np.full(41, -100.0), np.full(41, 100.0), 0.1,
+                             beta.copy())
     assert hashlib.sha256(beta.tobytes()).hexdigest() == (
         "f4763b80e0f19160d3de2dd98260d10ffda94d84d99ac0b048f6bc20d6f08ebf")
     assert b.hex() == "0x1.a01712f66c69ap-3"
@@ -704,7 +706,8 @@ def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
     for trial in range(3):
         K, y = svr_problem(rng, int(rng.integers(20, 60)), kind)
         path = solve_svr_dual(K, y, (1.0, 10.0, 100.0), epsilon)
-        for C, (beta0, _), (beta, b) in zip((10.0, 100.0), path, path[1:]):
+        for C, (last, _), (beta, b) in zip((10.0, 100.0), path, path[1:]):
+            beta0 = C / np.abs(last).max() * last  # as solve_svr_dual stretches it
             start = kernelmod._svr_active_set(K, y, C, epsilon, beta0)
             assert np.abs(start).max() <= C
             assert abs(start.sum()) <= 1e-8 * max(1.0, C)
@@ -713,6 +716,29 @@ def test_active_set_start_is_feasible_and_no_worse(rng, kind, epsilon):
             # the path's solve at C, which SMO finished from that start
             E = K @ beta + b - y
             assert svr_kkt_violations(beta, E, C, epsilon).max() <= 2.0 * KKT_TOL
+
+
+def test_active_set_finishes_from_the_optimum_at_the_same_c(protocol, monkeypatch):
+    """The engine is a finish from any feasible start, not a step along
+    the C path: on the seed-1 protocol's CV folds, run at each C of the
+    grid from that C's optimum, it hands SMO a start that SMO certifies
+    in 0 steps, and it leaves that optimum as it was, for a caller to
+    fall back to."""
+    kern = KernelSpec("rbf", gamma_scale(protocol.Xtr))
+    grid = experiments.FIXED["svr_c_grid"]
+    solves = []
+    for Xs, ys in seed1_cv_folds(protocol):
+        K = kernel_matrix(kern, Xs, Xs)
+        solves += [(K, ys, C, beta)
+                   for C, (beta, _) in zip(grid, solve_svr_dual(K, ys, grid, 0.1))]
+    warm = cap_warm_smo(monkeypatch, 0)
+    for K, y, C, beta in solves:
+        optimum = beta.copy()
+        start = kernelmod._svr_active_set(K, y, C, 0.1, beta)
+        assert np.array_equal(beta, optimum)
+        n = y.size
+        kernelmod._smo(K, y, np.full(n, -C), np.full(n, C), 0.1, start)
+    assert warm == list(grid) * 10
 
 
 # numpy names that reach BLAS or LAPACK
@@ -770,8 +796,9 @@ def test_active_set_outward_release_start_is_feasible_and_no_worse(monkeypatch):
     y = X[:, 0] + np.sin(X[:, 1]) + 0.2 * gen.normal(size=30)
     K = kernel_matrix(KernelSpec("rbf", gamma=0.4), X, X)
     warm = cap_warm_smo(monkeypatch, 0)
-    (beta0, _), (beta, b), _ = solve_svr_dual(K, y, (1.0, 10.0, 100.0), 0.1)
+    (last, _), (beta, b), _ = solve_svr_dual(K, y, (1.0, 10.0, 100.0), 0.1)
     assert warm == [10.0, 100.0]
+    beta0 = 10.0 / np.abs(last).max() * last  # as solve_svr_dual stretches it
     start = kernelmod._svr_active_set(K, y, 10.0, 0.1, beta0)
     assert np.abs(start).max() <= 10.0
     assert abs(start.sum()) <= 1e-8 * 10.0
@@ -882,6 +909,7 @@ def test_active_set_hands_over_at_a_released_duplicate(monkeypatch):
     K = kernel_matrix(KernelSpec("rbf", gamma=0.5), X, X)
     beta0 = np.zeros(20)
     beta0[:3] = 0.5, -1.0, 0.5
+    beta0 = 10.0 / np.abs(beta0).max() * beta0  # as solve_svr_dual stretches it
     add_block, blocks = kernelmod._add_block, []
     engine, starts = kernelmod._svr_active_set, []
 
