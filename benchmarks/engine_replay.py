@@ -9,8 +9,12 @@ round, each side's seconds for the 10 paths and their ratio; then per
 side the counts of one report: engine loop iterations, points added,
 removes, pricings (one released block each, the last excepted) and the
 SMO steps of the warm solves, those that finish from the engine's start.
+Points count as added when the engine's ``add`` borders its inverse
+with them; the rows of a free set carried over from the last C, with
+its inverse, are not counted.
 
     python benchmarks/engine_replay.py --rev HEAD --seed 1
+    python benchmarks/engine_replay.py --rev HEAD --seed 30
     python benchmarks/engine_replay.py --rev HEAD --regress-2x
 
 Rounds default to 30: on a shared 2-core machine, 10 rounds could not
@@ -100,9 +104,10 @@ def line_of(code, source: str, text: str) -> int:
 
 
 def counts(module, source: str, problems: list) -> dict:
-    """Loop iterations, points added, removes and pricings of ``module``'s
-    engine (``source`` is the module's), traced over the C paths of
-    ``problems``, and the steps of its SMO loop in warm solves."""
+    """Loop iterations, points added (by ``add``: carried rows are not
+    counted), removes and pricings of ``module``'s engine (``source`` is
+    the module's), traced over the C paths of ``problems``, and the steps
+    of its SMO loop in warm solves."""
     code, smo = module._svr_active_set.__code__, module._smo.__code__
     nested = {c.co_name: c for c in code.co_consts if isinstance(c, types.CodeType)}
     add, remove = nested["add"], nested["remove"]

@@ -42,7 +42,8 @@ _SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
 
 # The paper's fixed model settings, read when each fit runs.  The grids
 # ascend: the CV tie rule keeps the smallest of equally good values, and
-# each CV fold solves the SVR's C grid as one path (solve_svr_dual).
+# each CV fold solves the SVR's C grid as one path (solve_svr_dual), as
+# the final SVR fit solves the grid up to the selected C (fit_svr).
 FIXED = {
     "c_grid": (1.0, 10.0, 100.0),
     "svr_epsilon": 0.1,
@@ -106,15 +107,23 @@ class ProtocolData:
     forest_seed: int
 
 
-def _standardized(X, y, train, test, split: str):
+def _standardized(X, y, train, test, split: str, rows=None):
     """(Xtr, ytr, Xte, yte): rows ``train`` and ``test`` of X and y,
     standardized with the training rows' statistics.  A column constant
-    in the training rows is a DataError naming it and ``split``."""
+    in the training rows is a DataError naming it and ``split``; so is a
+    standardized value whose square is not finite (|v| >= 2**511), which
+    names its data row, rows[i] for row i of X (default i), counted from 1."""
     Xs, ys = X[train], y[train, None]
     require_varying(Xs, ys[:, 0], f"the {split}")
     fx, fy = fit_standardizer(Xs), fit_standardizer(ys)
-    return (apply_standardizer(fx, Xs), apply_standardizer(fy, ys)[:, 0],
-            apply_standardizer(fx, X[test]), apply_standardizer(fy, y[test, None])[:, 0])
+    out = (apply_standardizer(fx, Xs), apply_standardizer(fy, ys)[:, 0],
+           apply_standardizer(fx, X[test]), apply_standardizer(fy, y[test, None])[:, 0])
+    huge = np.abs(np.vstack([np.column_stack(out[:2]), np.column_stack(out[2:])])) >= 2.0**511
+    if huge.any():
+        row = np.append(train, test)[huge.any(axis=1).argmax()]
+        raise DataError(f"data row {(row if rows is None else rows[row]) + 1} is too large "
+                        f"to square once standardized with the {split}")
+    return out
 
 
 def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
@@ -141,7 +150,7 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
 
 
 def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
-                   seed: int) -> dict:
+                   seed: int, rows=None) -> dict:
     """k-fold CV of several models' hyperparameter paths on one fold layout.
 
     Each fold is standardized once, with its training statistics.  Each
@@ -153,7 +162,8 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     name -> one {"fold_scores": [...], "mean": float} per grid value.
     Raises DataError, before any fit, when a held-out fold would have
     fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and when a
-    column is constant in a fold's training rows.
+    column is constant in a fold's training rows or a standardized value
+    is too large to square (naming its data row, rows[i] for row i of X).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -165,7 +175,7 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     for i, test_idx in enumerate(layout):
         train_idx = np.concatenate([f for j, f in enumerate(layout) if j != i])
         Xtr, ytr, Xte, yte = _standardized(
-            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}")
+            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}", rows)
         folds.append((Xtr, ytr, Xte))
         held_out.append(yte)
     results = {}
@@ -204,13 +214,13 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
     d = proto.Xtr.shape[1]
     eps, l1_ratio, deg = (FIXED["svr_epsilon"], FIXED["elastic_net_l1_ratio"],
                           FIXED["poly_degree"])
-    kern = KernelSpec("rbf", gamma_scale(proto.Xtr))
+    kern, grid = KernelSpec("rbf", gamma_scale(proto.Xtr)), FIXED["svr_c_grid"]
 
     def svr_path(folds):
         return [svr_fold(*fold) for fold in folds]
 
     def svr_fold(Xs, ys, Xq):
-        path = solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys, FIXED["svr_c_grid"], eps)
+        path = solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys, grid, eps)
         K_test = kernel_matrix(kern, Xq, Xs)
         return [K_test @ beta + b for beta, b in path]
 
@@ -234,8 +244,8 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
         return lambda X, y, a: finals[fit][FIXED["alpha_grid"].index(a)]
 
     return (
-        _Regressor("SVM Regression", FIXED["svr_c_grid"],
-                   lambda X, y, C: fit_svr(X, y, C=C, epsilon=eps, kernel=kern),
+        _Regressor("SVM Regression", grid,
+                   lambda X, y, C: fit_svr(X, y, grid[:grid.index(C) + 1], eps, kern),
                    svm_decision, d,
                    lambda C: {"kernel": "rbf", "gamma": kern.gamma, "C": C,
                               "epsilon": eps}, False, svr_path),
@@ -290,7 +300,7 @@ def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = 
         {r.name: r.path or (lambda folds, r=r: [
             [r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid]
             for Xs, ys, Xq in folds]) for r in table if r.grid},
-        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
+        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed, proto.train_idx)
     models, rows = {}, []
     for r in table:
         value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)

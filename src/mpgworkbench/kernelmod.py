@@ -15,8 +15,10 @@ with predictions f(x) = sum_i beta_i k(x_i, x) + b.
 * KKT tolerance 1e-3 for both tasks; audits use twice that.
 
 The SVR solves an ascending C path: each later C stretches the last
-optimum to its box, an active-set engine finishes from there, and the
-SMO loop certifies every solve.
+optimum to its box, an active-set engine finishes from there, starting
+from the last C's free-set factorization where the free set is the
+same, and the SMO loop certifies every solve.  A fitted SVR is the last
+model of its C path.
 """
 
 from __future__ import annotations
@@ -259,7 +261,8 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> l
     The first C is solved cold.  At each later C the optimum at the C
     before is stretched to the new box by C / max|beta|, as along the
     solution path in C, and the active-set engine (_svr_active_set)
-    finishes from that feasible start; _smo then certifies the solve."""
+    finishes from that feasible start, handed the last engine call's
+    free set and bordered inverse; _smo then certifies the solve."""
     y = np.asarray(y, dtype=float)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -270,11 +273,11 @@ def solve_svr_dual(K: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float) -> l
         raise ValueError("Gram matrix shape must match y")
     if not (len(Cs) and 0 < Cs[0] and all(a < b for a, b in zip(Cs, Cs[1:]))):
         raise ValueError("Cs must be non-empty, positive and strictly ascending")
-    beta, path = None, []
+    beta, carry, path = None, None, []
     for C in Cs:
         if beta is not None:
             start = C / np.abs(beta).max() * beta if beta.any() else beta
-            beta = _svr_active_set(K, y, C, epsilon, start)  # a new array
+            beta, *carry = _svr_active_set(K, y, C, epsilon, start, carry)  # a new beta
             # a rounding-level multiplier would count as signed in the KKT
             # offsets, yet the step to 0 that fixes it is below the floor
             beta[np.abs(beta) <= 1e-12 * C] = 0.0
@@ -315,28 +318,35 @@ def _add_block(inv, K_JF, K_JJ, floor):
     return inv, k
 
 
-def _svr_active_set(K, y, C, epsilon, beta0):
+def _svr_active_set(K, y, C, epsilon, beta0, carry):
     """Finishes the dual in the box [-C, C] from beta0, a feasible start
     (in the box, sum 0), by a primal active-set method (Scheinberg 2006).
 
-    Each iteration solves the equality-constrained QP on the free set F,
-    through the bordered system [[0, 1'], [1, K_FF]], and steps toward
-    its solution until a free multiplier reaches 0 or a bound and is
-    fixed there.  After a full step up to RELEASE_BLOCK fixed
-    multipliers, the largest KKT violators above KKT_TOL / 2, are
-    released at once, as a primal-dual active-set method changes several
-    statuses per iteration (Hintermueller, Ito & Kunisch 2002); the block
-    joins F by one k-row Schur-complement update (_add_block), as the
-    start's free set does 8 rows at a time.  A released multiplier that
-    the next solve moves outward sits at its wall, so the ratio test
-    fixes it again by a zero-length step.  Updates run in einsum and
-    ufuncs only: BLAS and LAPACK round differently with the thread count
-    at these sizes.  A singular pivot, an empty F or 4n iterations hand
-    over early.  Returns the iterate, clipped to the box with its sum
-    re-centred to 0, or a copy of beta0 if that has the higher dual."""
+    Each iteration steps toward x = [bias, step], the solution of the
+    equality-constrained QP on the free set F through the bordered system
+    [[0, 1'], [1, K_FF]], until a free multiplier reaches 0 or a bound
+    and is fixed there.  The rest of such a blocked step, less the fixed
+    row, is x corrected by one column of the inverse (the range-space
+    update, Nocedal & Wright 16.5), so x is solved only at the start and
+    after an add, and K @ beta is brought up to date lazily.  After a
+    full step up to RELEASE_BLOCK fixed multipliers, the largest KKT
+    violators above KKT_TOL / 2, are released at once, as a primal-dual
+    active-set method changes several statuses per iteration
+    (Hintermueller, Ito & Kunisch 2002); the block joins F by one k-row
+    Schur-complement update (_add_block), as the start's free set does 8
+    rows at a time, unless carry, the (order, inverse) returned at the
+    last C or None, holds that set.  A released multiplier that the next
+    solve moves outward sits at its wall, so the ratio test fixes it
+    again by a zero-length step.  Updates run in einsum and ufuncs only:
+    BLAS and LAPACK round differently with the thread count at these
+    sizes.  A singular pivot, an empty F or 4n iterations hand over
+    early.  Returns the iterate, clipped to the box with its sum
+    re-centred to 0, or a copy of beta0 if that has the higher dual;
+    then F in the inverse's row order, and the inverse."""
     n = y.size
     beta = beta0.copy()
-    g = np.einsum("ij,j->i", K, beta)  # K @ beta, kept current
+    g = np.einsum("ij,j->i", K, beta)  # K @ synced: beta as of g's last update
+    synced = beta.copy()
     # -2 at -C, -1 negative free, 0 zero, 1 positive free, 2 at C
     side = np.select([beta >= C - 1e-10 * C, beta > 1e-12 * C,
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
@@ -344,7 +354,7 @@ def _svr_active_set(K, y, C, epsilon, beta0):
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
     # of K in KF[:m]; rhs and the ratio test's t are filled in place
     fidx, KF = np.empty(n, dtype=np.intp), np.empty((n, n))
-    rhs, t, m = np.empty(n + 1), np.empty(n), 0
+    rhs, t, m, x = np.empty(n + 1), np.empty(n), 0, None
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
@@ -363,26 +373,32 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         m += k
         return k == J.size
 
-    def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it
-        nonlocal inv, m
+    def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it from inv and x
+        nonlocal inv, m, x
         inv[[p + 1, m]] = inv[[m, p + 1]]
         inv[:, [p + 1, m]] = inv[:, [m, p + 1]]
+        x[[p + 1, m]] = x[[m, p + 1]]
         fidx[p], KF[p] = fidx[m - 1], KF[m - 1]
         c = inv[:m, m]
+        x = x[:m] - c * (x[m] / inv[m, m])
         inv = inv[:m, :m] - np.multiply.outer(c, c / inv[m, m])
         m -= 1
 
     start = np.flatnonzero(np.abs(side) == 1)
-    built = all(add(start[i:i + 8]) for i in range(0, start.size, 8))
+    if start.size and carry is not None and np.array_equal(np.sort(carry[0]), start):
+        m, inv = start.size, carry[1].copy()  # the last C's F, in its order
+        fidx[:m], KF[:m] = carry[0], K[carry[0]]
+    built = m > 0 or all(add(start[i:i + 8]) for i in range(0, start.size, 8))
     for _ in range(4 * n if built else 0):
         if m == 0:
             break
         F = fidx[:m]
         bF, sF = beta[F], side[F]
-        rhs[0] = -beta.sum()
-        np.subtract(y[F], g[F], out=rhs[1:m + 1])
-        rhs[1:m + 1] -= epsilon * sF
-        x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
+        if x is None:
+            rhs[0] = -beta.sum()
+            np.subtract(y[F], g[F], out=rhs[1:m + 1])
+            rhs[1:m + 1] -= epsilon * sF
+            x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
         d = x[1:]
         # the wall each free multiplier moves toward: 0 or its bound
         wall = np.where((d > 0) == (sF > 0), C * sF, 0.0)
@@ -391,14 +407,17 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         np.divide(wall - bF, d, out=tm, where=d != 0)
         k = int(tm.argmin())
         new = bF + min(1.0, max(tm[k], 0.0)) * d
-        if tm[k] < 1.0:
-            new[k] = wall[k]
-        g += np.einsum("ij,i->j", KF[:m], new - bF)
-        beta[F] = new
-        if tm[k] < 1.0:  # F[k] is fixed at its wall: price it again
-            side[F[k]] = 2 * sF[k] if wall[k] else 0
+        if tm[k] < 1.0:  # F[k] is fixed at its wall; the rest of the step
+            q, new[k] = F[k], wall[k]  # is what is left of d, less row k
+            beta[F] = new
+            g += K[q] * (beta[q] - synced[q])
+            synced[q], side[q] = beta[q], 2 * sF[k] if wall[k] else 0
+            d *= 1.0 - max(tm[k], 0.0)
             remove(k)
             continue
+        beta[F] = new
+        g += np.einsum("ij,i->j", KF[:m], new - synced[F])
+        synced[F] = new
         E = g + x[0] - y
         up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
         viol = np.maximum(up, down)
@@ -407,6 +426,7 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         # the block moves inward: up (to = 1) or down (to = -1)
         to = np.where(up[top] >= down[top], 1, -1)
         side[top] = np.where(side[top] == 0, to, np.sign(side[top]))
+        x = None
         if not (top.size and add(top)):
             break
     np.clip(beta, -C, C, out=beta)
@@ -418,15 +438,15 @@ def _svr_active_set(K, y, C, epsilon, beta0):
         return np.einsum("i,i->", v, y - epsilon * np.sign(v)
                          - 0.5 * np.einsum("ij,j->i", K, v))
 
-    return beta if dual(beta) >= dual(beta0) else beta0.copy()
+    return (beta if dual(beta) >= dual(beta0) else beta0.copy()), fidx[:m].copy(), inv
 
 
-def fit_svr(X: np.ndarray, y: np.ndarray, C: float, epsilon: float,
+def fit_svr(X: np.ndarray, y: np.ndarray, Cs: tuple, epsilon: float,
             kernel: KernelSpec) -> SvmModel:
-    """Epsilon-insensitive SVR; see solve_svr_dual for the method."""
+    """Epsilon-insensitive SVR at Cs[-1], solved along the ascending C
+    path Cs (solve_svr_dual, which describes the method)."""
     X = np.asarray(X, dtype=float)
-    K = kernel_matrix(kernel, X, X)
-    (beta, b), = solve_svr_dual(K, y, (C,), epsilon)
+    beta, b = solve_svr_dual(kernel_matrix(kernel, X, X), y, Cs, epsilon)[-1]
     return _svm_model(X, beta, b, kernel)
 
 

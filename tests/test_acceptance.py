@@ -109,25 +109,25 @@ def test_criterion_03_report_runs_are_byte_identical(seed_reports):
 # more: test_reports_do_not_depend_on_blas_threads guards that).  A change
 # that moves a report on purpose re-records this table.
 SEED_REPORT_SHA256 = {
-    21: "655562dab1e67f100763dbe7cea943ab16cf0877e573acc97716f72ca3faf99c",
+    21: "933d64abaf29487cb8a295a31bbe75655c8ebbcc7dff6dbd45060a19b7685639",
     22: "f0cc84e7a7409cd3a474d9ad2cd9d44e4f08ffa075b523a746f8c374e456bd9c",
-    23: "4c1fbe66f49c7636c2a7a2f61445065ec8e52a27a08cf9f625935c9c4aee0d5b",
-    24: "e32f72c54fc83e9374fd5b3cc6ff0d05d49a3fd2f7a27c1c2ac80982470d0c61",
-    25: "2cd85dde2f4eab077f2cf4ee7a8f0ffe6009006e349320d096670bdfe22b28de",
-    26: "f9376ad8d0416bcfc75ff1655572e44675e546f9c19ce14a6f1602d265dec471",
-    27: "6d6484b25128357a93308a9f99a7fb6ed5c0104fce58c5ef554e37fbbdf58c86",
+    23: "c6d21fdb1a154a9e5a007bbf9531f0e99d9a40a52e86599855feed80ccbd4114",
+    24: "21e6be3f282ad648575e41df1c1320940a522bcc2e10104607e7eac592316be0",
+    25: "b2a20032ea820a643aa09273299e47c4e7796590e743dde8a083c57d05bfbde7",
+    26: "02c3cab77178ac5875b6011b63b50a470bb5d5994a402c6a11c9b724109a3d7f",
+    27: "8083cdf757a67455c70a0d2ebe14ef56c457bb4ddf1dce10de82db93afbf3012",
     28: "4f3c542d7b06c5c757ff8b08247a08fcccdcb716ca9ac4586d854b086bf8625d",
-    29: "1610b0458c7b6696bdd39fb0e799ba89d6d3ad3c8ac012a9b94ab8c0f533b8d6",
-    30: "94dc5e1748c3a7f7cc58d486ee1af6b4e9ce6580b6189471078ff184ece08b61",
+    29: "3a244f97a44ba155b7c55664baa11dd8404190b35941d139372afdef7d3699f9",
+    30: "747a36b990ce195f697666f1997ac2a052f8fca397781b20480ce32515563fcd",
     31: "1a823ddd9ee60bbdb1f28b267e01e74a6e81ea70a2b1ad3f4a0c0f77844fdbc7",
-    32: "45126780be0bf2d6a146d430a330023c91ea2cec1cac49381ef4d549522cc43c",
+    32: "953a8bf116f17fb3e7592519d188dec0481687c458ddf9b7cc5a217bad7f89c4",
     33: "c226c0d046bac21487ec14d5252f108c0b0782a174c94afbf58f9d1d713ecc54",
-    34: "30a5c1e63779f31ba41123484c0a356c5da88f440f4f80be86061f2ea6e94777",
+    34: "f1839f84ca86d2e3fd440c45f35406f292cc828e8dfe3e096c21b62b40ad3632",
     35: "5f81fda309ebad38eb9fed4e197b12ed5b6a04f55beb5c63eab48d5dae76b2c2",
     36: "5c573d15b7034dbcca9381a41cb460a7c065fac8f687c76b8d8b6817371ade36",
-    37: "1206d6140dfe95b0e3667304aa668089ff646b6ae2541c3a02ac182a132cfd40",
+    37: "c8b2e6a3c89d427a1835641210153ee80d7aac985996ca11bfaec63a8d600837",
     38: "c0bbc8f88727d652102360621ddc556f0597b630f294f03d7c640bbf48c72bd0",
-    39: "721a7d10aa3d1532d8dd03b49053ddae548006686123334a39100ef262721800",
+    39: "3263e669bae5cd21c53e20e82842e13daa5b3da844a99c97e14b284e05e2ea86",
     40: "b21b55418ee32763e3c32d17f148608ad97addf97f873d0372816219348976b6",
 }
 
@@ -145,7 +145,7 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
     report = run_regression_suite(ExperimentConfig(
         seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
-        "09198c5ac1ec96e34880b0db9089dfc2841412dcfb2374adf5c653b9cc34acb8")
+        "887dda55421c4ac8cca49155e937cc182f2d80e6736cee84b52c4162965030cd")
 
 
 # --- statistical bands (median over 20 seeds)

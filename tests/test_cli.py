@@ -266,7 +266,8 @@ def test_active_set_start_outside_the_box_exits_three(tmp_path, capsys,
                                                       monkeypatch):
     """The box-and-sum guard on the engine's start is a numerical check."""
     monkeypatch.setattr(kernelmod, "_svr_active_set",
-                        lambda K, y, C, epsilon, beta0: np.full(y.size, 2.0 * C))
+                        lambda K, y, C, epsilon, beta0, carry: (np.full(y.size, 2.0 * C),
+                                                                None, None))
     X = np.arange(6.0)[:, None]
     K = kernel_matrix(kernelmod.KernelSpec("linear"), X, X)
     with pytest.raises(SmoError, match="left the box"):
@@ -373,6 +374,10 @@ ADVERSARIAL = {
     "inf-cylinders": (_token("cylinders", "inf"), (2, 2, 2, 2), None),
     "nan-weight": (_token("weight", "nan"), (2, 2, 2, 2), None),
     "minus-inf-mpg": (_token("mpg", "-inf"), (2, 2, 2, 2), None),
+    # an ASCII integer that parses: eda and classify run on it (its row is
+    # in the training split), but CV fold 7 holds it out, standardized to
+    # 1.26e300, which has no finite square
+    "origin-1e300-as-integer": (_token("origin", "1" + "0" * 300), (0, 2, 0, 2), None),
 }
 
 
@@ -752,7 +757,7 @@ def test_rendered_csv_and_markdown_bits_are_pinned(tmp_path, eda, regression_sui
         if path.name != "report.json":
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert digest.hexdigest() == (
-        "6241dff5a2e9fe7f91a9efa00f9eb2c6bdc1f647a58e05824c9f83f7c5fafca8")
+        "d271c3a87668ba0c5645d4492de178df4ef0fb153570e7d48a07cb1e1e6ef67b")
 
 
 @pytest.mark.parametrize("command", ["eda", "regress", "classify", "report"])

@@ -134,6 +134,24 @@ def test_cv_constant_training_column_is_a_data_error(rng):
             ols_cv(X, y, k=6, seed=3)
 
 
+
+@pytest.mark.parametrize("column", [1, None])  # a feature, then mpg
+def test_cv_value_too_large_to_square_names_its_data_row(rng, column):
+    """A value that standardizes to about 5 with the training rows that
+    hold it, but to 1e300, which has no finite square, in the fold that
+    holds it out, is a DataError naming its data row: rows[i] + 1 for
+    row i of X, or i + 1 when no rows are given."""
+    X = rng.normal(size=(30, 7))
+    y = X[:, 0] + rng.normal(size=30)
+    (y if column is None else X[:, column])[4] = 1e300
+    held_out = next(i for i, f in enumerate(kfold(30, 6, 3), 1) if 4 in f)
+    paths = {"none": lambda folds: [[] for _ in folds]}
+    with pytest.raises(DataError, match="^data row 5 is too large to square once "
+                       f"standardized with the training rows of CV fold {held_out}$"):
+        cross_validate(paths, X, y, 6, 3)
+    with pytest.raises(DataError, match="^data row 105 "):
+        cross_validate(paths, X, y, 6, 3, np.arange(100, 130))
+
 def test_cv_mean_matches_fold_scores(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30)
@@ -365,16 +383,16 @@ experiments.cross_validate(
 Xs, ys, _ = folds[0]
 K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
 (beta0, _), = solve_svr_dual(K, ys, (1.0,), 0.1)
-start = _svr_active_set(K, ys, 10.0, 0.1, 10.0 / abs(beta0).max() * beta0)
+start, *_ = _svr_active_set(K, ys, 10.0, 0.1, 10.0 / abs(beta0).max() * beta0, None)
 print(hashlib.sha256(start.tobytes()).hexdigest())
 """
 
 
 def test_active_set_start_does_not_depend_on_blas_threads():
-    """The reports read the engine only through the SVR's selected C, so
-    the report check above cannot see its rounding.  The engine's start
-    for the seed-1 warm solve of fold 1 at C = 10 hashes the same with
-    one and with two BLAS threads."""
+    """The reports read the engine's CV solves only through the SVR's
+    selected C, so the report check above cannot see their rounding.  The
+    engine's start for the seed-1 warm solve of fold 1 at C = 10 hashes
+    the same with one and with two BLAS threads."""
     outs = outputs_at_one_and_two_blas_threads(_ENGINE_DIGEST)
     assert len(outs[0].split()) == 1
     assert outs[0] == outs[1]
