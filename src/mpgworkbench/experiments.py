@@ -107,14 +107,17 @@ class ProtocolData:
     forest_seed: int
 
 
-def _standardized(X, y, train, test, split: str, rows=None):
+def _standardized(X, y, train, test, split: str, held_out: str, rows=None):
     """(Xtr, ytr, Xte, yte): rows ``train`` and ``test`` of X and y,
     standardized with the training rows' statistics.  A column constant
-    in the training rows is a DataError naming it and ``split``; so is a
-    standardized value whose square is not finite (|v| >= 2**511), which
-    names its data row, rows[i] for row i of X (default i), counted from 1."""
+    in the training rows is a DataError naming it and ``split``, a target
+    constant in the test rows (R^2 undefined) one naming ``held_out``, and
+    a standardized value whose square is not finite (|v| >= 2**511) one
+    naming its data row, rows[i] for row i of X (default i), counted from 1."""
     Xs, ys = X[train], y[train, None]
     require_varying(Xs, ys[:, 0], f"the {split}")
+    if y[test].min() == y[test].max():
+        raise DataError(f"'mpg' is constant in the {held_out}: R^2 is undefined there")
     fx, fy = fit_standardizer(Xs), fit_standardizer(ys)
     out = (apply_standardizer(fx, Xs), apply_standardizer(fy, ys)[:, 0],
            apply_standardizer(fx, X[test]), apply_standardizer(fy, y[test, None])[:, 0])
@@ -131,7 +134,7 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     seeds = derive_seeds(config.seed, 5)
     split = train_test_split(len(dataset.y), config.split_ratio, seeds[_SEED_SPLIT])
     Xtr, ytr, Xte, yte = _standardized(dataset.X, dataset.y, split.train,
-                                       split.test, "training split")
+                                       split.test, "training split", "test split")
     labels = (dataset.y >= config.threshold_mpg).astype(int)  # 1: high efficiency
     return ProtocolData(
         dataset=dataset,
@@ -162,8 +165,9 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     name -> one {"fold_scores": [...], "mean": float} per grid value.
     Raises DataError, before any fit, when a held-out fold would have
     fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and when a
-    column is constant in a fold's training rows or a standardized value
-    is too large to square (naming its data row, rows[i] for row i of X).
+    column is constant in a fold's training rows, its target is constant
+    in a fold's held-out rows, or a standardized value is too large to
+    square (naming its data row, rows[i] for row i of X).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -175,7 +179,8 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     for i, test_idx in enumerate(layout):
         train_idx = np.concatenate([f for j, f in enumerate(layout) if j != i])
         Xtr, ytr, Xte, yte = _standardized(
-            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}", rows)
+            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}",
+            f"held-out rows of CV fold {i + 1}", rows)
         folds.append((Xtr, ytr, Xte))
         held_out.append(yte)
     results = {}
@@ -229,7 +234,7 @@ def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
 
     def cd_path(fit):
         # every fold and the training split at every alpha: lanes of one
-        # descent, so the selected alpha's final model is already fitted
+        # solve, so the selected alpha's final model is already fitted
         def path(folds):
             k = len(folds)
             *fits, finals[fit] = fit(

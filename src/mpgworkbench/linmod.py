@@ -22,8 +22,7 @@ import numpy as np
 from .numcore import NumericalError, least_squares, solve_spd
 
 # fixed points of the iterative fits, read when each fit runs
-CD_TOL = 1e-7  # a CD lane freezes after a sweep that moves no coefficient by this
-CD_MAX_SWEEPS = 10_000
+ACTIVE_SET_MAX_ITER = 1_000  # lock-step iterations of the lasso / elastic-net solve
 NEWTON_TOL = 1e-8  # logistic Newton stops at this largest |gradient| entry
 NEWTON_MAX_ITER = 100
 
@@ -85,44 +84,55 @@ def _centered_moments(X, y):
     return x_mean, y_mean, Xc.T @ Xc / n, Xc.T @ (y - y_mean) / n
 
 
-def _coordinate_descent(G, c, l1, l2):
-    """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
-    + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
-    Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
-    by centering, and r = c - G beta is kept current in p multiply-adds
-    per changed coefficient.  L fits run as lanes in lock-step, lane i
-    with its own G[i] (p x p), c[i], l1[i] and l2[i], each doing one fit's
-    arithmetic; a lane freezes after its first sweep that changes no
-    coefficient by CD_TOL or more.  Returns the (L, p) coefficients and
-    the mask of lanes still moving after CD_MAX_SWEEPS sweeps."""
+def _active_set(G, c, l1, l2):
+    """Exact primal active-set solve (Osborne, Presnell & Turlach 2000) of
+    (1/2n)||y - b0 - Xb||^2 + l1 ||b||_1 + (l2/2)||b||^2 in covariance form,
+    min (1/2) b'Ab - c'b + l1 ||b||_1 with A = G + l2 I, for L lanes in
+    lock-step (lane i: its own G[i], c[i], l1[i], l2[i]).  Each iteration
+    solves the open lanes' active blocks (identity off the active set S)
+    by Gauss-Jordan, which maps a copy of a column of A_SS to exactly a
+    unit vector: y, the optimum on S, and u = A_SS^-1 A_Sk.  After a full
+    step a lane enters its most violated zero coefficient, |c - Ab|_k > l1,
+    from y along s_k (e_k - u), by its excess over the Schur complement or,
+    if that is not positive, without bound (a null direction); else it
+    steps to y.  An active coefficient reaching zero first blocks the step
+    and leaves S.  A lane finishes when nothing enters, or when a full step
+    repeats a signed active set: in exact arithmetic each one lowers the
+    objective.  Returns the (L, p) coefficients and the open lanes' mask."""
     n_lanes, p = c.shape
-    G = np.ascontiguousarray(G.transpose(1, 2, 0))  # G[j]: row j per lane
-    r = c.T.copy()  # (p, L), like beta
-    beta = np.zeros((p, n_lanes))
-    coords = [(r[j], G[j], G[j, j], G[j, j] + l2, beta[j]) for j in range(p)]
-    neg_l1 = -l1
-    moving = np.ones(n_lanes, dtype=bool)
-    # a constant column (G_jj = 0) at l2 = 0 divides by 0 only in the
-    # branches np.where discards: it always lands in the zero branch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(CD_MAX_SWEEPS):
-            if not moving.any():
-                break
-            change = np.zeros(n_lanes)
-            for rj, Gj, Gjj, denom, old in coords:
-                rho = rj + Gjj * old
-                # soft-threshold rho at l1, then scale
-                new = np.where(rho > l1, (rho - l1) / denom,
-                               np.where(rho < neg_l1, (rho + l1) / denom, 0.0))
-                # a lane that did not move leaves r untouched: even
-                # subtracting 0 * G_jk could turn -0.0 into +0.0
-                moved = (new != old) & moving
-                d = new - old
-                np.subtract(r, d * Gj, out=r, where=moved)
-                np.copyto(old, new, where=moved)
-                np.maximum(change, np.abs(d), out=change, where=moved)
-            moving &= change >= CD_TOL
-    return beta.T.copy(), moving
+    A, eye, b = G + l2[:, None, None] * np.eye(p), np.eye(p), np.zeros(c.shape)
+    todo, full = np.ones((2, n_lanes), dtype=bool)  # full: the last step was full
+    seen = [np.full(n_lanes, np.nan)]  # signed active sets after full steps
+    for it in range(ACTIVE_SET_MAX_ITER + 1):
+        g = c - (A @ b[..., None])[..., 0]
+        excess = np.where(b == 0.0, np.abs(g) - l1[:, None], -np.inf)
+        k = excess.argmax(axis=1)  # entering, if the last step was full
+        seen.append(np.where(full, np.sign(b) @ 3.0 ** np.arange(p), np.nan))
+        todo &= ~full | ((excess.max(axis=1) > 0.0)
+                         & ~(np.array(seen[:-1]) == seen[-1]).any(axis=0))
+        if it == ACTIVE_SET_MAX_ITER or not todo.any():
+            break
+        o = np.flatnonzero(todo)
+        lane, Ao, bo, ko, fo = np.arange(o.size), A[o], b[o], k[o], full[o]
+        act, Ak, sk = bo != 0.0, Ao[lane, ko], np.sign(g[o, ko])
+        rhs = np.stack([c[o] - l1[o, None] * np.sign(bo), Ak], axis=2)
+        T = np.concatenate([np.where(act[:, :, None] & act[:, None, :], Ao, eye),
+                            np.where(act[:, :, None], rhs, 0.0)], axis=2)
+        T = np.ascontiguousarray(T.transpose(1, 2, 0))  # lanes last: rows contiguous
+        for j in np.flatnonzero(act.any(axis=0)):  # the rest are unit vectors
+            T[j, j:] /= T[j, j]
+            T[:, j:] -= np.where(eye[:, j, None, None], 0.0, T[:, j, None]) * T[j, j:]
+        y, u = T[:, p].T, T[:, p + 1].T
+        z, w = np.where(fo[:, None], [y, sk[:, None] * (eye[ko] - u)], [bo, y - bo])
+        schur = Ao[lane, ko, ko] - (Ak * u).sum(axis=1)
+        length = np.where(~fo, 1.0, np.divide(excess[o, ko], schur, out=np.full(
+            o.size, np.inf), where=schur > 0.0))
+        reach = np.divide(-z, w, out=np.full(z.shape, np.inf), where=z * w < 0.0)
+        step = np.minimum(length, reach.min(axis=1))
+        full[o] = fo = step >= length
+        b[o] = z + step[:, None] * w
+        b[o[~fo], reach[~fo].argmin(axis=1)] = 0.0
+    return b, todo
 
 
 def fit_lasso(folds: list, alphas, *, names=None) -> list[list[LinearModel]]:
@@ -133,7 +143,7 @@ def fit_lasso(folds: list, alphas, *, names=None) -> list[list[LinearModel]]:
 def fit_elastic_net(folds: list, alphas, l1_ratio: float, *,
                     names=None) -> list[list[LinearModel]]:
     """Elastic nets on each training set (X, y) of ``folds`` at each of
-    ``alphas``, as lanes of one coordinate descent: per fold, the models
+    ``alphas``, as lanes of one active-set solve: per fold, the models
     in alpha order.  ConvergenceError names the first stuck fit, and its
     training set by ``names`` (default "fold i of k")."""
     if any(alpha <= 0 for alpha in alphas):
@@ -144,7 +154,7 @@ def fit_elastic_net(folds: list, alphas, l1_ratio: float, *,
                                  np.asarray(y, dtype=float)) for X, y in folds]
     alphas = np.asarray(alphas, dtype=float)
     k, n_alphas = len(folds), alphas.size  # lane i: fold i // n_alphas
-    beta, stuck = _coordinate_descent(
+    beta, stuck = _active_set(
         np.repeat([m[2] for m in moments], n_alphas, axis=0),
         np.repeat([m[3] for m in moments], n_alphas, axis=0),
         np.tile(alphas * l1_ratio, k), np.tile(alphas * (1.0 - l1_ratio), k))
@@ -156,8 +166,8 @@ def fit_elastic_net(folds: list, alphas, l1_ratio: float, *,
         m = fits[fold][a]
         name = names[fold] if names else f"fold {fold + 1} of {k}"
         raise ConvergenceError(
-            f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps "
-            f"at alpha={float(alphas[a])} on {name}",
+            f"active-set solve did not converge in {ACTIVE_SET_MAX_ITER} "
+            f"iterations at alpha={float(alphas[a])} on {name}",
             last_iterate=(m.coefficients, m.intercept))
     return fits
 

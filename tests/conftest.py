@@ -102,8 +102,8 @@ def seed1_cv_folds(protocol):
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:
     """Smallest alpha at which every lasso coefficient is exactly zero."""
-    # the cold-start sweep's first rho for every coordinate, bit for bit,
-    # so soft-thresholding at this alpha zeroes every coefficient
+    # max |c_j|, bit for bit: at this alpha no coefficient's |c_j|
+    # exceeds alpha, so none enters the active set
     _, _, _, c = _centered_moments(np.asarray(X, dtype=float),
                                    np.asarray(y, dtype=float))
     return float(max(abs(v) for v in c))

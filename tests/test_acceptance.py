@@ -109,26 +109,26 @@ def test_criterion_03_report_runs_are_byte_identical(seed_reports):
 # more: test_reports_do_not_depend_on_blas_threads guards that).  A change
 # that moves a report on purpose re-records this table.
 SEED_REPORT_SHA256 = {
-    21: "933d64abaf29487cb8a295a31bbe75655c8ebbcc7dff6dbd45060a19b7685639",
-    22: "f0cc84e7a7409cd3a474d9ad2cd9d44e4f08ffa075b523a746f8c374e456bd9c",
-    23: "c6d21fdb1a154a9e5a007bbf9531f0e99d9a40a52e86599855feed80ccbd4114",
-    24: "21e6be3f282ad648575e41df1c1320940a522bcc2e10104607e7eac592316be0",
-    25: "b2a20032ea820a643aa09273299e47c4e7796590e743dde8a083c57d05bfbde7",
-    26: "02c3cab77178ac5875b6011b63b50a470bb5d5994a402c6a11c9b724109a3d7f",
-    27: "8083cdf757a67455c70a0d2ebe14ef56c457bb4ddf1dce10de82db93afbf3012",
-    28: "4f3c542d7b06c5c757ff8b08247a08fcccdcb716ca9ac4586d854b086bf8625d",
-    29: "3a244f97a44ba155b7c55664baa11dd8404190b35941d139372afdef7d3699f9",
-    30: "747a36b990ce195f697666f1997ac2a052f8fca397781b20480ce32515563fcd",
-    31: "1a823ddd9ee60bbdb1f28b267e01e74a6e81ea70a2b1ad3f4a0c0f77844fdbc7",
-    32: "953a8bf116f17fb3e7592519d188dec0481687c458ddf9b7cc5a217bad7f89c4",
-    33: "c226c0d046bac21487ec14d5252f108c0b0782a174c94afbf58f9d1d713ecc54",
-    34: "f1839f84ca86d2e3fd440c45f35406f292cc828e8dfe3e096c21b62b40ad3632",
-    35: "5f81fda309ebad38eb9fed4e197b12ed5b6a04f55beb5c63eab48d5dae76b2c2",
-    36: "5c573d15b7034dbcca9381a41cb460a7c065fac8f687c76b8d8b6817371ade36",
-    37: "c8b2e6a3c89d427a1835641210153ee80d7aac985996ca11bfaec63a8d600837",
-    38: "c0bbc8f88727d652102360621ddc556f0597b630f294f03d7c640bbf48c72bd0",
-    39: "3263e669bae5cd21c53e20e82842e13daa5b3da844a99c97e14b284e05e2ea86",
-    40: "b21b55418ee32763e3c32d17f148608ad97addf97f873d0372816219348976b6",
+    21: "fdc2302021106e0c6b3e6098d4c4ea9743a544f786461e07a379164a251a68cf",
+    22: "fd66efd8868c0f579cac4c81e5474906bd6b827c59d8a08b0957d1084b40871a",
+    23: "015988579d1a0d4704cf1ceaefb7a896e441b9c27d321367c0ba46a0cbf3a919",
+    24: "77ca165078daf5b5976ab7f6b3bc6e88b727b8e18746b38ddb7530b44a4c25b0",
+    25: "d5acf5b390091b2c7d62eeb8d2da1923426bacaccbed11914e9375d00b4dea47",
+    26: "2490c081d1916a69b8839b585e07b1c6163e006f3cadc7bb24fad673422a85fa",
+    27: "4f84e8e60b9c652cc9373988116f9567996dcf5e8da55e1d5811e8098c019094",
+    28: "828d87c6545a3b60d509c6c309ed4bbe3ed680bcf5fca6204120ed168084a428",
+    29: "afaff749f4b377ed42ce04a0f7eb4e6ad902944b13d5330e5ee110b610e83972",
+    30: "fcf2e3ff002cd8a5ca1dccf0dfae3ecb5a899ad324417e73dad31275b1b01154",
+    31: "d73293fefcf19688208a26679c20c0ee1c997076c3c0a0f3ca4c72f991ddc54f",
+    32: "b35bd9be96b34ab1f50674a5aa2860b4069ec6a00932d1631ecd4cbed0c2b9ea",
+    33: "09ce53f8fe6dbd249e562c5d8800c2b27fb1a71fe1d0c55d2cb348b59c95b665",
+    34: "cb0d3e3cea70dc73b1d94b9731bbeff6b4ae3b311f1c19a8d51db7a08869fdb9",
+    35: "7b9b96e8b534c04bab9f4674f4b5c9b929e7c82cb807e5f2e3320db58a4d888f",
+    36: "edf2264872a679987a3493859d802154d04b77ddd96625f5ca8bef8139588678",
+    37: "2f2f046b005021c737b01049e48e84a7932d4de5298d876c5e77d30902c40085",
+    38: "c4357d9a9de162d5a67482426966fd1a59b61fb7c1f2bf76385dca133be15c94",
+    39: "d1bcc5bec5126c1e0659d41a786de4d543c3af408486395718c791866f0bfbe3",
+    40: "54122e7d252c8dbc5275f65d8cc68ab95961733f3b723716e97d1359d2251385",
 }
 
 
@@ -145,7 +145,7 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
     report = run_regression_suite(ExperimentConfig(
         seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
-        "887dda55421c4ac8cca49155e937cc182f2d80e6736cee84b52c4162965030cd")
+        "0c3dd222c37509409e8f3a2fbab5d7732be8eda09f0465378ec19ab8af0aaa1c")
 
 
 # --- statistical bands (median over 20 seeds)

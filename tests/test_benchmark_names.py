@@ -60,7 +60,7 @@ def test_traced_names_are_the_ones_the_program_calls(monkeypatch):
         "classification": experiments.run_classification_grid(config),
     })
     assert [attr for attr in attrs if not calls.get(attr)] == []
-    # one lane descent each, its final model included: linmod.cd_fits is 2
+    # one lane solve each, its final model included: linmod.cd_fits is 2
     assert calls["fit_lasso"] == calls["fit_elastic_net"] == 1
     # one C path per fold: kernelmod.svr_cv_calls is cv_folds
     assert calls["solve_svr_dual"] == config.cv_folds

@@ -143,6 +143,23 @@ def test_constant_training_feature_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["regress", "report"])
+def test_constant_held_out_target_exits_two(tmp_path, capsys, command):
+    # mpg 20.0 on every packaged row but every 40th: at seed 1, CV folds
+    # 2, 3, 4 and 9 hold out only 20.0, which has no R^2
+    with open(reference_data_path(), "r", encoding="utf-8") as fh:
+        rows = [row if i % 40 == 0 else "20.0 " + row.split(None, 1)[1]
+                for i, row in enumerate(fh.read().splitlines())]
+    data = tmp_path / "constant.data"
+    data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli([command, "--data", str(data), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: 'mpg' is constant in the held-out rows of CV fold 2: "
+        "R^2 is undefined there\n")
+    assert not out.exists()
+
+
 def test_class_missing_from_split_exits_two(tmp_path, capsys):
     # at seed 1 no training car reaches 45 mpg, so class 1 is empty there
     out = tmp_path / "out"
@@ -185,8 +202,8 @@ def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
 
 def test_cd_failure_shows_last_iterate(tmp_path, capsys, monkeypatch):
     def failing_cd(*args, **kwargs):
-        raise ConvergenceError("coordinate descent did not converge in 1 "
-                               "sweeps at alpha=0.0001 on the training split",
+        raise ConvergenceError("active-set solve did not converge in 1 "
+                               "iterations at alpha=0.0001 on the training split",
                                last_iterate=(np.array([0.5, -2.25, 1.0]), 0.125))
 
     for name in ("fit_lasso", "fit_elastic_net"):
@@ -194,7 +211,7 @@ def test_cd_failure_shows_last_iterate(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert run_cli(["regress", "--out", str(out)]) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
-        "numerical failure: coordinate descent did not converge in 1 sweeps "
+        "numerical failure: active-set solve did not converge in 1 iterations "
         "at alpha=0.0001 on the training split; last iterate intercept "
         "0.125, max |coefficient| 2.25\n")
     assert not out.exists()

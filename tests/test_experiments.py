@@ -152,6 +152,33 @@ def test_cv_value_too_large_to_square_names_its_data_row(rng, column):
     with pytest.raises(DataError, match="^data row 105 "):
         cross_validate(paths, X, y, 6, 3, np.arange(100, 130))
 
+def test_cv_constant_held_out_target_is_a_data_error_before_any_fit(rng):
+    """Held-out rows that share one target have no R^2: a DataError naming
+    the first such fold, raised before any path fits a fold."""
+    layout = kfold(30, 6, 3)
+    X = rng.normal(size=(30, 7))
+    y = X[:, 0] + rng.normal(size=30)
+    for i in (4, 1):
+        y[layout[i]] = 20.0
+    calls = []
+    with pytest.raises(DataError, match="^'mpg' is constant in the held-out "
+                                        "rows of CV fold 2: R\\^2 is undefined"):
+        cross_validate({"spy": calls.append}, X, y, 6, 3)
+    assert calls == []
+
+
+def test_protocol_constant_test_target_is_a_data_error(tmp_path, protocol,
+                                                       reference_text):
+    # the packaged file with mpg 20.0 on every row of the seed-1 test split
+    rows = reference_text.splitlines()
+    for i in protocol.test_idx:
+        rows[i] = "20.0 " + rows[i].split(None, 1)[1]
+    path = tmp_path / "constant-test.data"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="^'mpg' is constant in the test split: "):
+        prepare_protocol(ExperimentConfig(data_path=str(path)))
+
+
 def test_cv_mean_matches_fold_scores(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30)

@@ -1106,7 +1106,7 @@ def test_regression_suite_bits_are_pinned(regression_suite):
     path up to that C: a cold solve at C = 1, then the engine and SMO."""
     text = experiments.report_to_json(regression_suite)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "62ee7a706940aea26a2a648749cdd67ed5ce8b2cc9484037de6ec4b099587ed5")
+        "784c8976f839c55c77bd13407169da2ee889e781fe635a48f0b8df3ebe3e91fa")
 
 
 def test_classification_grid_bits_are_pinned(classification_grid):

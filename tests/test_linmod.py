@@ -2,6 +2,7 @@
 against closed-form and finite-difference oracles."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,9 +12,9 @@ from conftest import enet_fit, lasso_alpha_max, lasso_fit, seed1_cv_folds
 from mpgworkbench import linmod
 from mpgworkbench.experiments import (FIXED, ExperimentConfig,
                                       _regression_table, cross_validate)
-from mpgworkbench.linmod import (ConvergenceError, fit_elastic_net,
-                                 fit_logistic, fit_ols, fit_ridge,
-                                 linear_predict, logistic_gradient,
+from mpgworkbench.linmod import (ConvergenceError, _centered_moments,
+                                 fit_elastic_net, fit_logistic, fit_ols,
+                                 fit_ridge, linear_predict, logistic_gradient,
                                  logistic_objective, logistic_scores)
 from mpgworkbench.metrics import regression_metrics
 
@@ -137,7 +138,7 @@ def test_lasso_invalid_alpha():
 def test_lasso_nonconvergence_carries_iterate(rng, monkeypatch):
     X = rng.normal(size=(20, 3))
     y = rng.normal(size=20)
-    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
+    monkeypatch.setattr(linmod, "ACTIVE_SET_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
         lasso_fit(X, y, alpha=1e-6)
     assert exc.value.last_iterate is not None
@@ -281,52 +282,32 @@ def test_predict_dimension_mismatch(rng):
         linear_predict(m, np.ones((4, 3)))
 
 
-# --- coordinate descent against a reference sweep and the KKT conditions
+# --- the lasso / elastic-net solve against every sign pattern and the KKT
+# conditions
 
-# The residual-update sweep that coordinate descent used before it kept
-# the covariances (intercept refit after each sweep on uncentered
-# columns).  Kept as the reference the covariance-update fits must match
-# on centered, standardized data.
-
-def reference_soft_threshold(x: float, t: float) -> float:
-    if x > t:
-        return x - t
-    if x < -t:
-        return x + t
-    return 0.0
-
-
-def reference_coordinate_descent(X, y, l1: float, l2: float, tol: float,
-                                 max_sweeps: int):
-    """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
-    + l1 ||b||_1 + (l2/2) ||b||^2.  Returns (beta, intercept)."""
-    n, p = X.shape
-    col_sq = (X * X).sum(axis=0) / n  # (1/n) ||x_j||^2
-    beta = np.zeros(p)
-    intercept = y.mean()
-    residual = y - intercept  # y - b0 - X beta, maintained incrementally
-    for _ in range(max_sweeps):
-        max_change = 0.0
-        for j in range(p):
-            xj = X[:, j]
-            old = beta[j]
-            rho = (xj @ residual) / n + col_sq[j] * old
-            new = reference_soft_threshold(rho, l1) / (col_sq[j] + l2)
-            if new != old:
-                residual -= (new - old) * xj
-                beta[j] = new
-                max_change = max(max_change, abs(new - old))
-        new_intercept = intercept + residual.mean()
-        if new_intercept != intercept:
-            residual -= new_intercept - intercept
-            max_change = max(max_change, abs(new_intercept - intercept))
-            intercept = new_intercept
-        if max_change < tol:
-            return beta, intercept
-    raise ConvergenceError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps",
-        last_iterate=(beta, intercept),
-    )
+def sign_pattern_oracle(X, y, l1: float, l2: float) -> list:
+    """Every b that meets the KKT conditions of (1/2n)||y - b0 - Xb||^2
+    + l1 ||b||_1 + (l2/2) ||b||^2 among the 3^p sign patterns s (p <= 8):
+    b solves (G + l2 I)_SS b_S = c_S - l1 s_S on the support S of s, with
+    the centered covariances G and c, carries the signs s there, and has
+    |c - (G + l2 I) b|_j <= l1 off S.  Singular supports are skipped."""
+    _, _, G, c = _centered_moments(X, y)
+    p = c.size
+    A = G + l2 * np.eye(p)
+    found = []
+    for support in itertools.product((False, True), repeat=p):
+        S = np.flatnonzero(support)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=S.size)))
+        try:
+            B = np.linalg.solve(A[np.ix_(S, S)], (c[S] - l1 * signs).T).T
+        except np.linalg.LinAlgError:
+            continue
+        for b_S in B[(np.sign(B) == signs).all(axis=1)]:
+            b = np.zeros(p)
+            b[S] = b_S
+            if np.all(np.abs(np.delete(c - A @ b, S)) <= l1):
+                found.append(b)
+    return found
 
 
 def cd_problems(rng, protocol):
@@ -344,36 +325,35 @@ def fit_cd(X, y, alpha, l1_ratio):
     return enet_fit(X, y, alpha, l1_ratio)
 
 
-def kkt_violations(X, y, beta, intercept, l1, l2, tol):
-    """Subgradient KKT residuals of (beta, intercept), each divided by the
-    bound the stop rule max|d beta| < tol guarantees for it.
-
-    After the last sweep, coordinate j was optimal given the others when
-    it was visited; the later updates (each < tol) moved its gradient by
-    at most tol * sum_k |G_jk|, with G the centered covariance.  The
-    intercept, profiled out, is optimal up to rounding.
-    """
+def kkt_violations(X, y, beta, intercept, l1, l2):
+    """Subgradient KKT residuals of (beta, intercept), each divided by
+    1e-13 times the scale of its own rounding: |X|^T |e| / n for the
+    coefficients, mean |y| for the intercept (profiled out by centering),
+    e = y - intercept - X beta."""
     n = X.shape[0]
     e = y - intercept - X @ beta
-    Xc = X - X.mean(axis=0)
-    bound = tol * np.abs(Xc.T @ Xc / n).sum(axis=1) + 1e-12
     grad = X.T @ e / n - l2 * beta  # minus the smooth part's gradient
     viol = np.where(beta != 0.0, np.abs(grad - l1 * np.sign(beta)),
                     np.maximum(np.abs(grad) - l1, 0.0))
-    return np.append(viol / bound, abs(e.mean()) / 1e-12)
+    return np.append(viol / (np.abs(X).T @ np.abs(e) / n),
+                     abs(e.mean()) / np.abs(y).mean()) / 1e-13
 
 
 @pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
-def test_cd_matches_reference_sweep(protocol, l1_ratio):
-    alpha_grid = FIXED["alpha_grid"]
-    assert len(alpha_grid) == 15
-    X, y = protocol.Xtr, protocol.ytr
-    for alpha in alpha_grid:
-        m = fit_cd(X, y, alpha, l1_ratio)
-        beta, intercept = reference_coordinate_descent(
-            X, y, alpha * l1_ratio, alpha * (1.0 - l1_ratio), 1e-7, 10000)
-        assert np.abs(m.coefficients - beta).max() <= 1e-12
-        assert abs(m.intercept - intercept) <= 1e-12
+def test_cd_matches_reference_sweep(rng, protocol, l1_ratio):
+    """On each seed-1 CV fold and each cd_problem, at every alpha_grid
+    value and the problem's alpha_max, exactly one sign pattern of the
+    reference sweep meets the KKT conditions, and the fit is its b within
+    1e-12 of max |b|: exactly zero where b is."""
+    assert len(FIXED["alpha_grid"]) == 15
+    for X, y in seed1_cv_folds(protocol) + cd_problems(rng, protocol):
+        alphas = FIXED["alpha_grid"] + (lasso_alpha_max(X, y),)
+        for alpha in alphas:
+            m = fit_cd(X, y, alpha, l1_ratio)
+            [ref] = sign_pattern_oracle(X, y, alpha * l1_ratio,
+                                        alpha * (1.0 - l1_ratio))
+            assert np.array_equal(m.coefficients == 0.0, ref == 0.0)
+            assert np.abs(m.coefficients - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
@@ -383,14 +363,40 @@ def test_cd_meets_kkt_conditions(rng, protocol, l1_ratio):
         for alpha in FIXED["alpha_grid"] + (a_max,):
             m = fit_cd(X, y, alpha, l1_ratio)
             viol = kkt_violations(X, y, m.coefficients, m.intercept,
-                                  alpha * l1_ratio, alpha * (1.0 - l1_ratio),
-                                  1e-7)
+                                  alpha * l1_ratio, alpha * (1.0 - l1_ratio))
             assert viol.max() <= 1.0
 
 
+@pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+def test_cd_degenerate_design(rng, l1_ratio):
+    """A duplicated column and a column scaled by 2 make active blocks
+    singular at l2 = 0 (the lasso): an entering coefficient whose Schur
+    complement is not positive steps along the block's null direction.
+    At every alpha the fit meets KKT at rounding level, with no
+    LinAlgError and no RuntimeWarning (an error under the ini), and at
+    alpha = 0.0316227766 its fitted values are within 1e-6 of those of
+    the coordinate descent it replaced, whose coefficients are pinned
+    (the lasso's split between the duplicates is free)."""
+    X0 = rng.normal(size=(40, 4))
+    y = X0 @ rng.normal(size=4) + rng.normal(size=40)
+    X = np.column_stack([X0, X0[:, 1], 2.0 * X0[:, 2]])
+    for alpha in FIXED["alpha_grid"]:
+        m = fit_cd(X, y, alpha, l1_ratio)
+        viol = kkt_violations(X, y, m.coefficients, m.intercept,
+                              alpha * l1_ratio, alpha * (1.0 - l1_ratio))
+        assert viol.max() <= 1.0
+    coefficients, intercept = {
+        1.0: ([-0.3833035996, 1.233254126, 0.0, -0.8203782904, 0.0720882243,
+               0.2499254688], -0.0920039572),
+        0.5: ([-0.3975700029, 0.6567209576, 0.0, -0.8253257238, 0.6567131106,
+               0.2526685021], -0.09323346367)}[l1_ratio]
+    m = fit_cd(X, y, 0.0316227766, l1_ratio)
+    assert np.abs(linear_predict(m, X) - X @ coefficients - intercept).max() <= 1e-6
+
+
 def test_lasso_alpha_max_is_exact(rng, protocol):
-    # alpha_max is the first sweep's largest |rho| bit for bit: at it
-    # every coefficient is exactly zero, one float below it one is not
+    # alpha_max is the largest |c_j| bit for bit: at it no coefficient
+    # enters (|c_j| > alpha fails), one float below it one does
     for X, y in cd_problems(rng, protocol):
         a_max = lasso_alpha_max(X, y)
         assert np.all(lasso_fit(X, y, a_max).coefficients == 0.0)
@@ -399,16 +405,20 @@ def test_lasso_alpha_max_is_exact(rng, protocol):
 
 
 def test_cd_nonconvergence_iterate_matches_reference(protocol, monkeypatch):
+    """Capped at one iteration, the fit stops after its first step: the
+    coefficient with the largest |c_j| enters alone, at its one-coefficient
+    optimum soft(c_j, l1) / (G_jj + l2)."""
     X, y = protocol.Xtr, protocol.ytr
-    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
+    monkeypatch.setattr(linmod, "ACTIVE_SET_MAX_ITER", 1)
     with pytest.raises(ConvergenceError) as exc:
         enet_fit(X, y, 1e-4, 0.5)
-    with pytest.raises(ConvergenceError) as ref:
-        reference_coordinate_descent(X, y, 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
     beta, intercept = exc.value.last_iterate
-    ref_beta, ref_intercept = ref.value.last_iterate
-    assert np.abs(beta - ref_beta).max() <= 1e-12
-    assert abs(intercept - ref_intercept) <= 1e-12
+    x_mean, y_mean, G, c = _centered_moments(X, y)
+    j = np.abs(c).argmax()
+    ref = np.zeros_like(c)
+    ref[j] = np.sign(c[j]) * (abs(c[j]) - 1e-4 * 0.5) / (G[j, j] + 1e-4 * 0.5)
+    assert np.abs(beta - ref).max() <= 1e-15
+    assert abs(intercept - (y_mean - x_mean @ ref)) <= 1e-15
 
 
 def test_cd_constant_column_gets_zero_coefficient(rng):
@@ -419,64 +429,7 @@ def test_cd_constant_column_gets_zero_coefficient(rng):
         assert m.coefficients[0] > 1.0
 
 
-# --- coordinate descent lanes against the scalar sweep
-
-# The scalar covariance-update sweep that ran one fit at a time before
-# the fits ran as lanes, kept verbatim (with the list form of the
-# moments it read) as the oracle every lane must match bit for bit.
-
-def scalar_centered_moments(X, y):
-    """Column means, target mean, and the covariances G = Xc^T Xc / n and
-    c = Xc^T yc / n of the centered data, G and c as Python lists."""
-    n = X.shape[0]
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_mean
-    G = Xc.T @ Xc / n
-    return x_mean, y_mean, G.tolist(), (Xc.T @ (y - y_mean) / n).tolist()
-
-
-def scalar_coordinate_descent(X, y, l1: float, l2: float, tol: float, max_sweeps: int):
-    """Cyclic coordinate descent for (1/2n)||y - b0 - Xb||^2
-    + l1 ||b||_1 + (l2/2) ||b||^2 with covariance updates (Friedman,
-    Hastie & Tibshirani 2010): the unpenalized intercept is profiled out
-    by centering, and r = c - G beta is kept current in p multiply-adds
-    per changed coefficient.  Returns (beta, intercept)."""
-    x_mean, y_mean, G, r = scalar_centered_moments(X, y)
-    beta = [0.0] * len(r)
-    indices = range(len(r))
-    coords = [(j, Gj, Gj[j], Gj[j] + l2) for j, Gj in enumerate(G)]
-    max_change = float("inf")
-    for _ in range(max_sweeps):
-        max_change = 0.0
-        for j, Gj, Gjj, denom in coords:
-            old = beta[j]
-            rho = r[j] + Gjj * old
-            # soft-threshold rho at l1, then scale (a constant column,
-            # whose G_jj is 0, always lands in the zero branch)
-            if rho > l1:
-                new = (rho - l1) / denom
-            elif rho < -l1:
-                new = (rho + l1) / denom
-            else:
-                new = 0.0
-            if new != old:
-                d = new - old
-                for k in indices:
-                    r[k] -= d * Gj[k]
-                beta[j] = new
-                max_change = max(max_change, abs(d))
-        if max_change < tol:
-            break
-    b = np.array(beta)
-    fit = (b, float(y_mean - x_mean @ b))
-    if max_change >= tol:
-        raise ConvergenceError(
-            f"coordinate descent did not converge in {max_sweeps} sweeps",
-            last_iterate=fit,
-        )
-    return fit
-
+# --- lanes against one-lane calls
 
 def assert_fit_bits_equal(fit, ref):
     """(beta, intercept) pairs equal bit for bit, signs of zero included."""
@@ -488,7 +441,7 @@ def assert_fit_bits_equal(fit, ref):
 def test_cd_lanes_match_scalar_sweep(rng, protocol, l1_ratio):
     """All 150 seed-1 CV lanes (10 folds x alpha_grid) in one call, and
     each cd_problem along alpha_grid plus its alpha_max, are bitwise
-    equal to one scalar fit at a time."""
+    equal to one scalar fit (a one-lane call) at a time."""
     grid = FIXED["alpha_grid"]
     runs = [(seed1_cv_folds(protocol), grid)]
     runs += [([(X, y)], grid + (lasso_alpha_max(X, y),))
@@ -498,22 +451,21 @@ def test_cd_lanes_match_scalar_sweep(rng, protocol, l1_ratio):
         assert [len(models) for models in fits] == [len(alphas)] * len(folds)
         for (X, y), models in zip(folds, fits):
             for alpha, m in zip(alphas, models):
-                assert_fit_bits_equal(
-                    (m.coefficients, m.intercept), scalar_coordinate_descent(
-                        X, y, alpha * l1_ratio, alpha * (1.0 - l1_ratio),
-                        1e-7, 10000))
+                ref = fit_cd(X, y, alpha, l1_ratio)
+                assert_fit_bits_equal((m.coefficients, m.intercept),
+                                      (ref.coefficients, ref.intercept))
 
 
 def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol, monkeypatch):
-    # alpha 10 zeroes every coefficient in the first sweep, so each
-    # fold's first lane converges and the first stuck lane is the second
+    # at alpha 10 no coefficient enters, so each fold's first lane
+    # finishes at its first pricing and the first stuck lane is the second
     folds = seed1_cv_folds(protocol)
-    monkeypatch.setattr(linmod, "CD_MAX_SWEEPS", 1)
+    monkeypatch.setattr(linmod, "ACTIVE_SET_MAX_ITER", 1)
     with pytest.raises(ConvergenceError,
-                       match=r"1 sweeps at alpha=0\.0001 on fold 1 of 10") as exc:
+                       match=r"1 iterations at alpha=0\.0001 on fold 1 of 10") as exc:
         fit_elastic_net(folds, (10.0, 1e-4), 0.5)
     with pytest.raises(ConvergenceError) as ref:
-        scalar_coordinate_descent(*folds[0], 1e-4 * 0.5, 1e-4 * 0.5, 1e-7, 1)
+        enet_fit(*folds[0], 1e-4, 0.5)
     assert_fit_bits_equal(exc.value.last_iterate, ref.value.last_iterate)
 
 
@@ -521,8 +473,8 @@ def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol, monkeypatch):
 def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
                                                    l1_ratio):
     """The Lasso and Elastic Net paths fit the training split as one more
-    lane group of the CV descent.  Their final models are its lanes at
-    the selected alpha, bitwise equal to single fits, and a stuck lane of
+    lane group of the CV solve.  Their final models are its lanes at the
+    selected alpha, bitwise equal to single fits, and a stuck lane of
     that group names the training split, not an eleventh fold."""
     regressor = _regression_table(ExperimentConfig(), protocol)[row]
 
@@ -536,14 +488,14 @@ def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
         ref = enet_fit(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
         assert_fit_bits_equal((m.coefficients, m.intercept),
                               (ref.coefficients, ref.intercept))
-    descent = linmod._coordinate_descent
+    solve = linmod._active_set
 
     def stuck_final(*args):
-        beta, stuck = descent(*args)
+        beta, stuck = solve(*args)
         stuck[-1] = True  # the training split's lane at the largest alpha
         return beta, stuck
 
-    monkeypatch.setattr(linmod, "_coordinate_descent", stuck_final)
+    monkeypatch.setattr(linmod, "_active_set", stuck_final)
     with pytest.raises(ConvergenceError,
                        match=r"at alpha=10\.0 on the training split$"):
         cv()
@@ -551,10 +503,10 @@ def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
 
 def test_cd_cv_fold_scores_are_pinned(regression_suite):
     # sha256 of the seed-1 lasso and elastic-net cv_fold_scores, recorded
-    # while each CV fit still ran alone
+    # from the exact active-set solve
     scores = {r["model"]: r["cv_fold_scores"] for r in regression_suite["table"]
               if r["model"] in ("Lasso Regression", "Elastic Net Regression")}
     assert len(scores) == 2
     digest = hashlib.sha256(json.dumps(scores, sort_keys=True).encode()).hexdigest()
-    assert digest == ("306cf197992cfac40e952f8c0c67200842da116d"
-                      "0d7ee5f9082a900165872b39")
+    assert digest == ("f10d08ba6490f3de53801e10ab7d55ef974bcc0e"
+                      "9fbb019aa4d4f211d8ec03fc")
