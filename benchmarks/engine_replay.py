@@ -67,14 +67,12 @@ def regress_2x_path(work_dir: str) -> str:
 
 
 def fold_problems(config: experiments.ExperimentConfig) -> list:
-    """(K, y) of each CV fold of the report's SVR CV, as its path gets them."""
+    """(K, y) of each CV fold of the report's SVR CV, as it solves them."""
     proto = experiments.prepare_protocol(config)
     kern = kernelmod.KernelSpec("rbf", kernelmod.gamma_scale(proto.Xtr))
-    folds = []
-    experiments.cross_validate(
-        {"capture": lambda fs: folds.extend(fs) or [[] for _ in fs]},
-        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
-    return [(kernelmod.kernel_matrix(kern, Xs, Xs), ys) for Xs, ys, _ in folds]
+    folds = experiments.cv_folds(proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
+                                 proto.kfold_seed)
+    return [(kernelmod.kernel_matrix(kern, Xs, Xs), ys) for Xs, ys, _, _ in folds]
 
 
 def kernelmod_at(rev: str):

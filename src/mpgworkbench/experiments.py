@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -152,22 +151,15 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     )
 
 
-def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
-                   seed: int, rows=None) -> dict:
-    """k-fold CV of several models' hyperparameter paths on one fold layout.
+def cv_folds(X: np.ndarray, y: np.ndarray, k: int, seed: int, rows=None) -> list:
+    """The k folds of k-fold CV on (X, y), as [(Xtr, ytr, Xte, yte), ...],
+    each standardized with its training rows' statistics.
 
-    Each fold is standardized once, with its training statistics.  Each
-    model's path is called once, as ``paths[name](folds)`` with the list
-    of all k folds' (Xtr, ytr, Xte), and returns per fold the held-out
-    predictions for every grid value of that model, in grid order; so a
-    path may fit the folds together.  Scores are held-out R^2
-    (scale-invariant, so the standardized units don't matter).  Returns
-    name -> one {"fold_scores": [...], "mean": float} per grid value.
-    Raises DataError, before any fit, when a held-out fold would have
-    fewer than 3 rows (adjusted R^2 with p = 1 needs n > 2), and when a
-    column is constant in a fold's training rows, its target is constant
-    in a fold's held-out rows, or a standardized value is too large to
-    square (naming its data row, rows[i] for row i of X).
+    Raises DataError, on any fold before it returns one, when a held-out
+    fold would have fewer than 3 rows (adjusted R^2 with p = 1 needs
+    n > 2), and when a column is constant in a fold's training rows, its
+    target is constant in a fold's held-out rows, or a standardized value
+    is too large to square (naming its data row, rows[i] for row i of X).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -175,21 +167,21 @@ def cross_validate(paths: dict, X: np.ndarray, y: np.ndarray, k: int,
     if n // k < 3:
         raise DataError(f"{k}-fold cross-validation needs at least 3 held-out "
                         f"rows per fold, but the training split has {n} rows")
-    layout, folds, held_out = kfold(n, k, seed), [], []
-    for i, test_idx in enumerate(layout):
-        train_idx = np.concatenate([f for j, f in enumerate(layout) if j != i])
-        Xtr, ytr, Xte, yte = _standardized(
-            X, y, train_idx, test_idx, f"training rows of CV fold {i + 1}",
-            f"held-out rows of CV fold {i + 1}", rows)
-        folds.append((Xtr, ytr, Xte))
-        held_out.append(yte)
-    results = {}
-    for name, path in paths.items():
-        per_fold = [[regression_metrics(yte, pred, p=1)["r2"] for pred in preds]
-                    for yte, preds in zip(held_out, path(folds))]
-        results[name] = [{"fold_scores": list(s), "mean": float(np.mean(s))}
-                         for s in zip(*per_fold)]
-    return results
+    layout = kfold(n, k, seed)
+    return [_standardized(X, y, np.concatenate(layout[:i] + layout[i + 1:]), test,
+                          f"training rows of CV fold {i + 1}",
+                          f"held-out rows of CV fold {i + 1}", rows)
+            for i, test in enumerate(layout)]
+
+
+def cv_scores(folds: list, preds: list) -> list:
+    """Held-out R^2 of ``preds[fold][grid value]``, the predictions for
+    each fold's held-out rows (folds as cv_folds returns them) at each
+    grid value: one {"fold_scores": [...], "mean": float} per grid value.
+    R^2 is scale-invariant, so the standardized units don't matter."""
+    per_fold = [[regression_metrics(fold[3], pred, p=1)["r2"] for pred in fold_preds]
+                for fold, fold_preds in zip(folds, preds)]
+    return [{"fold_scores": list(s), "mean": float(np.mean(s))} for s in zip(*per_fold)]
 
 
 def _select(grid, results):
@@ -202,91 +194,10 @@ def _select(grid, results):
     return grid[best], results[best]
 
 
-class _Regressor(NamedTuple):
-    name: str
-    grid: tuple | None  # CV grid; None: no CV
-    fit: Callable  # (X, y, selected value) -> model
-    predict: Callable  # (model, X) -> predictions
-    p: int  # feature count for adjusted R^2
-    hyperparams: Callable  # selected value -> reported hyperparameters
-    cv_reported: bool
-    path: Callable | None = None  # CV path (see cross_validate); None: refit per value
-
-
-def _regression_table(config: ExperimentConfig, proto: ProtocolData) -> tuple:
-    """The seven regressors in report order.  Built per call, so each fit
-    is looked up through this module's names when it runs."""
-    d = proto.Xtr.shape[1]
-    eps, l1_ratio, deg = (FIXED["svr_epsilon"], FIXED["elastic_net_l1_ratio"],
-                          FIXED["poly_degree"])
-    kern, grid = KernelSpec("rbf", gamma_scale(proto.Xtr)), FIXED["svr_c_grid"]
-
-    def svr_path(folds):
-        return [svr_fold(*fold) for fold in folds]
-
-    def svr_fold(Xs, ys, Xq):
-        path = solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys, grid, eps)
-        K_test = kernel_matrix(kern, Xq, Xs)
-        return [K_test @ beta + b for beta, b in path]
-
-    finals = {}  # CD fit -> the training split's models, in alpha order
-    enet = partial(fit_elastic_net, l1_ratio=l1_ratio)
-
-    def cd_path(fit):
-        # every fold and the training split at every alpha: lanes of one
-        # solve, so the selected alpha's final model is already fitted
-        def path(folds):
-            k = len(folds)
-            *fits, finals[fit] = fit(
-                [f[:2] for f in folds] + [(proto.Xtr, proto.ytr)],
-                FIXED["alpha_grid"],
-                names=[f"fold {i} of {k}" for i in range(1, k + 1)]
-                + ["the training split"])
-            return [[linear_predict(m, f[2]) for m in ms] for ms, f in zip(fits, folds)]
-        return path
-
-    def cd_final(fit):  # (X, y) is the training split, fitted by cd_path
-        return lambda X, y, a: finals[fit][FIXED["alpha_grid"].index(a)]
-
-    return (
-        _Regressor("SVM Regression", grid,
-                   lambda X, y, C: fit_svr(X, y, grid[:grid.index(C) + 1], eps, kern),
-                   svm_decision, d,
-                   lambda C: {"kernel": "rbf", "gamma": kern.gamma, "C": C,
-                              "epsilon": eps}, False, svr_path),
-        _Regressor("Random Forest Regressor", None,
-                   lambda X, y, _: fit_random_forest(
-                       X, y, n_trees=FIXED["forest_trees"],
-                       seed=proto.forest_seed),
-                   forest_predict, d,
-                   lambda _: {"n_trees": FIXED["forest_trees"],
-                              "max_features": forest_max_features(d)},
-                   False),
-        _Regressor("Ridge Regression", FIXED["alpha_grid"],
-                   lambda X, y, lam: fit_ridge(X, y, lam), linear_predict, d,
-                   lambda lam: {"lambda": lam}, True),
-        _Regressor("Linear Regression", (None,),
-                   lambda X, y, _: fit_ols(X, y), linear_predict, d,
-                   lambda _: {}, True),
-        _Regressor("Elastic Net Regression", FIXED["alpha_grid"],
-                   cd_final(enet), linear_predict, d,
-                   lambda a: {"alpha": a, "l1_ratio": l1_ratio}, True,
-                   cd_path(enet)),
-        _Regressor("Polynomial Regression", None,
-                   lambda X, y, _: fit_ols(polynomial_features(X, deg), y),
-                   lambda m, X: linear_predict(m, polynomial_features(X, deg)),
-                   polynomial_feature_count(d, deg),
-                   lambda _: {"degree": deg}, False),
-        _Regressor("Lasso Regression", FIXED["alpha_grid"],
-                   cd_final(fit_lasso), linear_predict, d,
-                   lambda a: {"alpha": a}, True, cd_path(fit_lasso)),
-    )
-
-
-def diagnostics(model, Xte: np.ndarray, yte: np.ndarray, bins: int) -> dict:
-    """Figure data for the linear-model diagnostic plots: observed vs
-    predicted pairs, residual-vs-predicted pairs, residual histogram."""
-    y_pred = linear_predict(model, Xte)
+def diagnostics(y_pred: np.ndarray, yte: np.ndarray, bins: int) -> dict:
+    """Figure data for the linear-model diagnostic plots from its test
+    predictions: observed vs predicted pairs, residual-vs-predicted
+    pairs, residual histogram."""
     residuals = np.asarray(yte, dtype=float) - y_pred
     return {
         "true_vs_pred": [[float(a), float(b)] for a, b in zip(yte, y_pred)],
@@ -297,30 +208,73 @@ def diagnostics(model, Xte: np.ndarray, yte: np.ndarray, bins: int) -> dict:
 
 def run_regression_suite(config: ExperimentConfig, proto: ProtocolData | None = None) -> dict:
     """Train the seven regression models and score them on the test
-    split (standardized units); rows sorted by R^2 descending."""
+    split (standardized units); rows sorted by R^2 descending.  Every
+    grid is selected by CV on one fold layout of the training split."""
     proto = proto or prepare_protocol(config)
-    table = _regression_table(config, proto)
-    # CV on the training split: every grid on one fold layout
-    cv = cross_validate(
-        {r.name: r.path or (lambda folds, r=r: [
-            [r.predict(r.fit(Xs, ys, v), Xq) for v in r.grid]
-            for Xs, ys, Xq in folds]) for r in table if r.grid},
-        proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed, proto.train_idx)
-    models, rows = {}, []
-    for r in table:
-        value, result = _select(r.grid, cv[r.name]) if r.grid else (None, None)
-        models[r.name] = model = r.fit(proto.Xtr, proto.ytr, value)
-        row = {"model": r.name,
-               **regression_metrics(proto.yte, r.predict(model, proto.Xte), p=r.p),
-               "hyperparams": r.hyperparams(value),
-               "cv_mean_r2": result["mean"] if r.cv_reported else None}
-        if r.cv_reported:
-            row["cv_fold_scores"] = result["fold_scores"]
-        rows.append(row)
+    Xtr, ytr, Xte, yte, d = proto.Xtr, proto.ytr, proto.Xte, proto.yte, proto.Xtr.shape[1]
+    eps, l1_ratio, deg = (FIXED["svr_epsilon"], FIXED["elastic_net_l1_ratio"],
+                          FIXED["poly_degree"])
+    c_grid, alphas = FIXED["svr_c_grid"], FIXED["alpha_grid"]
+    kern = KernelSpec("rbf", gamma_scale(Xtr))
+    folds = cv_folds(proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed,
+                     proto.train_idx)
+
+    def linear_cv(fits):  # per fold, its models in grid order -> CV results
+        return cv_scores(folds, [[linear_predict(m, fold[2]) for m in models]
+                                 for models, fold in zip(fits, folds)])
+
+    svr_preds = []  # one C path per fold
+    for Xs, ys, Xq, _ in folds:
+        path = solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys, c_grid, eps)
+        K_test = kernel_matrix(kern, Xq, Xs)
+        svr_preds.append([K_test @ beta + b for beta, b in path])
+    svr_cv = cv_scores(folds, svr_preds)
+    ridge_cv = linear_cv([[fit_ridge(Xs, ys, lam) for lam in alphas]
+                          for Xs, ys, _, _ in folds])
+    ols_cv, = linear_cv([[fit_ols(Xs, ys)] for Xs, ys, _, _ in folds])
+    # the training split is one more lane group of each CV solve, so the
+    # final models at every alpha are its lanes
+    lanes = [fold[:2] for fold in folds] + [(Xtr, ytr)]
+    names = [f"fold {i} of {len(folds)}" for i in range(1, len(folds) + 1)]
+    names.append("the training split")
+    *enet_fits, enet_final = fit_elastic_net(lanes, alphas, l1_ratio, names=names)
+    *lasso_fits, lasso_final = fit_lasso(lanes, alphas, names=names)
+
+    def row(name, pred, hyperparams, cv=None, p=d):
+        out = {"model": name, **regression_metrics(yte, pred, p=p),
+               "hyperparams": hyperparams, "cv_mean_r2": cv["mean"] if cv else None}
+        if cv:
+            out["cv_fold_scores"] = cv["fold_scores"]
+        return out
+
+    C = _select(c_grid, svr_cv)[0]
+    lam, ridge_cv = _select(alphas, ridge_cv)
+    a_enet, enet_cv = _select(alphas, linear_cv(enet_fits))
+    a_lasso, lasso_cv = _select(alphas, linear_cv(lasso_fits))
+    rows = [
+        row("SVM Regression",
+            svm_decision(fit_svr(Xtr, ytr, c_grid[:c_grid.index(C) + 1], eps, kern), Xte),
+            {"kernel": "rbf", "gamma": kern.gamma, "C": C, "epsilon": eps}),
+        row("Random Forest Regressor", forest_predict(fit_random_forest(
+            Xtr, ytr, n_trees=FIXED["forest_trees"], seed=proto.forest_seed), Xte),
+            {"n_trees": FIXED["forest_trees"], "max_features": forest_max_features(d)}),
+        row("Ridge Regression", linear_predict(fit_ridge(Xtr, ytr, lam), Xte),
+            {"lambda": lam}, ridge_cv),
+        row("Linear Regression", ols_pred := linear_predict(fit_ols(Xtr, ytr), Xte), {},
+            ols_cv),
+        row("Elastic Net Regression",
+            linear_predict(enet_final[alphas.index(a_enet)], Xte),
+            {"alpha": a_enet, "l1_ratio": l1_ratio}, enet_cv),
+        row("Polynomial Regression",
+            linear_predict(fit_ols(polynomial_features(Xtr, deg), ytr),
+                           polynomial_features(Xte, deg)),
+            {"degree": deg}, p=polynomial_feature_count(d, deg)),
+        row("Lasso Regression", linear_predict(lasso_final[alphas.index(a_lasso)], Xte),
+            {"alpha": a_lasso}, lasso_cv),
+    ]
     rows.sort(key=lambda r: r["r2"], reverse=True)
     return {"table": rows, "figure_data": {
-        **diagnostics(models["Linear Regression"], proto.Xte, proto.yte,
-                      FIXED["residual_bins"]),
+        **diagnostics(ols_pred, yte, FIXED["residual_bins"]),
         "model_comparison": [{"model": r["model"], "r2": r["r2"]} for r in rows],
     }}
 
@@ -338,15 +292,19 @@ class _Family(NamedTuple):
     cut: float  # a score at or above it classifies as class 1
 
 
-def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None = None) -> dict:
-    """The 10-row hyperparameter grid, ROC series for the four reported
-    configurations, and the class-wise summary tables."""
-    proto = proto or prepare_protocol(config)
+def _require_both_classes(config: ExperimentConfig, proto: ProtocolData):
     for split, labels in (("training", proto.labels_tr), ("test", proto.labels_te)):
         if np.unique(labels).size < 2:
             raise DataError(f"the {split} split has only class-{labels[0]} rows at "
                             f"threshold {config.threshold_mpg} mpg; both classes "
                             "must be present")
+
+
+def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None = None) -> dict:
+    """The 10-row hyperparameter grid, ROC series for the four reported
+    configurations, and the class-wise summary tables."""
+    proto = proto or prepare_protocol(config)
+    _require_both_classes(config, proto)
     c_desc = tuple(sorted(FIXED["c_grid"], reverse=True))
     linear, rbf = KernelSpec("linear"), KernelSpec("rbf", gamma_scale(proto.Xtr))
     families = {
@@ -421,8 +379,9 @@ def run_full_report(config: ExperimentConfig) -> dict:
     """All experiment outputs plus provenance, fully deterministic, from
     one read of the data file."""
     proto = prepare_protocol(config)
-    # first: it starts by checking that both classes are present
-    classification = run_classification_grid(config, proto)
+    # every data check before the first fit: the classes here, the CV
+    # folds' at the start of the regression suite
+    _require_both_classes(config, proto)
     return {
         "provenance": {
             "config": config.to_dict(),
@@ -433,7 +392,7 @@ def run_full_report(config: ExperimentConfig) -> dict:
         },
         "eda": run_eda(config, proto.dataset),
         "regression": run_regression_suite(config, proto),
-        "classification": classification,
+        "classification": run_classification_grid(config, proto),
     }
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpgworkbench.experiments import (ExperimentConfig, cross_validate,
+from mpgworkbench.experiments import (ExperimentConfig, cv_folds,
                                       prepare_protocol,
                                       run_classification_grid,
                                       run_regression_suite)
@@ -88,16 +88,9 @@ def rng():
 
 def seed1_cv_folds(protocol):
     """The standardized (Xtr, ytr) of the seed-1 protocol's 10 CV folds,
-    as cross_validate hands them to every path."""
-    captured = []
-
-    def capture(folds):
-        captured.extend((Xs, ys) for Xs, ys, _ in folds)
-        return [[] for _ in folds]
-
-    cross_validate({"capture": capture}, protocol.Xtr_raw, protocol.ytr_raw,
-                   10, protocol.kfold_seed)
-    return captured
+    as the regression suite fits them."""
+    return [fold[:2] for fold in cv_folds(protocol.Xtr_raw, protocol.ytr_raw, 10,
+                                          protocol.kfold_seed)]
 
 
 def lasso_alpha_max(X: np.ndarray, y: np.ndarray) -> float:

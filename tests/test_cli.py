@@ -8,6 +8,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +144,23 @@ def test_constant_training_feature_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+# every fit that the experiments run, regression and classification
+FITS = ("solve_svr_dual", "fit_svr", "fit_random_forest", "fit_ridge", "fit_ols",
+        "fit_elastic_net", "fit_lasso", "fit_svc_smo", "fit_logistic", "fit_cart")
+
+
+def spy_on_fits(monkeypatch):
+    """The names of the fits that experiments calls, filled as they run."""
+    calls = []
+    for name in FITS:
+        monkeypatch.setattr(experiments, name,
+                            lambda *args, name=name, fit=getattr(experiments, name), **kw:
+                            calls.append(name) or fit(*args, **kw))
+    return calls
+
+
 @pytest.mark.parametrize("command", ["regress", "report"])
-def test_constant_held_out_target_exits_two(tmp_path, capsys, command):
+def test_constant_held_out_target_exits_two(tmp_path, capsys, monkeypatch, command):
     # mpg 20.0 on every packaged row but every 40th: at seed 1, CV folds
     # 2, 3, 4 and 9 hold out only 20.0, which has no R^2
     with open(reference_data_path(), "r", encoding="utf-8") as fh:
@@ -152,11 +168,12 @@ def test_constant_held_out_target_exits_two(tmp_path, capsys, command):
                 for i, row in enumerate(fh.read().splitlines())]
     data = tmp_path / "constant.data"
     data.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    out = tmp_path / "out"
+    out, fits = tmp_path / "out", spy_on_fits(monkeypatch)
     assert run_cli([command, "--data", str(data), "--out", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == (
         "data error: 'mpg' is constant in the held-out rows of CV fold 2: "
         "R^2 is undefined there\n")
+    assert fits == []
     assert not out.exists()
 
 
@@ -170,11 +187,18 @@ def test_class_missing_from_split_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_report_with_a_missing_class_exits_two_without_output(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run_cli(["report", "--threshold", "45", "--out", str(out)]) == EXIT_DATA
-    assert "only class-0 rows at threshold 45.0 mpg" in capsys.readouterr().err
-    assert not out.exists()
+def test_report_with_a_missing_class_exits_two_without_output(tmp_path, capsys,
+                                                              monkeypatch):
+    # the class check comes before every fit, the regression suite's too
+    fits = spy_on_fits(monkeypatch)
+    for threshold in (45, 100):  # no training car reaches either
+        out = tmp_path / str(threshold)
+        code = run_cli(["report", "--threshold", str(threshold), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert (f"only class-0 rows at threshold {threshold:.1f} mpg"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    assert fits == []
 
 
 def test_invalid_config_file_value_exits_one(tmp_path, capsys):
@@ -327,16 +351,22 @@ def _set(rows, **values):
     return [dataclasses.replace(r, **values) for r in rows]
 
 
+def _with_tokens(rows, changes):
+    """``rows``, serialized, with field ``field`` of line ``i`` (from 0)
+    replaced by ``token`` for each (i, field, token) of ``changes``."""
+    lines = serialize_raw_table(RawTable(rows=tuple(rows))).split("\n")
+    for i, field, token in changes:
+        numbers, name = lines[i].split("\t")
+        fields = numbers.split("   ")
+        fields[(("mpg",) + FEATURE_NAMES).index(field)] = token
+        lines[i] = "   ".join(fields) + "\t" + name
+    return "\n".join(lines)
+
+
 def _token(field, token):
     """The packaged rows, serialized, with ``field`` of the first line
     replaced by a token that no RawRecord holds."""
-    def make(rows):
-        first, rest = serialize_raw_table(RawTable(rows=tuple(rows))).split("\n", 1)
-        numbers, name = first.split("\t")
-        fields = numbers.split("   ")
-        fields[(("mpg",) + FEATURE_NAMES).index(field)] = token
-        return "   ".join(fields) + "\t" + name + "\n" + rest
-    return make
+    return lambda rows: _with_tokens(rows, [(0, field, token)])
 
 
 def _scaled(field, factor):
@@ -589,6 +619,50 @@ def test_every_command_scales_with_a_column_times_a_power_of_two(
                 assert code == EXIT_OK, (command, err.getvalue())
                 assert _outputs(out) == _times_power_of_two(
                     outputs[command], field, k, sha), command
+
+
+# numeric tokens that the grammar accepts: huge, tiny and subnormal
+# numbers, and integers that are long, signed or zero-padded (an integer
+# field takes only these; a number there is test_token_outside_...'s case)
+HOSTILE_NUMBERS = ("1e308", "1e-308", "4.9e-324", "1e200", "1e-200")
+HOSTILE_INTEGERS = ("123456789012345678901234567890", "99999999999999999999", "+3", "007")
+
+
+def _hostile_token(field):
+    """(line, field, token) draws for ``field``."""
+    integer = field in ("cylinders", "model_year", "origin")
+    return st.tuples(st.integers(min_value=0, max_value=397), st.just(field),
+                     st.sampled_from(HOSTILE_INTEGERS if integer
+                                     else HOSTILE_NUMBERS + HOSTILE_INTEGERS))
+
+
+@pytest.mark.slow
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(("mpg",) + FEATURE_NAMES).flatmap(_hostile_token),
+                min_size=1, max_size=3))
+def test_hostile_tokens_exit_cleanly(reference_text, changes):
+    """Hostile tokens in 1-3 fields of the packaged file: every command
+    exits 0, 2 or 3 and warns nothing, and a failed run names its cause
+    and leaves no --out."""
+    rows = parse_auto_mpg(reference_text).rows
+    with tempfile.TemporaryDirectory() as work:
+        data = Path(work) / "cars.data"
+        data.write_text(_with_tokens(rows, changes), encoding="utf-8")
+        for command in COMMANDS:
+            out, err = Path(work) / command, io.StringIO()
+            with (contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = run_cli([command, "--data", str(data), "--out", str(out)])
+            assert [str(w.message) for w in caught] == [], command
+            assert "Warning" not in err.getvalue(), command
+            if code == EXIT_OK:
+                assert (out / "report.json").exists(), command
+            else:
+                assert code in (EXIT_DATA, EXIT_NUMERICAL), (command, err.getvalue())
+                assert err.getvalue().startswith(
+                    "data error: " if code == EXIT_DATA else "numerical failure: "), command
+                assert not out.exists(), command
 
 
 # --- recorded data path (the suite itself is stubbed: only the config

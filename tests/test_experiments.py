@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mpgworkbench import experiments
-from mpgworkbench.experiments import (FIXED, ExperimentConfig, cross_validate,
+from mpgworkbench.experiments import (FIXED, ExperimentConfig, cv_folds, cv_scores,
                                       prepare_protocol, report_to_json,
                                       run_classification_grid, run_eda,
                                       run_full_report)
@@ -85,14 +85,13 @@ def test_config_records_the_fixed_settings():
     assert {k: recorded[k] for k in FIXED} == FIXED
 
 
-# --- cross_validate
+# --- cv_folds and cv_scores
 
 def ols_cv(X, y, k, seed):
-    """The CV result of OLS, the one-entry path of the fold loop."""
-    def ols_path(folds):
-        return [[linear_predict(fit_ols(Xs, ys), Xq)] for Xs, ys, Xq in folds]
-
-    return cross_validate({"ols": ols_path}, X, y, k, seed)["ols"][0]
+    """The CV result of OLS, a one-value grid."""
+    folds = cv_folds(X, y, k, seed)
+    return cv_scores(folds, [[linear_predict(fit_ols(Xs, ys), Xq)]
+                             for Xs, ys, Xq, _ in folds])[0]
 
 
 def test_cv_perfect_linear_data(rng):
@@ -109,6 +108,8 @@ def test_cv_small_folds_run(rng):
     y = X[:, 0] + 0.1 * rng.normal(size=30)
     result = ols_cv(X, y, k=10, seed=0)
     assert len(result["fold_scores"]) == 10
+    folds = cv_folds(X, y, 10, 0)
+    assert [(len(ys), len(yq)) for _, ys, _, yq in folds] == [(27, 3)] * 10
 
 
 @pytest.mark.parametrize("n, k", [(29, 10), (8, 10)])
@@ -145,26 +146,25 @@ def test_cv_value_too_large_to_square_names_its_data_row(rng, column):
     y = X[:, 0] + rng.normal(size=30)
     (y if column is None else X[:, column])[4] = 1e300
     held_out = next(i for i, f in enumerate(kfold(30, 6, 3), 1) if 4 in f)
-    paths = {"none": lambda folds: [[] for _ in folds]}
     with pytest.raises(DataError, match="^data row 5 is too large to square once "
                        f"standardized with the training rows of CV fold {held_out}$"):
-        cross_validate(paths, X, y, 6, 3)
+        cv_folds(X, y, 6, 3)
     with pytest.raises(DataError, match="^data row 105 "):
-        cross_validate(paths, X, y, 6, 3, np.arange(100, 130))
+        cv_folds(X, y, 6, 3, np.arange(100, 130))
+
 
 def test_cv_constant_held_out_target_is_a_data_error_before_any_fit(rng):
     """Held-out rows that share one target have no R^2: a DataError naming
-    the first such fold, raised before any path fits a fold."""
+    the first such fold, raised by cv_folds, so before any fit (the
+    regression suite's own no-fit check is in test_cli)."""
     layout = kfold(30, 6, 3)
     X = rng.normal(size=(30, 7))
     y = X[:, 0] + rng.normal(size=30)
     for i in (4, 1):
         y[layout[i]] = 20.0
-    calls = []
     with pytest.raises(DataError, match="^'mpg' is constant in the held-out "
                                         "rows of CV fold 2: R\\^2 is undefined"):
-        cross_validate({"spy": calls.append}, X, y, 6, 3)
-    assert calls == []
+        cv_folds(X, y, 6, 3)
 
 
 def test_protocol_constant_test_target_is_a_data_error(tmp_path, protocol,
@@ -189,12 +189,9 @@ def test_cv_mean_matches_fold_scores(rng):
 def test_cv_scores_every_path_entry_on_one_fold_layout(rng):
     X = rng.normal(size=(30, 2))
     y = X[:, 0] + rng.normal(size=30)
-
-    def two_entry_path(folds):
-        preds = [linear_predict(fit_ols(Xs, ys), Xq) for Xs, ys, Xq in folds]
-        return [[pred, np.zeros_like(pred)] for pred in preds]
-
-    result = cross_validate({"pair": two_entry_path}, X, y, 6, 3)["pair"]
+    folds = cv_folds(X, y, 6, 3)
+    preds = [linear_predict(fit_ols(Xs, ys), Xq) for Xs, ys, Xq, _ in folds]
+    result = cv_scores(folds, [[pred, np.zeros_like(pred)] for pred in preds])
     assert len(result) == 2
     assert result[0] == ols_cv(X, y, k=6, seed=3)
     # predicting the training-fold mean (0 after standardization)
@@ -307,7 +304,7 @@ def test_class_missing_from_a_split_is_a_data_error(threshold, split, present):
 
 def test_full_report_checks_classes_before_eda_and_regression(monkeypatch):
     calls = []
-    for name in ("run_eda", "run_regression_suite"):
+    for name in ("run_eda", "run_regression_suite", "run_classification_grid"):
         monkeypatch.setattr(experiments, name,
                             lambda *args, name=name: calls.append(name))
     with pytest.raises(DataError, match="only class-0 rows at threshold 45"):
@@ -403,11 +400,8 @@ from mpgworkbench.kernelmod import (KernelSpec, _svr_active_set, gamma_scale,
                                     kernel_matrix, solve_svr_dual)
 config = experiments.ExperimentConfig(seed=1)
 proto = experiments.prepare_protocol(config)
-folds = []
-experiments.cross_validate(
-    {"capture": lambda fs: folds.extend(fs) or [[] for _ in fs]},
-    proto.Xtr_raw, proto.ytr_raw, config.cv_folds, proto.kfold_seed)
-Xs, ys, _ = folds[0]
+Xs, ys, _, _ = experiments.cv_folds(proto.Xtr_raw, proto.ytr_raw, config.cv_folds,
+                                    proto.kfold_seed)[0]
 K = kernel_matrix(KernelSpec("rbf", gamma_scale(proto.Xtr)), Xs, Xs)
 (beta0, _), = solve_svr_dual(K, ys, (1.0,), 0.1)
 start, *_ = _svr_active_set(K, ys, 10.0, 0.1, 10.0 / abs(beta0).max() * beta0, None)

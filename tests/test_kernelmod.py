@@ -600,15 +600,30 @@ def svr_dual_value(K, y, epsilon, beta):
     return float(y @ beta - epsilon * np.abs(beta).sum() - 0.5 * beta @ K @ beta)
 
 
+class _AtFinalSvr(Exception):
+    """Ends the regression suite at its final SVR fit."""
+
+
 def seed1_svr_cv(protocol):
     """The SVR's C grid and its CV results on the protocol's training
-    split, as the seed-1 report runs them; every solve goes through
-    experiments.solve_svr_dual."""
-    config = experiments.ExperimentConfig()
-    svr = experiments._regression_table(config, protocol)[0]
-    return svr.grid, experiments.cross_validate(
-        {svr.name: svr.path}, protocol.Xtr_raw, protocol.ytr_raw,
-        config.cv_folds, protocol.kfold_seed)[svr.name]
+    split, from the seed-1 regression suite itself, which is ended at its
+    final SVR fit: the SVR's CV is the suite's first cv_scores call, and
+    every solve of it goes through experiments.solve_svr_dual."""
+    scores, score = [], experiments.cv_scores
+
+    def recorded(folds, preds):
+        scores.append(score(folds, preds))
+        return scores[-1]
+
+    def final_svr(*args):
+        raise _AtFinalSvr
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "cv_scores", recorded)
+        patch.setattr(experiments, "fit_svr", final_svr)
+        with pytest.raises(_AtFinalSvr):
+            experiments.run_regression_suite(experiments.ExperimentConfig(), protocol)
+    return experiments.FIXED["svr_c_grid"], scores[0]
 
 
 def cap_warm_smo(monkeypatch, steps):

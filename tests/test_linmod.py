@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from conftest import enet_fit, lasso_alpha_max, lasso_fit, seed1_cv_folds
 
-from mpgworkbench import linmod
+from mpgworkbench import experiments, linmod
 from mpgworkbench.experiments import (FIXED, ExperimentConfig,
-                                      _regression_table, cross_validate)
+                                      run_regression_suite)
 from mpgworkbench.linmod import (ConvergenceError, _centered_moments,
                                  fit_elastic_net, fit_logistic, fit_ols,
                                  fit_ridge, linear_predict, logistic_gradient,
@@ -469,36 +469,44 @@ def test_cd_lanes_nonconvergence_names_first_stuck_lane(protocol, monkeypatch):
     assert_fit_bits_equal(exc.value.last_iterate, ref.value.last_iterate)
 
 
-@pytest.mark.parametrize("row, l1_ratio", [(-1, 1.0), (4, 0.5)])
-def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, monkeypatch, row,
-                                                   l1_ratio):
-    """The Lasso and Elastic Net paths fit the training split as one more
-    lane group of the CV solve.  Their final models are its lanes at the
-    selected alpha, bitwise equal to single fits, and a stuck lane of
-    that group names the training split, not an eleventh fold."""
-    regressor = _regression_table(ExperimentConfig(), protocol)[row]
-
-    def cv():
-        cross_validate({regressor.name: regressor.path}, protocol.Xtr_raw,
-                       protocol.ytr_raw, 10, protocol.kfold_seed)
-
-    cv()
-    for alpha in FIXED["alpha_grid"]:
-        m = regressor.fit(protocol.Xtr, protocol.ytr, alpha)
-        ref = enet_fit(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
-        assert_fit_bits_equal((m.coefficients, m.intercept),
-                              (ref.coefficients, ref.intercept))
-    solve = linmod._active_set
+@pytest.mark.parametrize("name, fit_name, l1_ratio", [
+    ("Lasso Regression", "fit_lasso", 1.0),
+    ("Elastic Net Regression", "fit_elastic_net", 0.5),
+])
+def test_cd_final_fits_are_lanes_of_the_cv_descent(protocol, regression_suite, monkeypatch,
+                                                   name, fit_name, l1_ratio):
+    """The regression suite fits the training split as one more lane
+    group of the Lasso and Elastic Net CV solves.  That group's lanes are
+    bitwise equal to single fits, the report's row scores its lane at the
+    selected alpha, and a stuck lane of that group names the training
+    split, not an eleventh fold."""
+    fit, calls, solve = getattr(experiments, fit_name), [], linmod._active_set
 
     def stuck_final(*args):
         beta, stuck = solve(*args)
         stuck[-1] = True  # the training split's lane at the largest alpha
         return beta, stuck
 
-    monkeypatch.setattr(linmod, "_active_set", stuck_final)
+    def stuck_fit(*args, **kwargs):
+        calls.append((args, kwargs))
+        with monkeypatch.context() as patch:
+            patch.setattr(linmod, "_active_set", stuck_final)
+            return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, fit_name, stuck_fit)
     with pytest.raises(ConvergenceError,
                        match=r"at alpha=10\.0 on the training split$"):
-        cv()
+        run_regression_suite(ExperimentConfig(), protocol)
+    (args, kwargs), = calls
+    finals = fit(*args, **kwargs)[-1]
+    for alpha, m in zip(FIXED["alpha_grid"], finals, strict=True):
+        ref = enet_fit(protocol.Xtr, protocol.ytr, alpha, l1_ratio)
+        assert_fit_bits_equal((m.coefficients, m.intercept),
+                              (ref.coefficients, ref.intercept))
+    row, = (r for r in regression_suite["table"] if r["model"] == name)
+    final = finals[FIXED["alpha_grid"].index(row["hyperparams"]["alpha"])]
+    assert row == {**row, **regression_metrics(
+        protocol.yte, linear_predict(final, protocol.Xte), p=protocol.Xte.shape[1])}
 
 
 def test_cd_cv_fold_scores_are_pinned(regression_suite):
