@@ -148,11 +148,20 @@ def dataset_correlations(dataset) -> dict:
 
 
 def histogram(series: np.ndarray, bins: int) -> dict:
-    """Equal-width histogram over [min, max]; last bin right-inclusive."""
+    """Equal-width histogram over [min, max]; last bin right-inclusive.
+
+    A range too narrow to hold ``bins`` distinct float edges (min == max,
+    or a few ulps apart) is widened around itself, as numpy does for a
+    constant series, so every value still lands in a bin."""
     series = np.asarray(series, dtype=float)
     if series.size == 0:
         raise ValueError("empty series")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    counts, edges = np.histogram(series, bins=bins)
+    lo, hi = float(series.min()), float(series.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        pad = max(0.5, bins * float(np.spacing(max(abs(lo), abs(hi)))))
+        lo, hi = lo - pad, hi + pad
+    counts, edges = np.histogram(series, bins=bins, range=(lo, hi))
     return {"edges": edges.tolist(), "counts": counts.tolist()}

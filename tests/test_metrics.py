@@ -3,7 +3,7 @@ ROC/AUC against a brute-force pair oracle, correlations and histograms."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpgworkbench.metrics import (adjusted_r2, classification_report,
@@ -254,6 +254,7 @@ def test_histogram_single_value():
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
        st.integers(min_value=1, max_value=10))
+@example([100.0, 99.99999999999999], 2)
 def test_histogram_counts_sum_to_n(values, bins):
     h = histogram(np.array(values), bins)
     assert sum(h["counts"]) == len(values)
