@@ -17,7 +17,8 @@ its exit code:
      settings; and writing --out
   2  data: any other ValueError or OSError while reading the data file
      or computing on it (a missing or malformed file, a constant column,
-     too few rows for the split, the folds or a model)
+     too few rows for the split, the folds or a model); and MemoryError
+     while computing (a file too large for this machine)
   3  numerical: NumericalError (SmoError, ConvergenceError, a singular
      system), LinAlgError or FloatingPointError (non-finite output)
 """
@@ -297,6 +298,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # a data file too large for this machine
+        print(f"data error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_DATA
     try:
         _write_outputs(report, args.out, args.format)

@@ -102,6 +102,19 @@ class XoshiroLanes:
         """Unbiased draws from {0, ..., n-1} by rejection sampling."""
         return _below(n, lambda sel: self.next_u64(lanes[sel]), len(lanes))
 
+    def randbelow_each(self, n: int, count: int) -> np.ndarray:
+        """(lanes, count) array: ``count`` successive randbelow(n) draws of
+        every lane (n >= 1), in one pass whose xors advance words 0-2 in
+        place; a lane with a rejected draw is rewound and redrawn."""
+        start, s = self.s.copy(), list(self.s)
+        out = np.array([_xoshiro_next(s) for _ in range(count)])
+        top = np.uint64(2**64 - 2**64 % n - 1)  # as _below's
+        self.s[3], bad = s[3], np.flatnonzero((out > top).any(axis=0))
+        if bad.size:
+            self.s[:, bad] = start[:, bad]
+            out[:, bad] = [self.randbelow(n, bad) for _ in out]
+        return (out % np.uint64(n)).T
+
 
 def _below(n: int, draw, size: int) -> np.ndarray:
     """Unbiased draws from {0, ..., n-1} for ``size`` streams, rejected as

@@ -8,6 +8,9 @@ equal to the threshold goes LEFT.  Within a feature the first minimum of
 the rounded child impurity wins (of two exactly tied thresholds, not
 always the lower); a later feature must beat it by more than 1e-15.
 
+A forest tree grows on its distinct bootstrap rows, each weighted by its
+count (a CART tree weights every row 1): every node statistic is the
+weighted one, and n_samples counts the bootstrap draws in the node.
 A forest's trees live in one array of NODE records: the grower appends
 one depth of every tree per round, and prediction walks them level by
 level for every row at once; TreeNode is a read-only view of one node.
@@ -72,11 +75,12 @@ def _row_sums(V: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return V.sum(axis=1, where=np.arange(V.shape[1]) < sizes[:, None])
 
 
-def _node_stats(V: np.ndarray, sizes: np.ndarray):
-    """(mean, variance) of each node i with targets V[i, :sizes[i]],
-    bitwise as computed for that node alone."""
-    mean = _row_sums(V, sizes) / sizes
-    return mean, _row_sums((V - mean[:, None]) ** 2, sizes) / sizes
+def _node_stats(V: np.ndarray, W: np.ndarray, sizes: np.ndarray):
+    """(weight N, mean, variance) of each node i with targets V[i, :sizes[i]]
+    of weights W[i, :sizes[i]], bitwise as computed for that node alone."""
+    N = _row_sums(W, sizes)
+    mean = _row_sums(W * V, sizes) / N
+    return N, mean, _row_sums(W * (V - mean[:, None]) ** 2, sizes) / N
 
 
 def _chunks(sizes: np.ndarray) -> list[np.ndarray]:
@@ -96,12 +100,12 @@ def _chunks(sizes: np.ndarray) -> list[np.ndarray]:
     return chunks
 
 
-def _best_splits(X, F, R, size, V):
+def _best_splits(X, F, R, size, V, W, N):
     """Best (child impurity, feature, threshold) of each node i of a
-    padded batch, which holds the rows R[i, :size[i]] with targets V[i]
-    and draws the candidate features F[i]; the child impurity is inf
-    where no split is valid.  Each value is bitwise what a search of the
-    node alone gives."""
+    padded batch, which holds the rows R[i, :size[i]] with targets V[i],
+    weights W[i] and weight N[i], and draws the candidate features F[i];
+    the child impurity is inf where no split is valid.  Each value is
+    bitwise what a search of the node alone gives."""
     m, P = R.shape
     k = F.shape[1]
     mi, ki = np.arange(m)[:, None, None], np.arange(k)[None, :, None]
@@ -110,25 +114,26 @@ def _best_splits(X, F, R, size, V):
     cols = np.where(real[:, None, :], X[R[:, None, :], F[:, :, None]], np.inf)
     order = cols.argsort(axis=2, kind="stable")
     xs = cols[mi, ki, order]
-    ts = V[mi, order]
+    ts, ws = V[mi, order], W[mi, order]
     # split after position i puts sorted rows [0..i] left; valid where the
     # value strictly increases (threshold = midpoint)
     valid = ((xs[..., :-1] < xs[..., 1:])
              & (np.arange(P - 1) < size[:, None, None] - 1))
-    n = size[:, None, None]
-    n_left = np.arange(1.0, P)
+    n = N[:, None, None]
+    n_left = ws.cumsum(axis=2)[..., :-1]
     n_right = np.maximum(n - n_left, 1.0)  # clamps padding only
 
     def total(cumulative, t):
         # a node's column sums: in row order, but pairwise for one column
         if k == 1:
             return _row_sums(t[:, 0, :], size)[:, None, None]
-        return cumulative[mi, ki, n - 1]
+        return cumulative[mi, ki, size[:, None, None] - 1]
 
-    csum = ts.cumsum(axis=2)
-    tot = total(csum, ts)
+    wt = ws * ts
+    csum = wt.cumsum(axis=2)
+    tot = total(csum, wt)
     csum = csum[..., :-1]
-    sq = ts * ts
+    sq = ws * (ts * ts)
     csq = sq.cumsum(axis=2)
     sqtot = total(csq, sq)
     csq = csq[..., :-1]
@@ -150,31 +155,32 @@ def _best_splits(X, F, R, size, V):
     return best, feature, threshold
 
 
-def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray,
+def _grow(X: np.ndarray, target: np.ndarray, counts: np.ndarray,
           max_features: int, keys: np.ndarray) -> ForestModel:
-    """Grow one tree on the rows boots[t] of each lane t, one depth per
-    round: each round splits every live node of every tree.  A node draws
-    its ``max_features`` candidates (nothing when they are all d) with
-    ``keyed_sample`` from its own uint64 key: lane t's root has keys[t],
-    and a child the splitmix64 output of its parent's key ^ 1 (left) or
-    ^ 2 (right), so no draw depends on the order nodes grow in.  A node
-    stops on zero impurity or when no split decreases it.  Its rows are a
-    segment of its lane's row of ``rows``, in bootstrap order; a split
-    partitions the segment stably, left rows first."""
-    n_lanes, n = boots.shape
+    """Grow one tree on each lane t, on the rows i with counts[t, i] > 0,
+    each weighted by its count, one depth per round: each round splits
+    every live node of every tree.  A node draws its ``max_features``
+    candidates (nothing when they are all d) with ``keyed_sample`` from
+    its own uint64 key: lane t's root has keys[t], and a child the
+    splitmix64 output of its parent's key ^ 1 (left) or ^ 2 (right), so
+    no draw depends on the order nodes grow in.  A node stops on zero
+    impurity, on one distinct row, or when no split decreases it.  Its
+    distinct rows are a segment of its lane's row of ``rows``, ascending
+    at the root; a split partitions the segment stably, left rows first."""
+    n_lanes, n = counts.shape
     d = X.shape[1]
-    rows = np.pad(boots, ((0, 0), (0, 1)))  # padding uses column n
+    # each lane's weighted rows first, ascending; padding uses column n
+    rows = np.pad(np.argsort(counts == 0, axis=1, kind="stable"), ((0, 0), (0, 1)))
     nodes = np.full(n_lanes * (2 * n - 1), -1, NODE)  # 2n - 1 nodes at most
     feature, threshold, left, right, prediction, n_samples, impurity = (
         nodes[field] for field in NODE.names)  # views that write to nodes
     count = 0
     # this round's new nodes, as (lane, offset of their rows, size, key)
     lane, offset = np.arange(n_lanes), np.zeros(n_lanes, dtype=np.intp)
-    sizes, key = np.full(n_lanes, n), keys
+    sizes, key = np.count_nonzero(counts, axis=1), keys
     while lane.size:
         node = count + np.arange(lane.size)
         count += lane.size
-        n_samples[node] = sizes
         if max_features == d:
             feats = np.broadcast_to(np.arange(d), (lane.size, d))
         else:
@@ -185,14 +191,16 @@ def _grow(X: np.ndarray, target: np.ndarray, boots: np.ndarray,
             real = np.arange(size[0]) < size[:, None]
             at = np.where(real, offset[chunk][:, None] + np.arange(size[0]), n)
             R = rows[lane[chunk][:, None], at]
-            prediction[node[chunk]], impurity[node[chunk]] = _node_stats(
-                target[R], size)
-            # a pure node (a one-row node always is) is a leaf
-            live = np.flatnonzero(impurity[node[chunk]] > 0.0)
+            W = counts[lane[chunk][:, None], R]
+            N, prediction[node[chunk]], impurity[node[chunk]] = _node_stats(
+                target[R], W, size)
+            n_samples[node[chunk]] = N
+            # leaves: pure nodes, and single rows (c copies may round impure)
+            live = np.flatnonzero((impurity[node[chunk]] > 0.0) & (size > 1))
             if not live.size:
                 continue
-            best, f, thr = _best_splits(X, feats[chunk[live]], R[live],
-                                        size[live], target[R[live]])
+            best, f, thr = _best_splits(X, feats[chunk[live]], R[live], size[live],
+                                        target[R[live]], W[live], N[live])
             # accepted splits must strictly decrease impurity
             ok = np.isfinite(best) & ~(impurity[node[chunk[live]]] - best <= 1e-15)
             split, f, thr = live[ok], f[ok], thr[ok]
@@ -224,7 +232,7 @@ def fit_cart(X: np.ndarray, target: np.ndarray) -> TreeNode:
     target = np.asarray(target, dtype=float)
     if X.shape[0] == 0:
         raise ValueError("empty input")
-    return _grow(X, target, np.arange(X.shape[0])[None, :], X.shape[1],
+    return _grow(X, target, np.ones((1, X.shape[0]), dtype=np.intp), X.shape[1],
                  np.zeros(1, dtype=np.uint64)).trees[0]
 
 
@@ -259,8 +267,9 @@ def forest_max_features(d: int) -> int:
 def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
                       seed: int) -> ForestModel:
     """Bagged regression trees, grown side by side by depth: tree t draws
-    its bootstrap by xoshiro256** from derive_seeds(seed)[2t], and its
-    root's feature key is derive_seeds(seed)[2t + 1]."""
+    n rows by xoshiro256** from derive_seeds(seed)[2t] and grows on the
+    distinct ones weighted by their draw counts (n_samples counts draws);
+    its root's feature key is derive_seeds(seed)[2t + 1]."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -269,9 +278,10 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     tree_seeds = derive_seeds(seed, 2 * n_trees)
-    draws, lanes = XoshiroLanes(tree_seeds[0::2]), np.arange(n_trees)
-    boots = np.stack([draws.randbelow(n, lanes) for _ in range(n)], axis=1)
-    return _grow(X, y, boots.astype(np.intp), forest_max_features(d),
+    boots = XoshiroLanes(tree_seeds[0::2]).randbelow_each(n, n).astype(np.intp)
+    counts = np.bincount((boots + n * np.arange(n_trees)[:, None]).ravel(),
+                         minlength=n_trees * n).reshape(n_trees, n)
+    return _grow(X, y, counts, forest_max_features(d),
                  np.array(tree_seeds[1::2], dtype=np.uint64))
 
 

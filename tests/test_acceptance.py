@@ -109,26 +109,26 @@ def test_criterion_03_report_runs_are_byte_identical(seed_reports):
 # more: test_reports_do_not_depend_on_blas_threads guards that).  A change
 # that moves a report on purpose re-records this table.
 SEED_REPORT_SHA256 = {
-    21: "fdc2302021106e0c6b3e6098d4c4ea9743a544f786461e07a379164a251a68cf",
-    22: "fd66efd8868c0f579cac4c81e5474906bd6b827c59d8a08b0957d1084b40871a",
-    23: "015988579d1a0d4704cf1ceaefb7a896e441b9c27d321367c0ba46a0cbf3a919",
-    24: "77ca165078daf5b5976ab7f6b3bc6e88b727b8e18746b38ddb7530b44a4c25b0",
-    25: "d5acf5b390091b2c7d62eeb8d2da1923426bacaccbed11914e9375d00b4dea47",
-    26: "2490c081d1916a69b8839b585e07b1c6163e006f3cadc7bb24fad673422a85fa",
-    27: "4f84e8e60b9c652cc9373988116f9567996dcf5e8da55e1d5811e8098c019094",
-    28: "828d87c6545a3b60d509c6c309ed4bbe3ed680bcf5fca6204120ed168084a428",
-    29: "afaff749f4b377ed42ce04a0f7eb4e6ad902944b13d5330e5ee110b610e83972",
-    30: "fcf2e3ff002cd8a5ca1dccf0dfae3ecb5a899ad324417e73dad31275b1b01154",
-    31: "d73293fefcf19688208a26679c20c0ee1c997076c3c0a0f3ca4c72f991ddc54f",
-    32: "b35bd9be96b34ab1f50674a5aa2860b4069ec6a00932d1631ecd4cbed0c2b9ea",
-    33: "09ce53f8fe6dbd249e562c5d8800c2b27fb1a71fe1d0c55d2cb348b59c95b665",
-    34: "cb0d3e3cea70dc73b1d94b9731bbeff6b4ae3b311f1c19a8d51db7a08869fdb9",
-    35: "7b9b96e8b534c04bab9f4674f4b5c9b929e7c82cb807e5f2e3320db58a4d888f",
-    36: "edf2264872a679987a3493859d802154d04b77ddd96625f5ca8bef8139588678",
-    37: "2f2f046b005021c737b01049e48e84a7932d4de5298d876c5e77d30902c40085",
-    38: "c4357d9a9de162d5a67482426966fd1a59b61fb7c1f2bf76385dca133be15c94",
-    39: "d1bcc5bec5126c1e0659d41a786de4d543c3af408486395718c791866f0bfbe3",
-    40: "54122e7d252c8dbc5275f65d8cc68ab95961733f3b723716e97d1359d2251385",
+    21: "b6d216ea3c6e5e8b0c25e1f160ff2f14fb8327e5f5b23cb31868a9819f08c2d4",
+    22: "b55d9c66a0f00ca13bda7d7d90c5c0969624cf49c1103726fc8af1118c76eb4f",
+    23: "95495f44a5a8d32933832931613891762323075535f1e183f2e99cb47443fd34",
+    24: "f15679748ae05f7e8b57498f3127dad5cee133628ac09c8cc458bd8648177d11",
+    25: "95371a2817b259f81bac4a6cab0d35f6be413203b82f093e816711afaad7511a",
+    26: "9cc53f2620ee54db80554dc7cfeba0d61cc10317ccce3e5543820219f09baf79",
+    27: "a23dcb3bd366e9b127cb281ae0e6b6fdc164746e5b8829b338bac6cfe90e6546",
+    28: "cb1b84103d6e5d5af9d88d26a73b1f6c379bf42578d57217bed0d78a0e04a3fc",
+    29: "7eb6457274f5fae7800573613560b5552ba49f5699bea5a713afa08cb6506b9a",
+    30: "ffc2dbdc80f92fa5d7a08019e1f077bafdb855533a172af62e97c4c13db2dbc6",
+    31: "acac34da6b174dedf1bbbadb9086dec68fb275936ee47b272f646819a391697a",
+    32: "a087d403cd02980be9b55ff3e9536a16c2ca3f06f3cdb6535b6f396188d049dc",
+    33: "e923b65db0e57e2ff28f1e197a7c8aea5378c8be4bf33deb34de316c3388ac69",
+    34: "b853bba625f2f979e333123d3203a131620b124fa3b69a4927069f7183c7f67d",
+    35: "43abed23a9e83bada69cfe657c50595da827538b31c0b34dd27ebac0558a1608",
+    36: "afc4a19d7cd7d8c5c5f6ae437a746a38d4f8e13dbe681e25a73a3696e909ecad",
+    37: "eae0004232be9eb960ba6e166a7855c4e3825e3c29f60917ba60de33cb4868ea",
+    38: "c4ff2a89669a1f674013b85197ad5af03171ae2ad32426178a8df1b49c2195a9",
+    39: "94319edd82ebea2e942d2df528ef0d793e789c23d897d5f609c6d3e382094015",
+    40: "3d7e410f012a7aa55d7d16a2ca39b2f6e2517ef5a664b9d3983a439e5a9b665a",
 }
 
 
@@ -145,7 +145,7 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
     report = run_regression_suite(ExperimentConfig(
         seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
-        "0c3dd222c37509409e8f3a2fbab5d7732be8eda09f0465378ec19ab8af0aaa1c")
+        "e32053031245add3f72670da0022a100046e459e23498a882da1dadb526ef4d8")
 
 
 # --- statistical bands (median over 20 seeds)

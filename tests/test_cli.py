@@ -241,6 +241,23 @@ def test_cd_failure_shows_last_iterate(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_two_without_output(tmp_path, capsys, monkeypatch):
+    """A MemoryError while computing names its cause on one line: no
+    traceback, and nothing written."""
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 4.29 GiB for an array with "
+                          "shape (24000, 24000) and data type float64")
+
+    monkeypatch.setattr(experiments, "kernel_matrix", no_memory)
+    out = tmp_path / "out"
+    assert run_cli(["regress", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == ("data error: out of memory: Unable to allocate 4.29 GiB for "
+                   "an array with shape (24000, 24000) and data type float64\n")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_model_scoring_exits_without_outputs(tmp_path, capsys, monkeypatch):
     """A model that fails after its fit stops the run with the failure's
     own exit code; no report carries it as a table row."""
@@ -848,7 +865,7 @@ def test_rendered_csv_and_markdown_bits_are_pinned(tmp_path, eda, regression_sui
         if path.name != "report.json":
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     assert digest.hexdigest() == (
-        "d271c3a87668ba0c5645d4492de178df4ef0fb153570e7d48a07cb1e1e6ef67b")
+        "80fc4d5fe41f3322e2d917d8d027e87f47ff7d5eb4d53b2bab054bf1e33fad70")
 
 
 @pytest.mark.parametrize("command", ["eda", "regress", "classify", "report"])

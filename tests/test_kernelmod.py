@@ -1121,7 +1121,7 @@ def test_regression_suite_bits_are_pinned(regression_suite):
     path up to that C: a cold solve at C = 1, then the engine and SMO."""
     text = experiments.report_to_json(regression_suite)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "784c8976f839c55c77bd13407169da2ee889e781fe635a48f0b8df3ebe3e91fa")
+        "32709def9ad53f6e752f59a7e9c0c967ef81e56038f1b0311deb8bd9fc0dcfea")
 
 
 def test_classification_grid_bits_are_pinned(classification_grid):

@@ -70,6 +70,20 @@ def test_lanes_match_scalar_generators():
                 g.randbelow(n) for g in scalar]
 
 
+@pytest.mark.parametrize("n", [279, 2**64 // 40 + 1, 2**63 + 1])
+def test_lane_draws_in_one_pass_match_scalar_generators(n):
+    """randbelow_each draws what each lane's scalar generator draws, and
+    leaves every lane where that generator is.  Redrawn lanes: none at 279;
+    16 of the 40 at 2**64 // 40 + 1, which rejects about 1 draw in 40; all
+    at 2**63 + 1, which rejects about half."""
+    seeds = derive_seeds(12, 40)
+    gen = XoshiroLanes(seeds)
+    scalar = [Xoshiro256StarStar(s) for s in seeds]
+    assert gen.randbelow_each(n, 30).tolist() == [
+        [g.randbelow(n) for _ in range(30)] for g in scalar]
+    assert gen.next_u64(np.arange(40)).tolist() == [g.next_u64() for g in scalar]
+
+
 def test_lanes_advance_only_the_lanes_drawn():
     seeds = derive_seeds(4, 6)
     gen = XoshiroLanes(seeds)

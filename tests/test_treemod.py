@@ -357,6 +357,15 @@ def test_protocol_tree_is_the_gini_tree(protocol):
     assert matches_gini_tree(tree, protocol.Xtr, protocol.labels_tr)
 
 
+def test_protocol_cart_node_bits_are_pinned(protocol):
+    """sha256 of the NODE records of a CART tree on the seed-1 training
+    targets, recorded before forest trees were grown on weighted rows: a
+    CART tree weights every row 1, and its records must not move."""
+    nodes = fit_cart(protocol.Xtr, protocol.ytr).nodes
+    assert hashlib.sha256(nodes.tobytes()).hexdigest() == (
+        "4ad1f21dcaaba470f8f9252deb33194de4de176da3c4d4717f1344b73002e0cf")
+
+
 def test_cart_matches_reference_grower_on_signed_zeros():
     """Pure leaves of -0.0 targets: numpy's sum starts from +0.0, so their
     mean is +0.0, and a sum that starts from the first entry gives -0.0."""
@@ -383,23 +392,59 @@ def test_cart_matches_reference_grower_on_one_column(seed):
 def reference_fit_random_forest(X, y, n_trees, seed):
     """The forest's trees as the reference grower makes them, one at a
     time: each bootstrap drawn by a scalar generator, then a recursive
-    tree on it whose root draws its features from the tree's feature
-    seed, and each child from its own key."""
+    tree on its repeated rows whose root draws its features from the
+    tree's feature seed, and each child from its own key.  Returns
+    (tree, bootstrap rows) pairs."""
     n, d = X.shape
     tree_seeds = derive_seeds(seed, 2 * n_trees)
     trees = []
     for t in range(n_trees):
         draws = Xoshiro256StarStar(tree_seeds[2 * t])
         idx = np.array([draws.randbelow(n) for _ in range(n)])
-        trees.append(reference_fit_cart(
+        trees.append((reference_fit_cart(
             X[idx], y[idx], "regress", max_features=forest_max_features(d),
-            key=tree_seeds[2 * t + 1]))
+            key=tree_seeds[2 * t + 1]), idx))
     return trees
+
+
+def exact_sse(t):
+    """Summed squared error of targets about their mean, exactly."""
+    s = [Fraction(v) for v in t]
+    return sum(v * v for v in s) - sum(s) ** 2 / len(s)
+
+
+def exact_child_sse(x, t, threshold):
+    """Exact summed squared error of a split's two children, over a
+    node's rows counted with multiplicity."""
+    return exact_sse(t[x <= threshold]) + exact_sse(t[x > threshold])
+
+
+def tie_divergences(tree, ref, x, t):
+    """Walk a weighted tree and the repeated-row reference tree together
+    over a node's bootstrap rows x, t (with multiplicity): the split
+    features, thresholds and n_samples must be equal, and the leaf
+    predictions within 1e-12 relative.  Where the chosen splits differ,
+    both must tie in exact child SSE; that subtree is not descended.
+    Returns how many subtrees stopped at such a tie."""
+    assert tree.n_samples == ref.n_samples == t.size
+    assert tree.is_leaf == ref.is_leaf
+    if tree.is_leaf:
+        assert abs(tree.prediction - ref.prediction) <= 1e-12 * abs(ref.prediction)
+        return 0
+    if (tree.feature, tree.threshold) != (ref.feature, ref.threshold):
+        assert (exact_child_sse(x[:, tree.feature], t, tree.threshold)
+                == exact_child_sse(x[:, ref.feature], t, ref.threshold))
+        return 1
+    go_left = x[:, tree.feature] <= tree.threshold
+    return (tie_divergences(tree.left, ref.left, x[go_left], t[go_left])
+            + tie_divergences(tree.right, ref.right, x[~go_left], t[~go_left]))
 
 
 # d = 5, 4, 3 draw 2, 2 and 1 features per split: a draw from range(4)
 # has a power-of-two bound, and one candidate column takes numpy's
-# pairwise sum
+# pairwise sum.  A tree grown on weighted distinct rows sums in another
+# order than one grown on the repeated rows, so two splits that tie in
+# exact arithmetic may round either way
 @pytest.mark.parametrize("task", ["regress"])
 def test_forest_matches_reference_grower(rng, task):
     X, target = oracle_inputs(rng, task)
@@ -407,18 +452,43 @@ def test_forest_matches_reference_grower(rng, task):
         for seed in (3, 17):
             forest = fit_random_forest(X[:, :d], target, n_trees=10, seed=seed)
             ref = reference_fit_random_forest(X[:, :d], target, 10, seed)
-            assert [dump(t) for t in forest.trees] == [dump(t) for t in ref]
+            for tree, (ref_tree, idx) in zip(forest.trees, ref, strict=True):
+                tie_divergences(tree, ref_tree, X[idx, :d], target[idx])
+
+
+def zero_gain_splits(node, x, t):
+    """Splits of a tree over its node's bootstrap rows x, t (with
+    multiplicity) that do not decrease their node's exact SSE."""
+    if node.is_leaf:
+        return 0
+    go_left = x[:, node.feature] <= node.threshold
+    return (int(exact_child_sse(x[:, node.feature], t, node.threshold) >= exact_sse(t))
+            + zero_gain_splits(node.left, x[go_left], t[go_left])
+            + zero_gain_splits(node.right, x[~go_left], t[~go_left]))
+
+
+def test_forest_splits_strictly_decrease_exact_sse():
+    """XOR of two binary features, each row three times: a node whose
+    weighted class shares match on both sides of a split gains nothing
+    from it and stays a leaf.  Only this rule reads the weighted sum of
+    squares, since the child SSE's other terms do not depend on it."""
+    X = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], 3, axis=0)
+    y = np.repeat([0.0, 1.0, 1.0, 0.0], 3)
+    forest = fit_random_forest(X, y, n_trees=40, seed=7)
+    ref = reference_fit_random_forest(X, y, 40, seed=7)
+    assert sum(zero_gain_splits(tree, X[idx], y[idx])
+               for tree, (_, idx) in zip(forest.trees, ref, strict=True)) == 0
 
 
 def test_protocol_forest_bits_are_pinned(protocol):
-    """sha256 of the seed-1 protocol forest, recorded when its trees
-    first grew level by level with feature draws keyed by node."""
+    """sha256 of the seed-1 protocol forest, re-recorded when its trees
+    first grew on their distinct bootstrap rows weighted by count."""
     forest = fit_random_forest(protocol.Xtr, protocol.ytr,
                                n_trees=experiments.FIXED["forest_trees"],
                                seed=protocol.forest_seed)
     digest = hashlib.sha256(repr([dump(t) for t in forest.trees]).encode())
     assert digest.hexdigest() == (
-        "37f22ebaaa292ec06bea62d83f39daf53d7194c9bfa5f58f6af8d1627df23a97")
+        "7e6862d6dc8e654440cd7123a9786397470601ae27158f53d8cf708eb26ba958")
 
 
 # --- the batched walk against a row-at-a-time walk of the node view
@@ -493,5 +563,5 @@ def test_benchmark_tree_shape_on_the_protocol_forest(protocol):
                                n_trees=experiments.FIXED["forest_trees"],
                                seed=protocol.forest_seed)
     shapes = [layers._tree_shape(tree) for tree in forest.trees]
-    assert sum(n for n, _ in shapes) == 30672
+    assert sum(n for n, _ in shapes) == 30658
     assert max(depth for _, depth in shapes) == 19
