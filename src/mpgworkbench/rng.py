@@ -104,15 +104,15 @@ class XoshiroLanes:
 
     def randbelow_each(self, n: int, count: int) -> np.ndarray:
         """(lanes, count) array: ``count`` successive randbelow(n) draws of
-        every lane (n >= 1), in one pass whose xors advance words 0-2 in
-        place; a lane with a rejected draw is rewound and redrawn."""
-        start, s = self.s.copy(), list(self.s)
+        every lane (n >= 1), in one pass over a copy of the state; a lane
+        with a rejected draw keeps its state and is redrawn by randbelow."""
+        s = list(self.s.copy())
         out = np.array([_xoshiro_next(s) for _ in range(count)])
         top = np.uint64(2**64 - 2**64 % n - 1)  # as _below's
-        self.s[3], bad = s[3], np.flatnonzero((out > top).any(axis=0))
-        if bad.size:
-            self.s[:, bad] = start[:, bad]
-            out[:, bad] = [self.randbelow(n, bad) for _ in out]
+        bad = (out > top).any(axis=0)
+        self.s[:, ~bad] = np.array(s)[:, ~bad]
+        if bad.any():
+            out[:, bad] = [self.randbelow(n, np.flatnonzero(bad)) for _ in out]
         return (out % np.uint64(n)).T
 
 

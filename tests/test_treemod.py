@@ -423,10 +423,16 @@ def tie_divergences(tree, ref, x, t):
     """Walk a weighted tree and the repeated-row reference tree together
     over a node's bootstrap rows x, t (with multiplicity): the split
     features, thresholds and n_samples must be equal, and the leaf
-    predictions within 1e-12 relative.  Where the chosen splits differ,
-    both must tie in exact child SSE; that subtree is not descended.
-    Returns how many subtrees stopped at such a tie."""
+    predictions within 1e-12 relative.  Each node's impurity must be its
+    rows' exact variance within 1e-12 relative, or within 1e-28 of their
+    mean square where that variance is rounding-sized (an ulp-off mean of
+    equal targets).  Where the chosen splits differ, both must tie in
+    exact child SSE; that subtree is not descended.  Returns how many
+    subtrees stopped at such a tie."""
     assert tree.n_samples == ref.n_samples == t.size
+    exact = exact_sse(t) / t.size
+    assert (abs(Fraction(tree.impurity) - exact)
+            <= 1e-12 * exact + Fraction(1e-28 * np.mean(t * t)))
     assert tree.is_leaf == ref.is_leaf
     if tree.is_leaf:
         assert abs(tree.prediction - ref.prediction) <= 1e-12 * abs(ref.prediction)
