@@ -35,7 +35,9 @@ import tempfile
 
 import numpy as np
 
-from .experiments import ExperimentConfig, report_to_json, run_classification_grid, run_eda, run_full_report, run_regression_suite
+from .experiments import (ExperimentConfig, report_to_json,
+                          run_classification_grid, run_eda, run_full_report,
+                          run_regression_suite)
 from .ingest import (DATA_SHA256, parse_auto_mpg, read_data_file,
                      reference_data_path)
 from .numcore import NumericalError

@@ -38,6 +38,12 @@ from .treemod import (fit_cart, fit_random_forest, forest_max_features,
 # (2 and 3 seeded the SVM solvers, which no longer draw; the forest keeps 4)
 _SEED_SPLIT, _SEED_KFOLD, _SEED_FOREST = 0, 1, 4
 
+# the largest estimated dense peak that a run starts on; the estimate for
+# n training rows, 40e6 + 27 n^2 bytes, is dominated by the n x n Gram
+# matrices and solver tables and fits the peak RSS measured at 1,114,
+# 2,229 and 4,458 training rows (70, 168 and 554 MiB)
+MAX_DENSE_BYTES = 4 * 2**30
+
 
 # The paper's fixed model settings, read when each fit runs.  The grids
 # ascend: the CV tie rule keeps the smallest of equally good values, and
@@ -132,6 +138,11 @@ def prepare_protocol(config: ExperimentConfig) -> ProtocolData:
     dataset = load_dataset(config.resolved_data_path())
     seeds = derive_seeds(config.seed, 5)
     split = train_test_split(len(dataset.y), config.split_ratio, seeds[_SEED_SPLIT])
+    n = len(split.train)
+    if (peak := 40e6 + 27.0 * n * n) > MAX_DENSE_BYTES:
+        raise DataError(f"the training split has {n} rows, whose dense arrays would need "
+                        f"about {peak / 2**20:,.0f} MiB, above the "
+                        f"{MAX_DENSE_BYTES / 2**20:,.0f} MiB ceiling")
     Xtr, ytr, Xte, yte = _standardized(dataset.X, dataset.y, split.train,
                                        split.test, "training split", "test split")
     labels = (dataset.y >= config.threshold_mpg).astype(int)  # 1: high efficiency

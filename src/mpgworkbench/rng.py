@@ -4,6 +4,8 @@ All randomness in this package flows through splitmix64 / xoshiro256**,
 which are publicly specified bit-exact generators.  This guarantees that
 shuffles, splits and bootstrap draws are reproducible across platforms
 and Python versions, unlike library-specific shuffle implementations.
+``bootstrap_draws`` and ``keyed_sample`` step many streams side by side
+as numpy lanes, each drawing exactly what its scalar generator draws.
 """
 
 from __future__ import annotations
@@ -82,68 +84,32 @@ class Xoshiro256StarStar:
             items[i], items[j] = items[j], items[i]
 
 
-class XoshiroLanes:
-    """Independent xoshiro256** streams, one per seed, advanced side by
-    side as numpy ``uint64`` lanes.  Lane i draws exactly what
-    ``Xoshiro256StarStar(seeds[i])`` draws; each call advances only the
-    lanes it names (an array of distinct lane indices)."""
-
-    def __init__(self, seeds: list[int]):
-        self.s = np.array([derive_seeds(seed, 4) for seed in seeds],
-                          dtype=np.uint64).T.copy()  # (4, lanes)
-
-    def next_u64(self, lanes: np.ndarray) -> np.ndarray:
-        s = list(self.s[:, lanes])
-        result = _xoshiro_next(s)
-        self.s[:, lanes] = s
-        return result
-
-    def randbelow(self, n: int, lanes: np.ndarray) -> np.ndarray:
-        """Unbiased draws from {0, ..., n-1} by rejection sampling."""
-        return _below(n, lambda sel: self.next_u64(lanes[sel]), len(lanes))
-
-    def randbelow_each(self, n: int, count: int) -> np.ndarray:
-        """(lanes, count) array: ``count`` successive randbelow(n) draws of
-        every lane (n >= 1), in one pass over a copy of the state; a lane
-        with a rejected draw keeps its state and is redrawn by randbelow."""
-        s = list(self.s.copy())
-        out = np.array([_xoshiro_next(s) for _ in range(count)])
-        top = np.uint64(2**64 - 2**64 % n - 1)  # as _below's
-        bad = (out > top).any(axis=0)
-        self.s[:, ~bad] = np.array(s)[:, ~bad]
-        if bad.any():
-            out[:, bad] = [self.randbelow(n, np.flatnonzero(bad)) for _ in out]
-        return (out % np.uint64(n)).T
-
-
-def _below(n: int, draw, size: int) -> np.ndarray:
-    """Unbiased draws from {0, ..., n-1} for ``size`` streams, rejected as
-    ``Xoshiro256StarStar.randbelow`` rejects; ``draw(sel)`` advances the
-    streams ``sel`` and returns their uint64 outputs."""
-    if n <= 0:
-        raise ValueError("randbelow requires n >= 1")
+def bootstrap_draws(seeds: list[int], n: int, count: int) -> np.ndarray:
+    """The first ``count`` randbelow(n) draws of each seed's xoshiro256**,
+    one row per seed: the four state words step as contiguous rows of lanes,
+    and a lane that drew a rejected value is redrawn by Xoshiro256StarStar."""
+    s = list(np.array([derive_seeds(x, 4) for x in seeds], dtype=np.uint64).T.copy())
+    out = np.array([_xoshiro_next(s) for _ in range(count)]).T
     top = np.uint64(2**64 - 2**64 % n - 1)  # largest accepted; fits in uint64
-    out = draw(np.arange(size))
-    redo = np.flatnonzero(out > top)
-    while redo.size:
-        out[redo] = draw(redo)
-        redo = redo[out[redo] > top]
+    for i in np.flatnonzero((out > top).any(axis=1)):
+        g = Xoshiro256StarStar(seeds[i])
+        out[i] = np.array([g.randbelow(n) for _ in range(count)], dtype=np.uint64)
     return out % np.uint64(n)
 
 
 def keyed_sample(keys: np.ndarray, n: int, k: int) -> np.ndarray:
     """k distinct indices from range(n) for each uint64 key, one row per
     key: a partial Fisher-Yates on the splitmix64 stream whose state
-    starts at the key, so a draw depends on its key alone."""
-    state = keys.copy()
+    starts at the key (rejecting as ``Xoshiro256StarStar.randbelow``
+    does), so a draw depends on its key alone."""
     pool = np.tile(np.arange(n), (keys.size, 1))
-    rows = np.arange(keys.size)
-
-    def draw(sel):
-        state[sel], out = splitmix64_next(state[sel])
-        return out
-
+    state, out, rows = keys.copy(), np.empty_like(keys), np.arange(keys.size)
     for i in range(k):
-        j = i + _below(n - i, draw, keys.size).astype(np.intp)
+        top = np.uint64(2**64 - 2**64 % (n - i) - 1)
+        redo = rows
+        while redo.size:  # every key steps, then only the still-rejected ones
+            state[redo], out[redo] = splitmix64_next(state[redo])
+            redo = redo[out[redo] > top]
+        j = i + (out % np.uint64(n - i)).astype(np.intp)
         pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
     return pool[:, :k]

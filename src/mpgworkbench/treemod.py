@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import (XoshiroLanes, derive_seeds, keyed_sample,
+from .rng import (bootstrap_draws, derive_seeds, keyed_sample,
                   splitmix64_next)
 
 
@@ -278,7 +278,7 @@ def fit_random_forest(X: np.ndarray, y: np.ndarray, n_trees: int,
     if n_trees < 1:
         raise ValueError("n_trees must be >= 1")
     tree_seeds = derive_seeds(seed, 2 * n_trees)
-    boots = XoshiroLanes(tree_seeds[0::2]).randbelow_each(n, n).astype(np.intp)
+    boots = bootstrap_draws(tree_seeds[0::2], n, n).astype(np.intp)
     counts = np.bincount((boots + n * np.arange(n_trees)[:, None]).ravel(),
                          minlength=n_trees * n).reshape(n_trees, n)
     return _grow(X, y, counts, forest_max_features(d),

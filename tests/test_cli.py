@@ -177,6 +177,22 @@ def test_constant_held_out_target_exits_two(tmp_path, capsys, monkeypatch, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["regress", "classify", "report"])
+def test_training_split_above_the_size_ceiling_exits_two(tmp_path, capsys, monkeypatch,
+                                                         command):
+    """The dense peak is estimated from the training rows before any fit:
+    with the ceiling patched below the packaged file's estimate, no fit
+    runs and nothing is written."""
+    monkeypatch.setattr(experiments, "MAX_DENSE_BYTES", 2**20)
+    out, fits = tmp_path / "out", spy_on_fits(monkeypatch)
+    assert run_cli([command, "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: the training split has 279 rows, whose dense arrays would "
+        "need about 40 MiB, above the 1 MiB ceiling\n")
+    assert fits == []
+    assert not out.exists()
+
+
 def test_class_missing_from_split_exits_two(tmp_path, capsys):
     # at seed 1 no training car reaches 45 mpg, so class 1 is empty there
     out = tmp_path / "out"

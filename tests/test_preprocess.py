@@ -13,7 +13,7 @@ from mpgworkbench.metrics import dataset_correlations
 from mpgworkbench.preprocess import (apply_standardizer, fit_standardizer,
                                      kfold, polynomial_feature_count,
                                      polynomial_features, train_test_split)
-from mpgworkbench.rng import (MASK64, Xoshiro256StarStar, XoshiroLanes,
+from mpgworkbench.rng import (MASK64, Xoshiro256StarStar, bootstrap_draws,
                               derive_seeds, keyed_sample, splitmix64_next)
 
 
@@ -54,46 +54,21 @@ def test_randbelow_rejects_nonpositive():
         Xoshiro256StarStar(0).randbelow(0)
 
 
-def test_lanes_match_scalar_generators():
-    """Each lane draws what a scalar generator with its seed draws.
-    2**63 + 1 rejects about half its draws; the powers of two reject
-    none, and their limit 2**64 does not fit in a uint64."""
-    seeds = derive_seeds(9, 100)
-    lanes = np.arange(100)
-    gen = XoshiroLanes(seeds)
-    scalar = [Xoshiro256StarStar(s) for s in seeds]
-    for _ in range(1000):
-        assert gen.next_u64(lanes).tolist() == [g.next_u64() for g in scalar]
-    for n in (1, 2, 4, 7, 279, 2**63 + 1):
-        for _ in range(10):
-            assert gen.randbelow(n, lanes).tolist() == [
-                g.randbelow(n) for g in scalar]
-
-
-@pytest.mark.parametrize("n", [279, 2**64 // 40 + 1, 2**63 + 1])
-def test_lane_draws_in_one_pass_match_scalar_generators(n):
-    """randbelow_each draws what each lane's scalar generator draws, and
-    leaves every lane where that generator is.  Redrawn lanes: none at 279;
-    16 of the 40 at 2**64 // 40 + 1, which rejects about 1 draw in 40; all
-    at 2**63 + 1, which rejects about half."""
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 279, 2**64 // 40 + 1, 2**63 + 1])
+def test_bootstrap_draws_match_scalar_generators(n):
+    """Each seed's row holds its scalar generator's first 30 randbelow(n)
+    draws.  The powers of two accept every draw, and their rejection
+    limit 2**64 does not fit in a uint64.  2**64 // 40 + 1 rejects about 1
+    draw in 40 and 2**63 + 1 about half, so 16 of the 40 lanes and then
+    all of them draw a rejected value among their first 30 outputs and
+    are redrawn."""
     seeds = derive_seeds(12, 40)
-    gen = XoshiroLanes(seeds)
-    scalar = [Xoshiro256StarStar(s) for s in seeds]
-    assert gen.randbelow_each(n, 30).tolist() == [
-        [g.randbelow(n) for _ in range(30)] for g in scalar]
-    assert gen.next_u64(np.arange(40)).tolist() == [g.next_u64() for g in scalar]
-
-
-def test_lanes_advance_only_the_lanes_drawn():
-    seeds = derive_seeds(4, 6)
-    gen = XoshiroLanes(seeds)
-    scalar = [Xoshiro256StarStar(s) for s in seeds]
-    for lanes in ([0, 3], [5], [1, 2, 3, 4], [3]):
-        picks = gen.randbelow(7, np.array(lanes))
-        assert picks.tolist() == [scalar[t].randbelow(7) for t in lanes]
-    assert gen.next_u64(np.arange(6)).tolist() == [g.next_u64() for g in scalar]
-    with pytest.raises(ValueError):
-        gen.randbelow(0, np.arange(6))
+    limit = (2**64 // n) * n
+    redrawn = {2**64 // 40 + 1: 16, 2**63 + 1: 40}.get(n, 0)
+    outputs = [Xoshiro256StarStar(s) for s in seeds]
+    assert sum(any(g.next_u64() >= limit for _ in range(30)) for g in outputs) == redrawn
+    assert bootstrap_draws(seeds, n, 30).tolist() == [
+        [g.randbelow(n) for _ in range(30)] for g in map(Xoshiro256StarStar, seeds)]
 
 
 @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=50))
