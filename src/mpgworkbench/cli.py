@@ -157,6 +157,8 @@ def _load_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
             values[key] = _CONFIG_KEYS[key](value.strip())
+    if values.get("data_path") == "":  # not given, like an empty --data
+        del values["data_path"]
     return values
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -295,14 +294,6 @@ def _classifier_row(name, C, labels_true, labels_pred):
             **classification_report(confusion_matrix(labels_true, labels_pred))}
 
 
-class _Family(NamedTuple):
-    row_name: str  # format of the row name, given C
-    summary: str  # name in the class-wise summaries
-    fit: Callable  # (X, labels, C) -> model
-    scores: Callable  # (model, X) -> decision scores
-    cut: float  # a score at or above it classifies as class 1
-
-
 def _require_both_classes(config: ExperimentConfig, proto: ProtocolData):
     for split, labels in (("training", proto.labels_tr), ("test", proto.labels_te)):
         if np.unique(labels).size < 2:
@@ -316,53 +307,42 @@ def run_classification_grid(config: ExperimentConfig, proto: ProtocolData | None
     configurations, and the class-wise summary tables."""
     proto = proto or prepare_protocol(config)
     _require_both_classes(config, proto)
+    Xtr, labels, Xte, truth = proto.Xtr, proto.labels_tr, proto.Xte, proto.labels_te
     c_desc = tuple(sorted(FIXED["c_grid"], reverse=True))
-    linear, rbf = KernelSpec("linear"), KernelSpec("rbf", gamma_scale(proto.Xtr))
-    families = {
-        "linear": _Family("SVM (Linear Kernel, C={})", "SVM with Linear Kernel",
-                          lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=linear),
-                          svm_decision, 0.0),
-        "rbf": _Family("SVM (RBF Kernel, C={})", "SVM with RBF Kernel",
-                       lambda X, t, C: fit_svc_smo(X, t, C=C, kernel=rbf),
-                       svm_decision, 0.0),
-        "logistic": _Family("Logistic Regression (C={})", "Logistic Regression",
-                            lambda X, t, C: fit_logistic(X, t, C=C), logistic_scores,
-                            0.5),
-    }
-    scores, by_key = {}, {}  # (family, C) -> test scores, row
-    for family, f in families.items():
-        for C in c_desc:
-            scores[family, C] = s = f.scores(f.fit(proto.Xtr, proto.labels_tr, C),
-                                              proto.Xte)
-            by_key[family, C] = _classifier_row(
-                f.row_name.format(C), C, proto.labels_te, (s >= f.cut).astype(int))
+    linear, rbf = KernelSpec("linear"), KernelSpec("rbf", gamma_scale(Xtr))
+    # each family's test scores, one per C in c_desc
+    svc_linear = [svm_decision(fit_svc_smo(Xtr, labels, C=C, kernel=linear), Xte)
+                  for C in c_desc]
+    svc_rbf = [svm_decision(fit_svc_smo(Xtr, labels, C=C, kernel=rbf), Xte) for C in c_desc]
+    logistic = [logistic_scores(fit_logistic(Xtr, labels, C=C), Xte) for C in c_desc]
+    # a score at or above its family's cut classifies as class 1
+    families = [[_classifier_row(name.format(C), C, truth, (s >= cut).astype(int))
+                 for C, s in zip(c_desc, scores)]
+                for name, scores, cut in (("SVM (Linear Kernel, C={})", svc_linear, 0.0),
+                                          ("SVM (RBF Kernel, C={})", svc_rbf, 0.0),
+                                          ("Logistic Regression (C={})", logistic, 0.5))]
     # a leaf's mean is its class-1 share; a tied leaf goes to class 0
-    tree = fit_cart(proto.Xtr, proto.labels_tr)
-    rows = [*by_key.values(), _classifier_row(
-        "Decision Tree", "Default", proto.labels_te,
-        (tree_predict(tree, proto.Xte) > 0.5).astype(int))]
-
-    # ROC series for the four reported configurations
-    c_max, c_one = max(FIXED["c_grid"]), min(FIXED["c_grid"])
-    reported = {"svm_linear_initial": ("linear", c_max),
-                "svm_linear_optimized": ("linear", c_one),
-                "svm_rbf": ("rbf", c_one), "logistic": ("logistic", c_one)}
-    roc_data = {key: roc_curve(scores[f, C], proto.labels_te)
-                for key, (f, C) in reported.items()}
-
-    # class-wise summaries from the best C per family (ties -> smaller C)
-    summary_sources = [(f.summary, max((by_key[family, C] for C in c_desc),
-                                       key=lambda r: (r["accuracy"], -float(r["C"]))))
-                       for family, f in families.items()]
-    # a kernel-free dual is the linear kernel at default C
-    summary_sources.insert(1, ("SVM No Kernel", by_key["linear", c_one]))
-    summary_sources.append(("Decision Tree Classification", rows[-1]))
-    class_summaries = {
-        **{c: [{"model": name, **src[c]} for name, src in summary_sources]
-           for c in ("class0", "class1")},
-        "note": "SVM No Kernel reports the linear-kernel machine at default C",
+    tree = _classifier_row("Decision Tree", "Default", truth,
+                           (tree_predict(fit_cart(Xtr, labels), Xte) > 0.5).astype(int))
+    # class-wise summaries from the best C per family (ties -> smaller C);
+    # a kernel-free dual is the linear kernel at default C, the last in c_desc
+    best = [max(rows, key=lambda r: (r["accuracy"], -float(r["C"]))) for rows in families]
+    summaries = [("SVM with Linear Kernel", best[0]), ("SVM No Kernel", families[0][-1]),
+                 ("SVM with RBF Kernel", best[1]), ("Logistic Regression", best[2]),
+                 ("Decision Tree Classification", tree)]
+    return {
+        "table": [row for rows in families for row in rows] + [tree],
+        # ROC series for the four reported configurations
+        "roc": {"svm_linear_initial": roc_curve(svc_linear[0], truth),
+                "svm_linear_optimized": roc_curve(svc_linear[-1], truth),
+                "svm_rbf": roc_curve(svc_rbf[-1], truth),
+                "logistic": roc_curve(logistic[-1], truth)},
+        "class_summaries": {
+            **{c: [{"model": name, **row[c]} for name, row in summaries]
+               for c in ("class0", "class1")},
+            "note": "SVM No Kernel reports the linear-kernel machine at default C",
+        },
     }
-    return {"table": rows, "roc": roc_data, "class_summaries": class_summaries}
 
 
 def run_eda(config: ExperimentConfig, dataset: Dataset | None = None) -> dict:

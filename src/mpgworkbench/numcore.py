@@ -26,7 +26,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise NumericalError("matrix is not positive definite") from None
-    z = np.linalg.solve(L, b)  # forward substitution (triangular)
+    z = np.linalg.solve(L, b)  # general LU solve, partial pivoting (LAPACK gesv)
     return np.linalg.solve(L.T, z)
 
 

@@ -17,7 +17,8 @@ from conftest import (lasso_alpha_max, lasso_fit, regress_2x_data_path,
                       svc_kkt_violations, svr_kkt_violations)
 
 from mpgworkbench.experiments import (ExperimentConfig, report_to_json,
-                                      run_full_report, run_regression_suite)
+                                      run_classification_grid, run_full_report,
+                                      run_regression_suite)
 from mpgworkbench.kernelmod import (KKT_TOL, KernelSpec, fit_svc_smo,
                                     kernel_matrix, solve_svr_dual,
                                     svm_decision)
@@ -146,6 +147,16 @@ def test_regress_2x_report_bits_are_pinned(tmp_path, capsys):
         seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
     assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == (
         "e32053031245add3f72670da0022a100046e459e23498a882da1dadb526ef4d8")
+
+
+def test_regress_2x_classification_bits_are_pinned(tmp_path, capsys):
+    """sha256 of the classification grid of the regress-2x input at
+    protocol seed 1 (557 training rows, most in near-duplicate pairs):
+    the grid's one pin off the packaged file."""
+    grid = run_classification_grid(ExperimentConfig(
+        seed=1, data_path=regress_2x_data_path(tmp_path, capsys)))
+    assert hashlib.sha256(report_to_json(grid).encode()).hexdigest() == (
+        "ddd7400b1af4fad9727d2a7fe3073d02d22ffcaf6844bbefea0989a50b31bea7")
 
 
 # --- statistical bands (median over 20 seeds)

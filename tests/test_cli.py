@@ -701,18 +701,23 @@ def test_hostile_tokens_exit_cleanly(reference_text, changes):
 # --- recorded data path (the suite itself is stubbed: only the config
 # written next to it is under test)
 
-@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("given", [False, True, "empty in config"])
 def test_regress_records_data_path_as_given(tmp_path, monkeypatch, given):
+    """--data is recorded as given; no --data, or an empty data_path in a
+    --config file, is recorded as None (the packaged file)."""
     monkeypatch.delenv("MPGW_DATA", raising=False)
     monkeypatch.setattr(cli, "run_regression_suite", lambda config: {})
     out = tmp_path / "out"
     argv = ["regress", "--out", str(out), "--format", "json"]
     path = os.path.join("some", "dir", "cars.data")
-    if given:
+    if given == "empty in config":
+        (tmp_path / "c.cfg").write_text("data_path=\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.cfg")]
+    elif given:
         argv += ["--data", path]
     assert run_cli(argv) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["data_path"] == (path if given else None)
+    assert report["config"]["data_path"] == (path if given is True else None)
 
 
 def test_markdown_names_packaged_file():
