@@ -156,7 +156,10 @@ def _load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"config line {line_no}: unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            try:
+                values[key] = _CONFIG_KEYS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"config line {line_no}: key {key!r}: {exc}") from None
     if values.get("data_path") == "":  # not given, like an empty --data
         del values["data_path"]
     return values

@@ -327,8 +327,10 @@ def _svr_active_set(K, y, C, epsilon, beta0, carry):
     [[0, 1'], [1, K_FF]], until a free multiplier reaches 0 or a bound
     and is fixed there.  The rest of such a blocked step, less the fixed
     row, is x corrected by one column of the inverse (the range-space
-    update, Nocedal & Wright 16.5), so x is solved only at the start and
-    after an add, and K @ beta is brought up to date lazily.  After a
+    update, Nocedal & Wright 16.5), which downdates the inverse in place,
+    so x is solved only at the start and after an add, and K @ beta is
+    brought up to date lazily; beta on F is carried in F's order and
+    written back after each full step and at the end.  After a
     full step up to RELEASE_BLOCK fixed multipliers, the largest KKT
     violators above KKT_TOL / 2, are released at once, as a primal-dual
     active-set method changes several statuses per iteration
@@ -342,7 +344,8 @@ def _svr_active_set(K, y, C, epsilon, beta0, carry):
     sizes.  A singular pivot, an empty F or 4n iterations hand over
     early.  Returns the iterate, clipped to the box with its sum
     re-centred to 0, or a copy of beta0 if that has the higher dual;
-    then F in the inverse's row order, and the inverse."""
+    then F in the inverse's row order, and the inverse.  beta0 and carry
+    are left as they are."""
     n = y.size
     beta = beta0.copy()
     g = np.einsum("ij,j->i", K, beta)  # K @ synced: beta as of g's last update
@@ -352,9 +355,11 @@ def _svr_active_set(K, y, C, epsilon, beta0, carry):
                       beta >= -1e-12 * C, beta > -C + 1e-10 * C], [2, 1, 0, -1], -2)
     inv = None  # the (m+1)^2 bordered inverse, seeded by the first add
     # F = fidx[:m], in the order of the inverse's rows 1..m, with its rows
-    # of K in KF[:m]; rhs and the ratio test's t are filled in place
+    # of K in KF[:m] and beta and side on it in bF[:m] and sF[:m]; rhs and
+    # the ratio test's t are filled in place
     fidx, KF = np.empty(n, dtype=np.intp), np.empty((n, n))
-    rhs, t, m, x = np.empty(n + 1), np.empty(n), 0, None
+    bF, sF, rhs, t = np.empty(n), np.empty(n), np.empty(n + 1), np.empty(n)
+    m, x = 0, None
     floor = 1e-10 * float(np.diag(K).max())
     # by side + 2: the dual's gain rate for moving a fixed multiplier up
     # is up_rate - E, and for moving it down down_rate + E (E = f(x) - y);
@@ -366,60 +371,62 @@ def _svr_active_set(K, y, C, epsilon, beta0, carry):
         nonlocal inv, m
         if m == 0:  # the first point seeds the inverse
             inv = np.array([[-K[J[0], J[0]], 1.0], [1.0, 0.0]])
-            fidx[0], KF[0], m = J[0], K[J[0]], 1
+            fidx[0], KF[0], bF[0], sF[0], m = J[0], K[J[0]], beta[J[0]], side[J[0]], 1
             J = J[1:]
-        inv, k = _add_block(inv, KF[:m, J].T, K[np.ix_(J, J)], floor)
-        fidx[m:m + k], KF[m:m + k] = J[:k], K[J[:k]]
+        rows = slice(m, m + J.size)  # written for all of J, kept for k of them
+        fidx[rows], KF[rows], bF[rows], sF[rows] = J, K[J], beta[J], side[J]
+        inv, k = _add_block(inv, KF[:m, J].T, KF[rows, J], floor)
         m += k
         return k == J.size
 
-    def remove(p):  # F -= {fidx[p]}: swap it to the end, then drop it from inv and x
+    def remove(p):  # F -= {fidx[p]}: downdate in place; row and column m fill p + 1
         nonlocal inv, m, x
-        inv[[p + 1, m]] = inv[[m, p + 1]]
-        inv[:, [p + 1, m]] = inv[:, [m, p + 1]]
-        x[[p + 1, m]] = x[[m, p + 1]]
-        fidx[p], KF[p] = fidx[m - 1], KF[m - 1]
-        c = inv[:m, m]
-        x = x[:m] - c * (x[m] / inv[m, m])
-        inv = inv[:m, :m] - np.multiply.outer(c, c / inv[m, m])
+        c, piv = inv[:, p + 1].copy(), inv[p + 1, p + 1]
+        x -= c * (x[p + 1] / piv)
+        np.subtract(inv, np.einsum("i,j->ij", c, c / piv), out=inv)
+        inv[p + 1], x[p + 1] = inv[m], x[m]
+        inv[:, p + 1] = inv[:, m]
         m -= 1
+        fidx[p], KF[p], bF[p], sF[p] = fidx[m], KF[m], bF[m], sF[m]
+        inv, x = inv[:m + 1, :m + 1], x[:m + 1]
 
     start = np.flatnonzero(np.abs(side) == 1)
     if start.size and carry is not None and np.array_equal(np.sort(carry[0]), start):
         m, inv = start.size, carry[1].copy()  # the last C's F, in its order
-        fidx[:m], KF[:m] = carry[0], K[carry[0]]
+        fidx[:m], KF[:m], bF[:m], sF[:m] = carry[0], K[carry[0]], beta[carry[0]], side[carry[0]]
     built = m > 0 or all(add(start[i:i + 8]) for i in range(0, start.size, 8))
     for _ in range(4 * n if built else 0):
         if m == 0:
             break
-        F = fidx[:m]
-        bF, sF = beta[F], side[F]
-        if x is None:
+        F, bm, sm = fidx[:m], bF[:m], sF[:m]
+        if x is None:  # beta is written back on F after each full step
             rhs[0] = -beta.sum()
             np.subtract(y[F], g[F], out=rhs[1:m + 1])
-            rhs[1:m + 1] -= epsilon * sF
+            rhs[1:m + 1] -= epsilon * sm
             x = np.einsum("ij,j->i", inv, rhs[:m + 1])  # [bias, step]
         d = x[1:]
         # the wall each free multiplier moves toward: 0 or its bound
-        wall = np.where((d > 0) == (sF > 0), C * sF, 0.0)
+        wall = np.where(d * sm > 0, C * sm, 0.0)
         tm = t[:m]
         tm.fill(np.inf)
-        np.divide(wall - bF, d, out=tm, where=d != 0)
+        np.divide(wall - bm, d, out=tm, where=d != 0)
         k = int(tm.argmin())
-        new = bF + min(1.0, max(tm[k], 0.0)) * d
-        if tm[k] < 1.0:  # F[k] is fixed at its wall; the rest of the step
-            q, new[k] = F[k], wall[k]  # is what is left of d, less row k
-            beta[F] = new
-            g += K[q] * (beta[q] - synced[q])
-            synced[q], side[q] = beta[q], 2 * sF[k] if wall[k] else 0
-            d *= 1.0 - max(tm[k], 0.0)
+        tk = float(tm[k])
+        bm += min(1.0, max(tk, 0.0)) * d
+        if tk < 1.0:  # F[k] is fixed at its wall; the rest of the step
+            q = F[k]  # is what is left of d, less row k
+            beta[q] = bm[k] = wall[k]
+            g += KF[k] * (beta[q] - synced[q])
+            synced[q], side[q] = beta[q], 2 * sm[k] if wall[k] else 0
+            d *= 1.0 - max(tk, 0.0)
             remove(k)
             continue
-        beta[F] = new
-        g += np.einsum("ij,i->j", KF[:m], new - synced[F])
-        synced[F] = new
+        beta[F] = bm
+        g += np.einsum("ij,i->j", KF[:m], bm - synced[F])
+        synced[F] = bm
         E = g + x[0] - y
-        up, down = up_rate[side + 2] - E, down_rate[side + 2] + E
+        s2 = side + 2
+        up, down = up_rate[s2] - E, down_rate[s2] + E
         viol = np.maximum(up, down)
         top = np.argsort(viol)[:-RELEASE_BLOCK - 1:-1]  # largest first
         top = top[viol[top] > KKT_TOL / 2]
@@ -429,6 +436,7 @@ def _svr_active_set(K, y, C, epsilon, beta0, carry):
         x = None
         if not (top.size and add(top)):
             break
+    beta[fidx[:m]] = bF[:m]  # F as of its last blocked step
     np.clip(beta, -C, C, out=beta)
     inside = (beta != 0.0) & (np.abs(beta) < C - abs(beta.sum()))
     if inside.any():

@@ -226,6 +226,17 @@ def test_invalid_config_file_value_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1.5", ""])
+def test_unparsable_config_value_names_its_line_and_key(tmp_path, capsys, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"# run settings\nseed={value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["eda", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config line 2: key 'seed': invalid literal for int()" in err
+    assert not out.exists()
+
+
 def test_solver_failure_shows_kkt_violation(tmp_path, capsys, monkeypatch):
     def failing_solver(*args, **kwargs):
         raise SmoError("SVR solver hit the iteration cap of 1",

@@ -3,8 +3,12 @@ SVR tube behavior, and post-fit KKT audits on random data."""
 
 import ast
 import hashlib
+import importlib.util
 import inspect
+import os
 import textwrap
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1139,3 +1143,53 @@ def test_eda_bits_are_pinned(protocol):
         experiments.run_eda(experiments.ExperimentConfig(), protocol.dataset))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "67c73a8fa453cd01dd8ca3a3323523a63de6a599b979231a961a0b026b6f6f72")
+
+
+def test_active_set_leaves_its_inputs_alone(protocol, monkeypatch):
+    """The engine downdates its bordered inverse in place, so it must
+    work on copies: on the seed-1 protocol's CV folds, each call leaves
+    beta0 and the carry from the last C (its free set and inverse) bit
+    for bit as they were.  Every C = 100 call is handed a carry."""
+    engine, calls = kernelmod._svr_active_set, []
+
+    def checked(K, y, C, epsilon, beta0, carry):
+        inputs = (beta0, *(carry or ()))
+        before = [a.tobytes() for a in inputs]
+        out = engine(K, y, C, epsilon, beta0, carry)
+        calls.append((C, len(inputs), [a.tobytes() for a in inputs] == before))
+        return out
+
+    monkeypatch.setattr(kernelmod, "_svr_active_set", checked)
+    kern = KernelSpec("rbf", gamma_scale(protocol.Xtr))
+    for Xs, ys in seed1_cv_folds(protocol):
+        solve_svr_dual(kernel_matrix(kern, Xs, Xs), ys,
+                       experiments.FIXED["svr_c_grid"], 0.1)
+    assert calls == [(10.0, 1, True), (100.0, 3, True)] * 10
+
+
+def load_engine_replay():
+    """benchmarks/engine_replay.py as a module; the BLAS thread variables
+    it sets on import are restored afterwards."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "engine_replay.py"
+    spec = importlib.util.spec_from_file_location("engine_replay", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, pinned", [
+    (1, (2851, 3374, 2071, 780, 0)),
+    (30, (2762, 3324, 1991, 771, 0)),
+])
+def test_engine_event_counts_are_pinned(seed, pinned):
+    """The engine's work on one report's 10 CV folds, counted by
+    benchmarks/engine_replay.py: loop iterations, points added, removes,
+    pricings and the SMO steps of the warm solves.  The counts are exact,
+    unlike wall times, so a change that claims to leave the engine's
+    events alone is checked here; one that changes them re-records them."""
+    replay = load_engine_replay()
+    problems = replay.fold_problems(experiments.ExperimentConfig(seed=seed))
+    source = Path(kernelmod.__file__).read_text(encoding="utf-8")
+    assert replay.counts(kernelmod, source, problems) == dict(zip(
+        ("iterations", "added", "removes", "pricings", "warm_smo_steps"), pinned))
